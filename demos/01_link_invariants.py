@@ -43,7 +43,7 @@ cover = branched_cover(13, WeightSystem((1, 1, 1, 1), 4))
 print(f"cover of (1,1,1,1;4) by k=13: weights {cover.cover}, "
       f"BP exponents {cover.bp_exponents}")
 t = torsion_order(13, WeightSystem((1, 1, 1, 1), 4))
-print(f"  |H_2| = {t} = {t.order()}")
+print(f"  |H_2| = {t} = {t.expand()}")
 
 # Systems without a quasi-smooth member are caught up front: every
 # degree-5 monomial in weights (1,2,2) contains the first variable.

@@ -2,14 +2,14 @@
 """Catalog generation, parameter counts, and deterministic serialization.
 
 Every family generator emits canonicalized records; the union is a catalog
-that serializes to JSON byte-identically regardless of the thread budget
-and parses back to the identical record list.
+that serializes to JSON byte-identically on every run and parses back to
+the identical record list.
 """
 
-from selinks import ScanConfig, fermat_cy_moduli, scan_all
+from selinks import ResourceBudgetError, ScanConfig, fermat_cy_moduli, scan_all
 from selinks.cli import parse_catalog_json, render_catalog
 
-cfg = ScanConfig(k_bound=24, m_range=(3, 6), thread_budget=4)
+cfg = ScanConfig(k_bound=24, m_range=(3, 6))
 records = scan_all(cfg)
 print(f"catalog: {len(records)} records across "
       f"{sorted({r.family_tag for r in records})}")
@@ -36,7 +36,13 @@ print()
 print(f"json catalog: {len(text)} bytes, schema {meta['schema']}, "
       "round-trip exact")
 
-# Factored torsion orders expand on demand; the largest in this catalog:
+# Factored torsion orders expand on demand, up to the interpreter's
+# int-to-str digit limit; the largest in this catalog is past it.
+fermat = next(r for r in records if str(r.torsion) == "21^204")
+print(f"torsion order {fermat.torsion}: "
+      f"{len(str(fermat.torsion.expand()))} decimal digits")
 big = max(records, key=lambda r: r.torsion.exponent)
-print(f"largest torsion order: {big.torsion} "
-      f"({len(str(big.torsion.order()))} decimal digits)")
+try:
+    big.torsion.expand()
+except ResourceBudgetError as exc:
+    print(f"largest torsion order {big.torsion}: not expanded ({exc})")

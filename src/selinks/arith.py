@@ -8,11 +8,12 @@ comparison.  No floating point appears anywhere on a computation path.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import UsageError
+from .errors import ResourceBudgetError, UsageError
 
 # all fractional quantities in this package are plain stdlib Fractions,
 # which already enforce lowest terms and a positive denominator
@@ -33,21 +34,40 @@ __all__ = [
 class FactoredPower:
     """A power base**exponent kept factored until explicitly expanded.
 
-    Torsion orders routinely have exponents in the hundreds; the expansion
-    is exact but only computed on demand.
+    Torsion orders |H_{m-1}(L, Z)| = k^{b_{m-2}} have exponents in the
+    hundreds and beyond, so the expansion is exact but only computed on
+    demand.
     """
 
     base: int
     exponent: int
 
     def __post_init__(self) -> None:
-        if self.base < 1:
-            raise UsageError(f"base must be positive, got {self.base}")
+        if self.base < 2:
+            raise UsageError(f"base must be at least 2, got {self.base}")
         if self.exponent < 0:
             raise UsageError(f"exponent must be non-negative, got {self.exponent}")
 
     def expand(self) -> int:
-        return self.base**self.exponent
+        """The exact power, refused when its decimal form would pass the
+        interpreter's int-to-str digit limit (`sys.get_int_max_str_digits`).
+
+        The check runs before the power is computed: past the limit the
+        power can be gigabytes long, and it could not be printed anyway.
+        """
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            return self.base**self.exponent
+        cap = 10**limit  # the least integer with limit + 1 digits
+        # base >= 2**(bits - 1): past this bound the power reaches the cap
+        if (self.base.bit_length() - 1) * self.exponent < cap.bit_length():
+            value = self.base**self.exponent
+            if value < cap:
+                return value
+        raise ResourceBudgetError(
+            f"{self} has more than {limit} decimal digits, the interpreter's "
+            "int-to-str limit"
+        )
 
     def __str__(self) -> str:
         return f"{self.base}^{self.exponent}"

@@ -4,8 +4,8 @@ The only module with side effects.  Subcommands map onto the library:
 ``invariants``, ``cover``, ``certify``, ``moduli``, ``scan`` and
 ``ingest``.  Exit codes distinguish failure classes: 0 success, 1 usage
 error, 2 integrity error (an exact invariant came out impossible), 3 I/O
-error.  Catalog output is deterministic: byte-identical across runs and
-across thread budgets, and the JSON form round-trips losslessly.
+error, 4 resource budget exceeded.  Catalog output is deterministic:
+byte-identical across runs, and the JSON form round-trips losslessly.
 """
 
 from __future__ import annotations
@@ -14,15 +14,16 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from operator import attrgetter
+from typing import Any, Callable, NamedTuple, Optional, Sequence, get_type_hints
 
 from . import __version__
-from .errors import IntegrityError, UsageError
-from .ke_cert import KeCertificate, bp_sufficient_ke, certify_cover
+from .arith import FactoredPower
+from .errors import IntegrityError, ResourceBudgetError, UsageError
+from .ke_cert import bp_sufficient_ke
 from .links import (
     WeightSystem,
     branched_cover,
@@ -31,7 +32,7 @@ from .links import (
     quasi_smooth_generic,
     torsion_hypothesis,
 )
-from .moduli import ModuliCount, moduli_count
+from .moduli import moduli_count
 from .survey import (
     EuclideanRow,
     FamilyRecord,
@@ -44,7 +45,7 @@ from .survey import (
     scan_fermat_cy,
     scan_hyperbolic,
 )
-from .topology import TorsionOrder, genus, milnor_orlik_betti, torsion_order
+from .topology import genus, milnor_orlik_betti, torsion_order
 
 __all__ = [
     "Invocation",
@@ -58,33 +59,6 @@ __all__ = [
 CATALOG_SCHEMA = "selinks.catalog/1"
 
 _SCAN_FAMILIES = ("euclidean", "theorem2", "fermat-cy", "hyperbolic", "mixed-canonical")
-
-CSV_HEADER = (
-    "family",
-    "m",
-    "k",
-    "l_or_d",
-    "weights",
-    "degree",
-    "link_dimension",
-    "torsion",
-    "genus",
-    "moduli_complex",
-    "moduli_real",
-    "h0_degree",
-    "h0_weights_sum",
-    "fano",
-    "necessary_klt",
-    "bp_applicable",
-    "bp_sufficient",
-    "gc_assumed",
-    "left_value",
-    "right_bound",
-    "limiting_witness",
-    "paper_min_k",
-    "literal_min_k",
-)
-
 
 @dataclass(frozen=True)
 class Invocation:
@@ -133,14 +107,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _default_threads() -> int:
-    env = os.environ.get("SELINKS_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise UsageError(f"SELINKS_THREADS must be an integer, got {env!r}")
-    return os.cpu_count() or 1
+# scans are serial: the work is pure Python, so threads would only take
+# turns on the interpreter lock; the flag is kept so old scripts still run
+_THREADS_HELP = "accepted and ignored; scans run serially"
 
 
 def _build_parser() -> _Parser:
@@ -178,14 +147,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--weight-bound", type=_positive_int, default=60)
     p.add_argument("--k-bound", type=_positive_int, default=60)
     p.add_argument("--m", type=_int_range, default=(3, 8), metavar="A..B")
-    p.add_argument("--threads", type=_positive_int, default=None)
+    p.add_argument("--threads", type=_positive_int, default=None, help=_THREADS_HELP)
     p.add_argument("--expand-torsion", action="store_true")
     add_output_flags(p, formats=("table", "json", "csv"))
 
     p = sub.add_parser("ingest", help="certify a user-supplied weight list")
     p.add_argument("file")
     p.add_argument("--k-range", type=_int_range, default=(2, 60), metavar="A..B")
-    p.add_argument("--threads", type=_positive_int, default=None)
+    p.add_argument("--threads", type=_positive_int, default=None, help=_THREADS_HELP)
     p.add_argument("--expand-torsion", action="store_true")
     add_output_flags(p, formats=("table", "json", "csv"))
 
@@ -211,84 +180,160 @@ def parse_invocation(argv: Sequence[str]) -> Invocation:
 # serialization
 
 
-def _frac_json(value: Fraction) -> dict:
-    return {"num": value.numerator, "den": value.denominator}
-
-
-def _frac_from_json(obj: dict) -> Fraction:
-    return Fraction(obj["num"], obj["den"])
-
-
 def _frac_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+class _Codec(NamedTuple):
+    """How a field value is written to JSON and to CSV, and read from JSON."""
+
+    to_json: Callable[[Any, bool], Any]  # (value, expand_torsion)
+    from_json: Callable[[Any], Any]
+    to_text: Callable[[Any, bool], Any]
+
+
+def _torsion_json(value: FactoredPower, expand: bool) -> dict:
+    obj: dict = {"base": value.base, "exponent": value.exponent}
+    if expand:
+        obj["decimal"] = str(value.expand())
+    return obj
+
+
+_FRACTION = _Codec(
+    lambda value, _: {"num": value.numerator, "den": value.denominator},
+    lambda obj: Fraction(obj["num"], obj["den"]),
+    lambda value, _: _frac_str(value),
+)
+_WEIGHTS = _Codec(
+    lambda value, _: list(value),
+    tuple,
+    lambda value, _: " ".join(map(str, value)),
+)
+_TORSION = _Codec(
+    _torsion_json,
+    lambda obj: FactoredPower(obj["base"], obj["exponent"]),
+    lambda value, expand: str(value.expand()) if expand else str(value),
+)
+
+
+class _Field(NamedTuple):
+    column: str  # CSV column
+    json_path: str  # "a.b" is key b of the JSON object a
+    attr_path: str  # "a.b" is attribute b of FamilyRecord.a
+    codec: Optional[_Codec] = None  # None: written as is (None is null / "")
+
+
+# every record field once, in JSON key order, which is also the CSV order;
+# JSON, CSV, the table view and JSON parsing are all driven from here
+_FIELDS = (
+    _Field("family", "family", "family_tag"),
+    _Field("m", "m", "m"),
+    _Field("k", "k", "k"),
+    _Field("l_or_d", "l_or_d", "l_or_d"),
+    _Field("weights", "base.weights", "base.weights", _WEIGHTS),
+    _Field("degree", "base.degree", "base.degree"),
+    _Field("link_dimension", "link_dimension", "link_dimension"),
+    _Field("torsion", "torsion", "torsion", _TORSION),
+    _Field("genus", "genus", "genus"),
+    _Field("moduli_complex", "moduli.complex", "moduli.complex_dim"),
+    _Field("moduli_real", "moduli.real", "moduli.real_dim"),
+    _Field("h0_degree", "moduli.h0_degree", "moduli.h0_degree"),
+    _Field("h0_weights_sum", "moduli.h0_weights_sum", "moduli.h0_weights_sum"),
+    _Field("fano", "certificate.fano", "certificate.fano"),
+    _Field("necessary_klt", "certificate.necessary_klt", "certificate.necessary_klt"),
+    _Field("bp_applicable", "certificate.bp_applicable", "certificate.bp_applicable"),
+    _Field("bp_sufficient", "certificate.bp_sufficient", "certificate.bp_sufficient"),
+    _Field("gc_assumed", "certificate.gc_assumed", "certificate.gc_assumed"),
+    _Field("left_value", "certificate.left_value", "certificate.left_value", _FRACTION),
+    _Field("right_bound", "certificate.right_bound", "certificate.right_bound", _FRACTION),
+    _Field("limiting_witness", "certificate.limiting_witness", "certificate.limiting_witness"),
+    _Field("paper_min_k", "paper_min_k", "paper_min_k"),
+    _Field("literal_min_k", "literal_min_k", "literal_min_k"),
+)
+
+# the table view's own layout: (header, width, alignment, cell), where a
+# cell names a CSV column, "base" is the system as (w1,...,wm;d) and None
+# is blank
+_TABLE = (
+    ("family", 16, "<", "family"),
+    ("dim", 4, ">", "link_dimension"),
+    ("m", 3, ">", "m"),
+    ("d/l", 5, ">", "l_or_d"),
+    ("k", 4, ">", "k"),
+    ("", 2, "<", None),
+    ("base", 18, "<", "base"),
+    ("torsion", 12, "<", "torsion"),
+    ("g", 3, ">", "genus"),
+    ("mu", 5, ">", "moduli_complex"),
+    ("real", 5, ">", "moduli_real"),
+    ("", 2, "<", None),
+    ("fano", 5, "<", "fano"),
+    ("klt", 5, "<", "necessary_klt"),
+    ("bp", 5, "<", "bp_applicable"),
+    ("cert", 5, "<", "bp_sufficient"),
+    ("k_paper", 8, ">", "paper_min_k"),
+    ("k_lit", 6, ">", "literal_min_k"),
+)
+
+
+def _split(path: str) -> tuple[Optional[str], str]:
+    group, _, key = path.rpartition(".")
+    return group or None, key
+
+
+CSV_HEADER = tuple(field.column for field in _FIELDS)
+_values = attrgetter(*(field.attr_path for field in _FIELDS))
+_JSON_OUT = tuple((*_split(f.json_path), f.codec and f.codec.to_json) for f in _FIELDS)
+_JSON_IN = tuple(
+    (*_split(f.json_path), *_split(f.attr_path), f.codec and f.codec.from_json) for f in _FIELDS
+)
+_TEXT_OUT = tuple(f.codec and f.codec.to_text for f in _FIELDS)
+# record attributes assembled from several fields, with their types
+_record_types = get_type_hints(FamilyRecord)
+_PARTS = {
+    group: _record_types[group]
+    for group, _ in map(_split, (f.attr_path for f in _FIELDS))
+    if group is not None
+}
+
+
 def record_to_json(rec: FamilyRecord, expand_torsion: bool = False) -> dict:
-    torsion: dict = {"base": rec.torsion.base, "exponent": rec.torsion.exponent}
-    if expand_torsion:
-        torsion["decimal"] = str(rec.torsion.order())
-    cert = rec.certificate
-    return {
-        "family": rec.family_tag,
-        "m": rec.m,
-        "k": rec.k,
-        "l_or_d": rec.l_or_d,
-        "base": {"weights": list(rec.base.weights), "degree": rec.base.degree},
-        "link_dimension": rec.link_dimension,
-        "torsion": torsion,
-        "genus": rec.genus,
-        "moduli": {
-            "complex": rec.moduli.complex_dim,
-            "real": rec.moduli.real_dim,
-            "h0_degree": rec.moduli.h0_degree,
-            "h0_weights_sum": rec.moduli.h0_weights_sum,
-        },
-        "certificate": {
-            "fano": cert.fano,
-            "necessary_klt": cert.necessary_klt,
-            "bp_applicable": cert.bp_applicable,
-            "bp_sufficient": cert.bp_sufficient,
-            "gc_assumed": cert.gc_assumed,
-            "left_value": _frac_json(cert.left_value),
-            "right_bound": _frac_json(cert.right_bound),
-            "limiting_witness": cert.limiting_witness,
-        },
-        "paper_min_k": rec.paper_min_k,
-        "literal_min_k": rec.literal_min_k,
-    }
+    obj: dict = {}
+    for (group, key, encode), value in zip(_JSON_OUT, _values(rec)):
+        if encode is not None:
+            value = encode(value, expand_torsion)
+        if group is None:
+            obj[key] = value
+        elif group in obj:
+            obj[group][key] = value
+        else:
+            obj[group] = {key: value}
+    return obj
 
 
 def record_from_json(obj: dict) -> FamilyRecord:
-    cert = obj["certificate"]
-    moduli = obj["moduli"]
-    return FamilyRecord(
-        family_tag=obj["family"],
-        m=obj["m"],
-        k=obj["k"],
-        l_or_d=obj["l_or_d"],
-        base=WeightSystem(tuple(obj["base"]["weights"]), obj["base"]["degree"]),
-        link_dimension=obj["link_dimension"],
-        torsion=TorsionOrder(obj["torsion"]["base"], obj["torsion"]["exponent"]),
-        genus=obj["genus"],
-        moduli=ModuliCount(
-            complex_dim=moduli["complex"],
-            real_dim=moduli["real"],
-            h0_degree=moduli["h0_degree"],
-            h0_weights_sum=moduli["h0_weights_sum"],
-        ),
-        certificate=KeCertificate(
-            fano=cert["fano"],
-            necessary_klt=cert["necessary_klt"],
-            bp_applicable=cert["bp_applicable"],
-            bp_sufficient=cert["bp_sufficient"],
-            gc_assumed=cert["gc_assumed"],
-            left_value=_frac_from_json(cert["left_value"]),
-            right_bound=_frac_from_json(cert["right_bound"]),
-            limiting_witness=cert["limiting_witness"],
-        ),
-        paper_min_k=obj["paper_min_k"],
-        literal_min_k=obj["literal_min_k"],
-    )
+    top: dict = {}
+    parts: dict = {group: {} for group in _PARTS}
+    for json_group, json_key, group, name, decode in _JSON_IN:
+        value = (obj if json_group is None else obj[json_group])[json_key]
+        if decode is not None:
+            value = decode(value)
+        (top if group is None else parts[group])[name] = value
+    for group, cls in _PARTS.items():
+        top[group] = cls(**parts[group])
+    return FamilyRecord(**top)
+
+
+def _csv_row(rec: FamilyRecord, expand_torsion: bool) -> list:
+    # csv writes None as an empty cell
+    return [
+        value if encode is None else encode(value, expand_torsion)
+        for encode, value in zip(_TEXT_OUT, _values(rec))
+    ]
+
+
+def _table_text(value: Any) -> str:
+    return "-" if value is None else str(value)
 
 
 def _catalog_meta(cfg: Optional[ScanConfig], expand_torsion: bool, count: int) -> dict:
@@ -329,65 +374,46 @@ def render_catalog(
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for rec in records:
-            cert = rec.certificate
-            torsion = str(rec.torsion.order()) if expand_torsion else str(rec.torsion)
-            writer.writerow(
-                (
-                    rec.family_tag,
-                    rec.m,
-                    rec.k,
-                    rec.l_or_d,
-                    " ".join(str(w) for w in rec.base.weights),
-                    rec.base.degree,
-                    rec.link_dimension,
-                    torsion,
-                    "" if rec.genus is None else rec.genus,
-                    rec.moduli.complex_dim,
-                    rec.moduli.real_dim,
-                    rec.moduli.h0_degree,
-                    rec.moduli.h0_weights_sum,
-                    cert.fano,
-                    cert.necessary_klt,
-                    cert.bp_applicable,
-                    cert.bp_sufficient,
-                    cert.gc_assumed,
-                    _frac_str(cert.left_value),
-                    _frac_str(cert.right_bound),
-                    cert.limiting_witness,
-                    "" if rec.paper_min_k is None else rec.paper_min_k,
-                    "" if rec.literal_min_k is None else rec.literal_min_k,
-                )
-            )
+        writer.writerows(_csv_row(rec, expand_torsion) for rec in records)
         return buf.getvalue()
     if fmt == "table":
-        head = (
-            f"{'family':<16}{'dim':>4}{'m':>3}{'d/l':>5}{'k':>4}  "
-            f"{'base':<18}{'torsion':<12}{'g':>3}{'mu':>5}{'real':>5}  "
-            f"{'fano':<5}{'klt':<5}{'bp':<5}{'cert':<5}{'k_paper':>8}{'k_lit':>6}"
-        )
+        head = "".join(f"{header:{align}{width}}" for header, width, align, _ in _TABLE)
         lines = [head, "-" * len(head)]
         for rec in records:
-            cert = rec.certificate
-            torsion = str(rec.torsion.order()) if expand_torsion else str(rec.torsion)
+            cells = dict(zip(CSV_HEADER, _csv_row(rec, expand_torsion)), base=rec.base)
             lines.append(
-                f"{rec.family_tag:<16}{rec.link_dimension:>4}{rec.m:>3}"
-                f"{rec.l_or_d:>5}{rec.k:>4}  {str(rec.base):<18}{torsion:<12}"
-                f"{'-' if rec.genus is None else rec.genus:>3}"
-                f"{rec.moduli.complex_dim:>5}{rec.moduli.real_dim:>5}  "
-                f"{str(cert.fano):<5}{str(cert.necessary_klt):<5}"
-                f"{str(cert.bp_applicable):<5}{str(cert.bp_sufficient):<5}"
-                f"{'-' if rec.paper_min_k is None else rec.paper_min_k:>8}"
-                f"{'-' if rec.literal_min_k is None else rec.literal_min_k:>6}"
+                "".join(
+                    f"{'' if key is None else _table_text(cells[key]):{align}{width}}"
+                    for _, width, align, key in _TABLE
+                )
             )
         return "\n".join(lines) + "\n"
     raise UsageError(f"unknown catalog format {fmt!r}")
 
 
 def parse_catalog_json(text: str) -> tuple[dict, list[FamilyRecord]]:
-    """Inverse of the JSON rendering: (meta, records), exact."""
-    payload = json.loads(text)
-    return payload["meta"], [record_from_json(obj) for obj in payload["records"]]
+    """Inverse of the JSON rendering: (meta, records), exact.
+
+    Malformed text, a catalog of another schema and a malformed record
+    (named by its index) all raise UsageError.
+    """
+    try:
+        payload = json.loads(text)
+        meta, objs = payload["meta"], payload["records"]
+        schema = meta["schema"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"malformed catalog: {exc!r}") from None
+    if schema != CATALOG_SCHEMA:
+        raise UsageError(f"catalog schema is {schema!r}, expected {CATALOG_SCHEMA!r}")
+    if not isinstance(objs, list):
+        raise UsageError("malformed catalog: records is not a list")
+    records = []
+    for index, obj in enumerate(objs):
+        try:
+            records.append(record_from_json(obj))
+        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
+            raise UsageError(f"malformed catalog record {index}: {exc!r}") from None
+    return meta, records
 
 
 def render_euclidean_rows(rows: Sequence[EuclideanRow], fmt: str) -> str:
@@ -512,9 +538,6 @@ def _run_moduli(inv: Invocation) -> str:
 
 
 def _scan_config(options: dict) -> ScanConfig:
-    threads = options.get("threads")
-    if threads is None:
-        threads = _default_threads()
     k_range = options.get("k_range")
     k_min, k_bound = (2, options.get("k_bound", 60))
     if k_range is not None:
@@ -526,7 +549,6 @@ def _scan_config(options: dict) -> ScanConfig:
         k_bound=k_bound,
         m_range=options.get("m", (3, 8)),
         k_min=k_min,
-        thread_budget=threads,
     )
 
 
@@ -592,6 +614,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    except ResourceBudgetError as exc:
+        print(f"resource budget error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

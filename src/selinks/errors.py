@@ -2,7 +2,7 @@
 
 Three failure classes are distinguished so callers (and the command line
 driver) can react by kind: bad input, an exact computation contradicting a
-mathematical invariant, and enumeration budgets.
+mathematical invariant, and resource budgets.
 """
 
 
@@ -21,4 +21,4 @@ class IntegrityError(ArithmeticError):
 
 
 class ResourceBudgetError(RuntimeError):
-    """A brute-force enumeration would exceed its configured budget."""
+    """A computation would exceed its budget (an enumeration or an expansion)."""

@@ -4,28 +4,28 @@ Each generator emits `FamilyRecord` rows for candidate Sasakian-Einstein
 rational homology spheres: cover parameters, torsion order, genus where it
 applies, effective parameter counts, and the full certificate.  Scans are
 bounded verifications: results are exhaustive up to the configured bounds
-and deterministic regardless of the thread budget (partitions are pure and
-merged by a canonical sort, so catalogs are byte-identical across runs).
+and deterministic (records are put in a canonical sort order, so catalogs
+are byte-identical across runs).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, TypeVar
+from typing import ClassVar, Iterable, NamedTuple, Optional
 
-from .arith import count_monomials
-from .errors import UsageError
+from .arith import FactoredPower, count_monomials
+from .errors import IntegrityError, UsageError
 from .ke_cert import (
     KeCertificate,
     bp_sufficient_ke,
     certify_cover,
+    euclidean_k_threshold,
     hyperbolic_k_window,
 )
 from .links import WeightSystem, branched_cover, quasi_smooth_generic
 from .moduli import ModuliCount, moduli_count
-from .topology import TorsionOrder, genus, torsion_order
+from .topology import genus, torsion_order
 
 __all__ = [
     "ScanConfig",
@@ -41,28 +41,24 @@ __all__ = [
     "ingest_weight_list",
 ]
 
-# the three Euclidean (|w| = d) classes in three variables, with the claimed
-# minimal branch orders from the source analysis and the minimal orders a
-# literal evaluation of the sufficiency inequality yields (they disagree;
-# records carry both so the discrepancy stays visible as data)
+# the three Euclidean (|w| = d) classes in three variables
 _EUCLIDEAN_BASES = (
     WeightSystem((1, 1, 1), 3),
     WeightSystem((1, 1, 2), 4),
     WeightSystem((1, 2, 3), 6),
 )
-_EUCLIDEAN_PAPER_MIN_K = {3: 3, 4: 3, 6: 5}
 
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Bounds and execution budget for the generators."""
+    """Bounds for the generators."""
 
     weight_bound: int = 60
     k_bound: int = 60
     m_range: tuple[int, int] = (3, 8)
     k_min: int = 2
-    thread_budget: int = 1
-    oracle_budget: int = 10_000_000
+    # generation is serial; a constant because perfbench/trace.py reads it
+    thread_budget: ClassVar[int] = 1
 
     def __post_init__(self) -> None:
         if self.weight_bound < 1 or self.k_bound < 1:
@@ -72,10 +68,6 @@ class ScanConfig:
         lo, hi = self.m_range
         if lo < 3 or hi < lo:
             raise UsageError(f"m range must satisfy 3 <= lo <= hi, got {self.m_range}")
-        if self.thread_budget < 1:
-            raise UsageError("thread budget must be positive")
-        if self.oracle_budget < 1:
-            raise UsageError("oracle budget must be positive")
 
 
 class EuclideanRow(NamedTuple):
@@ -95,7 +87,7 @@ class FamilyRecord:
     l_or_d: int
     base: WeightSystem
     link_dimension: int
-    torsion: TorsionOrder
+    torsion: FactoredPower
     genus: Optional[int]
     moduli: ModuliCount
     certificate: KeCertificate
@@ -119,19 +111,6 @@ class IngestResult:
 
     records: list[FamilyRecord]
     errors: list[str]
-
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-
-def _map(fn: Callable[[T], R], items: Sequence[T], threads: int) -> list[R]:
-    # partitions are pure; executor.map preserves input order, so the
-    # thread budget can never change the result
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _build_record(
@@ -159,6 +138,13 @@ def _build_record(
     )
 
 
+def _catalog(tag: str, tasks: Iterable[tuple]) -> list[FamilyRecord]:
+    """Records for (k, base, l_or_d[, paper_min_k, literal_min_k]) tasks, in catalog order."""
+    records = [_build_record(tag, *task) for task in tasks]
+    records.sort(key=FamilyRecord.sort_key)
+    return records
+
+
 def scan_euclidean_classification(cfg: ScanConfig) -> list[EuclideanRow]:
     """All |w| = d classes in three variables up to the weight bound.
 
@@ -167,9 +153,8 @@ def scan_euclidean_classification(cfg: ScanConfig) -> list[EuclideanRow]:
     Exhaustive up to the bound; the outcome is stable once the bound
     covers all genuine classes.
     """
-
-    def rows_for_w3(w3: int) -> list[EuclideanRow]:
-        rows = []
+    rows = []
+    for w3 in range(1, cfg.weight_bound + 1):
         for w2 in range(1, w3 + 1):
             for w1 in range(1, w2 + 1):
                 if math.gcd(w1, math.gcd(w2, w3)) != 1:
@@ -177,10 +162,6 @@ def scan_euclidean_classification(cfg: ScanConfig) -> list[EuclideanRow]:
                 ws = WeightSystem((w1, w2, w3), w1 + w2 + w3)
                 if quasi_smooth_generic(ws):
                     rows.append(EuclideanRow(ws, count_monomials(ws.weights, ws.degree)))
-        return rows
-
-    chunks = _map(rows_for_w3, range(1, cfg.weight_bound + 1), cfg.thread_budget)
-    rows = [row for chunk in chunks for row in chunk]
     rows.sort(key=lambda row: (row.system.weights, row.system.degree))
     return rows
 
@@ -203,27 +184,22 @@ def generate_theorem2_family(cfg: ScanConfig) -> list[FamilyRecord]:
 
     For each class (d in {3, 4, 6}) and each branch order k <= k_bound
     coprime to d, the cover has torsion of order k^2, the base curve has
-    genus 1, and the quotient is Fano.  Every record pairs the claimed
-    minimal certifying k with the minimal k a literal sweep of the
-    sufficiency inequality produces.
+    genus 1, and the quotient is Fano.  Every record pairs the minimal k
+    the source analysis claims, which is the necessary-klt threshold
+    `euclidean_k_threshold` (3/3/5), with the minimal k a literal sweep of
+    the sufficiency inequality produces (7/11/13).  The two disagree and
+    records carry both, so the discrepancy stays visible as data.
     """
     tasks = []
     for base in _EUCLIDEAN_BASES:
+        paper = euclidean_k_threshold(base)
         literal = _least_certifying_k(base, cfg.k_bound)
-        paper = _EUCLIDEAN_PAPER_MIN_K[base.degree]
-        for k in range(cfg.k_min, cfg.k_bound + 1):
-            if math.gcd(k, base.degree) == 1:
-                tasks.append((base, k, paper, literal))
-
-    def build(task) -> FamilyRecord:
-        base, k, paper, literal = task
-        return _build_record(
-            "euclidean5", k, base, base.degree, paper_min_k=paper, literal_min_k=literal
-        )
-
-    records = _map(build, tasks, cfg.thread_budget)
-    records.sort(key=FamilyRecord.sort_key)
-    return records
+        tasks += [
+            (k, base, base.degree, paper, literal)
+            for k in range(cfg.k_min, cfg.k_bound + 1)
+            if math.gcd(k, base.degree) == 1
+        ]
+    return _catalog("euclidean5", tasks)
 
 
 def scan_fermat_cy(cfg: ScanConfig) -> list[FamilyRecord]:
@@ -235,19 +211,12 @@ def scan_fermat_cy(cfg: ScanConfig) -> list[FamilyRecord]:
     """
     lo, hi = cfg.m_range
     tasks = [
-        (WeightSystem((1,) * m, m), k, m)
+        (k, WeightSystem((1,) * m, m), m)
         for m in range(lo, hi + 1)
         for k in range(cfg.k_min, cfg.k_bound + 1)
         if math.gcd(k, m) == 1
     ]
-
-    def build(task) -> FamilyRecord:
-        base, k, m = task
-        return _build_record("fermat_cy", k, base, m)
-
-    records = _map(build, tasks, cfg.thread_budget)
-    records.sort(key=FamilyRecord.sort_key)
-    return records
+    return _catalog("fermat_cy", tasks)
 
 
 def scan_hyperbolic(cfg: ScanConfig) -> list[FamilyRecord]:
@@ -263,15 +232,8 @@ def scan_hyperbolic(cfg: ScanConfig) -> list[FamilyRecord]:
             window = hyperbolic_k_window(m, l)
             for k in window.solutions:
                 if cfg.k_min <= k <= cfg.k_bound:
-                    tasks.append((WeightSystem((1,) * m, l), k, l))
-
-    def build(task) -> FamilyRecord:
-        base, k, l = task
-        return _build_record("hyperbolic", k, base, l)
-
-    records = _map(build, tasks, cfg.thread_budget)
-    records.sort(key=FamilyRecord.sort_key)
-    return records
+                    tasks.append((k, WeightSystem((1,) * m, l), l))
+    return _catalog("hyperbolic", tasks)
 
 
 def generate_mixed_canonical(cfg: ScanConfig) -> list[FamilyRecord]:
@@ -286,15 +248,8 @@ def generate_mixed_canonical(cfg: ScanConfig) -> list[FamilyRecord]:
     for m in range(lo, hi + 1):
         k = 2 * m - 1
         if cfg.k_min <= k <= cfg.k_bound:
-            tasks.append((WeightSystem((1,) * (m - 1) + (m,), 2 * m), k, 2 * m))
-
-    def build(task) -> FamilyRecord:
-        base, k, d = task
-        return _build_record("mixed_canonical", k, base, d)
-
-    records = _map(build, tasks, cfg.thread_budget)
-    records.sort(key=FamilyRecord.sort_key)
-    return records
+            tasks.append((k, WeightSystem((1,) * (m - 1) + (m,), 2 * m), 2 * m))
+    return _catalog("mixed_canonical", tasks)
 
 
 def scan_all(cfg: ScanConfig) -> list[FamilyRecord]:
@@ -317,14 +272,14 @@ def ingest_weight_list(lines: Iterable[str], cfg: ScanConfig) -> IngestResult:
     """Run the full pipeline on user-supplied base systems.
 
     Input is one system per line in the form ``w1,...,wm;d`` with ``#``
-    comments.  Malformed rows and rows without a quasi-smooth member are
-    reported with their line numbers and skipped; they never abort the
-    batch.  Each surviving base is covered by every k in the configured
-    range with gcd(k, d) = 1.
+    comments.  Each accepted base is covered by every k in the configured
+    range with gcd(k, d) = 1.  Malformed rows, rows without a quasi-smooth
+    member and rows whose invariants come out impossible (IntegrityError)
+    are reported with their line numbers and skipped; they never abort the
+    batch or cost another row its records.
     """
     records: list[FamilyRecord] = []
     errors: list[str] = []
-    bases: list[WeightSystem] = []
     for lineno, raw in enumerate(lines, start=1):
         text = _strip_comment(raw)
         if not text:
@@ -340,19 +295,10 @@ def ingest_weight_list(lines: Iterable[str], cfg: ScanConfig) -> IngestResult:
                 "(the generic singularity is not isolated)"
             )
             continue
-        bases.append(ws)
-
-    tasks = [
-        (base, k)
-        for base in bases
-        for k in range(cfg.k_min, cfg.k_bound + 1)
-        if math.gcd(k, base.degree) == 1
-    ]
-
-    def build(task) -> FamilyRecord:
-        base, k = task
-        return _build_record("ingested", k, base, base.degree)
-
-    records = _map(build, tasks, cfg.thread_budget)
+        ks = [k for k in range(cfg.k_min, cfg.k_bound + 1) if math.gcd(k, ws.degree) == 1]
+        try:
+            records += [_build_record("ingested", k, ws, ws.degree) for k in ks]
+        except IntegrityError as exc:
+            errors.append(f"line {lineno}: {exc}")
     records.sort(key=FamilyRecord.sort_key)
     return IngestResult(records=records, errors=errors)

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .arith import lcm_many, reduced_fraction
+from .arith import FactoredPower, lcm_many, reduced_fraction
 from .errors import IntegrityError, ResourceBudgetError, UsageError
 from .links import WeightSystem, torsion_obstruction
 
@@ -36,28 +35,8 @@ __all__ = [
 ReducedRatioVector = tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class TorsionOrder:
-    """|H_{m-1}(L, Z)| = base^exponent, kept factored.
-
-    Exponents reach the hundreds, so the decimal expansion is an explicit,
-    separate request.
-    """
-
-    base: int
-    exponent: int
-
-    def __post_init__(self) -> None:
-        if self.base < 2:
-            raise UsageError(f"torsion base must be at least 2, got {self.base}")
-        if self.exponent < 0:
-            raise UsageError(f"exponent must be non-negative, got {self.exponent}")
-
-    def order(self) -> int:
-        return self.base**self.exponent
-
-    def __str__(self) -> str:
-        return f"{self.base}^{self.exponent}"
+# the torsion order |H_{m-1}(L, Z)| = k^{b_{m-2}} is a factored power
+TorsionOrder = FactoredPower
 
 
 def reduced_ratios(ws: WeightSystem) -> ReducedRatioVector:
@@ -192,7 +171,7 @@ def genus_one_criterion(ws: WeightSystem) -> bool:
     )
 
 
-def torsion_order(k: int, base: WeightSystem) -> TorsionOrder:
+def torsion_order(k: int, base: WeightSystem) -> FactoredPower:
     """Order of the middle homology of the k-fold cover: k^{b_{m-2}(base)}.
 
     Requires gcd(k, u_i) = 1 for every reduced numerator of d/w_i; the
@@ -205,4 +184,4 @@ def torsion_order(k: int, base: WeightSystem) -> TorsionOrder:
             f"cover of {base} by k={k} is not certified a rational homology "
             f"sphere: gcd(k, u_{i + 1}) > 1 for u_{i + 1} = {u}"
         )
-    return TorsionOrder(base=k, exponent=milnor_orlik_betti(base))
+    return FactoredPower(base=k, exponent=milnor_orlik_betti(base))

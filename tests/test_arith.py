@@ -1,10 +1,12 @@
 import itertools
 import random
+import sys
 
 import pytest
 
 from selinks import (
     FactoredPower,
+    ResourceBudgetError,
     UsageError,
     binomial,
     count_monomials,
@@ -102,3 +104,16 @@ def test_factored_power():
         FactoredPower(0, 3)
     with pytest.raises(UsageError):
         FactoredPower(2, -1)
+    with pytest.raises(UsageError):
+        FactoredPower(1, 5)
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no int-to-str digit limit")
+def test_factored_power_expansion_stops_at_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    assert len(str(FactoredPower(10, limit - 1).expand())) == limit
+    with pytest.raises(ResourceBudgetError, match=f"more than {limit} decimal digits"):
+        FactoredPower(10, limit).expand()
+    # about 8.5 GB if it were computed; refused from the bit-length bound
+    with pytest.raises(ResourceBudgetError):
+        FactoredPower(19, 16134384889).expand()

@@ -175,7 +175,7 @@ def test_output_file_writing(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     meta, records = parse_catalog_json(out.read_text(encoding="utf-8"))
     assert len(records) == 1
-    assert records[0].torsion.order() == 729
+    assert records[0].torsion.expand() == 729
 
 
 def test_ingest_cli(tmp_path, capsys):
@@ -190,14 +190,63 @@ def test_ingest_cli(tmp_path, capsys):
     assert 13 in ks and all(math.gcd(k, 4) == 1 for k in ks)
 
 
-def test_byte_identical_across_runs_and_threads(capsys):
+def test_byte_identical_across_runs_and_threads(capsys, monkeypatch):
+    # --threads and SELINKS_THREADS are accepted and ignored
+    monkeypatch.setenv("SELINKS_THREADS", "not a number")
     outputs = []
-    for threads in ("1", "4", "8"):
-        code = main(["scan", "theorem2", "--k-bound", "12", "--format", "json",
-                     "--threads", threads])
+    for threads in ([], ["--threads", "4"], ["--threads", "8"]):
+        code = main(["scan", "theorem2", "--k-bound", "12", "--format", "json", *threads])
         assert code == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_ingest_cli_isolates_rows(tmp_path, capsys):
+    src = tmp_path / "bases.txt"
+    src.write_text("1,1,1;3\nfoo\n1,1;0\n2,2,2;6\n", encoding="utf-8")
+    code = main(["ingest", str(src), "--k-range", "2..7", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert [line.split(": ")[1] for line in captured.err.splitlines()] == [
+        "line 2", "line 3", "line 4"
+    ]
+    meta, records = parse_catalog_json(captured.out)
+    assert {(r.base.weights, r.k) for r in records} == {((1, 1, 1), k) for k in (2, 4, 5, 7)}
+
+
+def test_expand_torsion_past_the_digit_limit_exits_4(capsys):
+    # 11^13421 (m = 6) has about 13,976 decimal digits
+    code = main(["scan", "mixed-canonical", "--m", "3..8", "--expand-torsion"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.startswith("resource budget error: 11^13421 ")
+    assert "Traceback" not in captured.err
+
+
+def _catalog_text() -> str:
+    cfg = ScanConfig(k_bound=5, m_range=(3, 3))
+    return render_catalog(scan_all(cfg), "json", cfg)
+
+
+def test_parse_catalog_json_rejects_truncated_text():
+    text = _catalog_text()
+    with pytest.raises(UsageError, match="malformed catalog"):
+        parse_catalog_json(text[: len(text) // 2])
+
+
+def test_parse_catalog_json_names_the_bad_record():
+    payload = json.loads(_catalog_text())
+    del payload["records"][1]["certificate"]
+    with pytest.raises(UsageError, match=r"record 1: KeyError\('certificate'\)"):
+        parse_catalog_json(json.dumps(payload))
+
+
+def test_parse_catalog_json_checks_the_schema():
+    payload = json.loads(_catalog_text())
+    payload["meta"]["schema"] = "selinks.catalog/2"
+    with pytest.raises(UsageError, match="selinks.catalog/2"):
+        parse_catalog_json(json.dumps(payload))
 
 
 def test_invocation_is_plain_data():
