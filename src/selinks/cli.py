@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
-from typing import Any, Callable, NamedTuple, Optional, Sequence, get_type_hints
+from typing import Any, Callable, NamedTuple, Optional, Sequence, get_args, get_type_hints
 
 from . import __version__
 from .arith import FactoredPower
@@ -199,19 +199,28 @@ def _torsion_json(value: FactoredPower, expand: bool) -> dict:
     return obj
 
 
+def _ints(values) -> tuple[int, ...]:
+    """The values, refused unless each is an int (not a bool, float or str)."""
+    values = tuple(values)
+    for value in values:
+        if type(value) is not int:
+            raise TypeError(f"{value!r} is not an integer")
+    return values
+
+
 _FRACTION = _Codec(
     lambda value, _: {"num": value.numerator, "den": value.denominator},
-    lambda obj: Fraction(obj["num"], obj["den"]),
+    lambda obj: Fraction(*_ints((obj["num"], obj["den"]))),
     lambda value, _: _frac_str(value),
 )
 _WEIGHTS = _Codec(
     lambda value, _: list(value),
-    tuple,
+    _ints,
     lambda value, _: " ".join(map(str, value)),
 )
 _TORSION = _Codec(
     _torsion_json,
-    lambda obj: FactoredPower(obj["base"], obj["exponent"]),
+    lambda obj: FactoredPower(*_ints((obj["base"], obj["exponent"]))),
     lambda value, expand: str(value.expand()) if expand else str(value),
 )
 
@@ -281,13 +290,6 @@ def _split(path: str) -> tuple[Optional[str], str]:
     return group or None, key
 
 
-CSV_HEADER = tuple(field.column for field in _FIELDS)
-_values = attrgetter(*(field.attr_path for field in _FIELDS))
-_JSON_OUT = tuple((*_split(f.json_path), f.codec and f.codec.to_json) for f in _FIELDS)
-_JSON_IN = tuple(
-    (*_split(f.json_path), *_split(f.attr_path), f.codec and f.codec.from_json) for f in _FIELDS
-)
-_TEXT_OUT = tuple(f.codec and f.codec.to_text for f in _FIELDS)
 # record attributes assembled from several fields, with their types
 _record_types = get_type_hints(FamilyRecord)
 _PARTS = {
@@ -295,6 +297,28 @@ _PARTS = {
     for group, _ in map(_split, (f.attr_path for f in _FIELDS))
     if group is not None
 }
+# the type hints of the class that owns each attribute group
+_HINTS = {None: _record_types, **{group: get_type_hints(cls) for group, cls in _PARTS.items()}}
+
+
+def _plain_types(field: _Field) -> Optional[tuple[type, ...]]:
+    """The JSON value types a field without a codec accepts: its type hint
+    in the class that owns it (Optional[int] accepts int and None)."""
+    if field.codec is not None:
+        return None
+    group, name = _split(field.attr_path)
+    hint = _HINTS[group][name]
+    return get_args(hint) or (hint,)
+
+
+CSV_HEADER = tuple(field.column for field in _FIELDS)
+_values = attrgetter(*(field.attr_path for field in _FIELDS))
+_JSON_OUT = tuple((*_split(f.json_path), f.codec and f.codec.to_json) for f in _FIELDS)
+_JSON_IN = tuple(
+    (*_split(f.json_path), *_split(f.attr_path), f.codec and f.codec.from_json, _plain_types(f))
+    for f in _FIELDS
+)
+_TEXT_OUT = tuple(f.codec and f.codec.to_text for f in _FIELDS)
 
 
 def record_to_json(rec: FamilyRecord, expand_torsion: bool = False) -> dict:
@@ -314,10 +338,14 @@ def record_to_json(rec: FamilyRecord, expand_torsion: bool = False) -> dict:
 def record_from_json(obj: dict) -> FamilyRecord:
     top: dict = {}
     parts: dict = {group: {} for group in _PARTS}
-    for json_group, json_key, group, name, decode in _JSON_IN:
+    for json_group, json_key, group, name, decode, types in _JSON_IN:
         value = (obj if json_group is None else obj[json_group])[json_key]
         if decode is not None:
             value = decode(value)
+        # bool is a subclass of int, but a flag is not a count
+        elif not isinstance(value, types) or (type(value) is bool and bool not in types):
+            expected = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+            raise TypeError(f"{json_key} is {value!r}, expected {expected}")
         (top if group is None else parts[group])[name] = value
     for group, cls in _PARTS.items():
         top[group] = cls(**parts[group])
@@ -469,13 +497,19 @@ def _write_output(text: str, path: Optional[str]) -> None:
             fh.write(text)
 
 
-def _run_invariants(inv: Invocation) -> str:
-    ws = WeightSystem(inv.options["weights"], inv.options["degree"])
+def _quasi_smooth_system(options: dict) -> WeightSystem:
+    """The --weights/--degree system; IntegrityError when no member is quasi-smooth."""
+    ws = WeightSystem(options["weights"], options["degree"])
     if not quasi_smooth_generic(ws):
         raise IntegrityError(
             f"{ws} has no quasi-smooth member; invariants are not defined "
             "for this weight class"
         )
+    return ws
+
+
+def _run_invariants(inv: Invocation) -> str:
+    ws = _quasi_smooth_system(inv.options)
     payload = {
         "system": str(ws),
         "case": classify_case(ws).value,
@@ -489,7 +523,7 @@ def _run_invariants(inv: Invocation) -> str:
 
 def _run_cover(inv: Invocation) -> str:
     k = inv.options["k"]
-    base = WeightSystem(inv.options["weights"], inv.options["degree"])
+    base = _quasi_smooth_system(inv.options)
     cov = branched_cover(k, base)
     payload = {
         "base": str(base),

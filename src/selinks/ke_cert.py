@@ -222,28 +222,23 @@ class KeCertificate:
 
 
 def certify_cover(k: int, base: WeightSystem) -> KeCertificate:
-    """Evaluate every certificate test for the k-fold cover of `base`."""
-    fano = is_fano(k, base)
-    nklt = necessary_klt(k, base)
+    """Evaluate every certificate test for the k-fold cover of `base`.
+
+    The klt sides give both the Fano sign (left > 0) and the necessary klt
+    inequality (left < right).
+    """
     cover = branched_cover(k, base)
+    left, right, witness = _klt_sides(k, base)
+    fano, nklt, sufficient = left > 0, left < right, False
     if cover.bp_exponents is not None:
         result = bp_sufficient_ke(cover.bp_exponents)
-        return KeCertificate(
-            fano=fano,
-            necessary_klt=nklt,
-            bp_applicable=True,
-            bp_sufficient=result.verdict,
-            gc_assumed=True,
-            left_value=result.data.reciprocal_sum,
-            right_bound=result.bound,
-            limiting_witness=result.limiting_witness,
-        )
-    left, right, witness = _klt_sides(k, base)
+        sufficient = result.verdict
+        left, right, witness = result.data.reciprocal_sum, result.bound, result.limiting_witness
     return KeCertificate(
         fano=fano,
         necessary_klt=nklt,
-        bp_applicable=False,
-        bp_sufficient=False,
+        bp_applicable=cover.bp_exponents is not None,
+        bp_sufficient=sufficient,
         gc_assumed=True,
         left_value=left,
         right_bound=right,

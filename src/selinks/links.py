@@ -101,11 +101,13 @@ def classify_case(ws: WeightSystem) -> CaseClass:
 class CoverData:
     """A k-fold branched cover of the sphere over the link of `base`.
 
-    `cover` is the weight system of z_0^k + f.  When every base weight
-    divides the base degree and gcd(k, d) = 1, the cover is the class of a
-    Brieskorn-Pham polynomial and `bp_exponents` holds (a_0, ..., a_m) with
-    a_0 = k and a_i = d / w_i.  Covers with gcd(k, d) > 1 are representable
-    but flagged via `coprime`; see `normalize_cover`.
+    `cover` is the weight system of z_0^k + f.  When every base weight is
+    a proper divisor of the base degree and gcd(k, d) = 1, the cover is the
+    class of a Brieskorn-Pham polynomial and `bp_exponents` holds
+    (a_0, ..., a_m) with a_0 = k and a_i = d / w_i >= 2.  A weight equal to
+    d is a linear term, not a Brieskorn-Pham exponent, so such a cover
+    carries none.  Covers with gcd(k, d) > 1 are representable but flagged
+    via `coprime`; see `normalize_cover`.
     """
 
     k: int
@@ -130,7 +132,7 @@ def branched_cover(k: int, base: WeightSystem) -> CoverData:
         (d // g,) + tuple(k // g * w for w in base.weights), math.lcm(k, d)
     )
     bp = None
-    if g == 1 and all(d % w == 0 for w in base.weights):
+    if g == 1 and all(w < d and d % w == 0 for w in base.weights):
         bp = (k,) + tuple(d // w for w in base.weights)
     return CoverData(k=k, base=base, cover=cover, bp_exponents=bp, coprime=(g == 1))
 

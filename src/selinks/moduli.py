@@ -4,6 +4,12 @@ The complex count is mu = h^0(O(d)) - sum_i h^0(O(w_i)) evaluated on the
 cover system (branch variable included): deformation monomials of full
 degree minus infinitesimal automorphisms, both as literal weighted
 monomial counts.  The real dimension doubles the non-negative part.
+
+On the k-fold cover of a base (w; d) with gcd(k, d) = 1 the count does
+not depend on k.  The branch variable z_0 has weight d, so a cover
+monomial of degree k t has a z_0-exponent divisible by k, which gives
+h^0_cover(O(k t)) = sum_{j >= 0} h^0_base(O(t - j d)) and
+h^0_cover(O(d)) = 1.  Catalogs therefore count once per base.
 """
 
 from __future__ import annotations

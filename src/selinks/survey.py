@@ -18,7 +18,6 @@ from .arith import FactoredPower, count_monomials
 from .errors import IntegrityError, UsageError
 from .ke_cert import (
     KeCertificate,
-    bp_sufficient_ke,
     certify_cover,
     euclidean_k_threshold,
     hyperbolic_k_window,
@@ -113,34 +112,54 @@ class IngestResult:
     errors: list[str]
 
 
-def _build_record(
+def _records(
     tag: str,
-    k: int,
     base: WeightSystem,
-    l_or_d: int,
+    ks: Iterable[int],
     paper_min_k: Optional[int] = None,
     literal_min_k: Optional[int] = None,
-) -> FamilyRecord:
-    cover = branched_cover(k, base)
-    return FamilyRecord(
-        family_tag=tag,
-        m=base.m,
-        k=k,
-        l_or_d=l_or_d,
-        base=base.canonical(),
-        link_dimension=2 * base.m - 1,
-        torsion=torsion_order(k, base),
-        genus=genus(base) if base.m == 3 else None,
-        moduli=moduli_count(cover.cover),
-        certificate=certify_cover(k, base),
-        paper_min_k=paper_min_k,
-        literal_min_k=literal_min_k,
-    )
+) -> list[FamilyRecord]:
+    """Records of the k-fold covers of `base` for the k in `ks` coprime to d.
+
+    Catalogs skip the other k here and nowhere else; a base left with none
+    costs nothing.  The Betti number, the genus and the moduli count are
+    computed once per base, exactly: every u_i divides d, so gcd(k, d) = 1
+    implies the torsion hypothesis; a cover monomial z_0^a z^beta of degree
+    k t forces k | a, so h0_cover(O(k t)) = sum_{j >= 0} h0_base(O(t - j d))
+    and h0_cover(O(d)) = 1, neither depending on k.  The least k gives the
+    smallest counting tables.
+    """
+    d = base.degree
+    ks = [k for k in ks if math.gcd(k, d) == 1]
+    if not ks:
+        return []
+    k0 = min(ks)
+    betti = torsion_order(k0, base).exponent
+    curve_genus = genus(base) if base.m == 3 else None
+    moduli = moduli_count(branched_cover(k0, base).cover)
+    canonical = base.canonical()
+    return [
+        FamilyRecord(
+            family_tag=tag,
+            m=base.m,
+            k=k,
+            l_or_d=d,
+            base=canonical,
+            link_dimension=2 * base.m - 1,
+            torsion=FactoredPower(k, betti),
+            genus=curve_genus,
+            moduli=moduli,
+            certificate=certify_cover(k, base),
+            paper_min_k=paper_min_k,
+            literal_min_k=literal_min_k,
+        )
+        for k in ks
+    ]
 
 
-def _catalog(tag: str, tasks: Iterable[tuple]) -> list[FamilyRecord]:
-    """Records for (k, base, l_or_d[, paper_min_k, literal_min_k]) tasks, in catalog order."""
-    records = [_build_record(tag, *task) for task in tasks]
+def _catalog(tag: str, groups: Iterable[tuple]) -> list[FamilyRecord]:
+    """Records for (base, ks[, paper_min_k, literal_min_k]) groups, in catalog order."""
+    records = [rec for group in groups for rec in _records(tag, *group)]
     records.sort(key=FamilyRecord.sort_key)
     return records
 
@@ -169,12 +188,7 @@ def scan_euclidean_classification(cfg: ScanConfig) -> list[EuclideanRow]:
 def _least_certifying_k(base: WeightSystem, k_bound: int) -> Optional[int]:
     """Smallest admissible k whose cover passes the sufficiency inequality."""
     for k in range(2, k_bound + 1):
-        if math.gcd(k, base.degree) != 1:
-            continue
-        cover = branched_cover(k, base)
-        if cover.bp_exponents is None:
-            continue
-        if bp_sufficient_ke(cover.bp_exponents).verdict:
+        if math.gcd(k, base.degree) == 1 and certify_cover(k, base).bp_sufficient:
             return k
     return None
 
@@ -190,16 +204,12 @@ def generate_theorem2_family(cfg: ScanConfig) -> list[FamilyRecord]:
     the sufficiency inequality produces (7/11/13).  The two disagree and
     records carry both, so the discrepancy stays visible as data.
     """
-    tasks = []
-    for base in _EUCLIDEAN_BASES:
-        paper = euclidean_k_threshold(base)
-        literal = _least_certifying_k(base, cfg.k_bound)
-        tasks += [
-            (k, base, base.degree, paper, literal)
-            for k in range(cfg.k_min, cfg.k_bound + 1)
-            if math.gcd(k, base.degree) == 1
-        ]
-    return _catalog("euclidean5", tasks)
+    ks = range(cfg.k_min, cfg.k_bound + 1)
+    groups = [
+        (base, ks, euclidean_k_threshold(base), _least_certifying_k(base, cfg.k_bound))
+        for base in _EUCLIDEAN_BASES
+    ]
+    return _catalog("euclidean5", groups)
 
 
 def scan_fermat_cy(cfg: ScanConfig) -> list[FamilyRecord]:
@@ -210,13 +220,8 @@ def scan_fermat_cy(cfg: ScanConfig) -> list[FamilyRecord]:
     at k = m(m-1).
     """
     lo, hi = cfg.m_range
-    tasks = [
-        (k, WeightSystem((1,) * m, m), m)
-        for m in range(lo, hi + 1)
-        for k in range(cfg.k_min, cfg.k_bound + 1)
-        if math.gcd(k, m) == 1
-    ]
-    return _catalog("fermat_cy", tasks)
+    ks = range(cfg.k_min, cfg.k_bound + 1)
+    return _catalog("fermat_cy", [(WeightSystem((1,) * m, m), ks) for m in range(lo, hi + 1)])
 
 
 def scan_hyperbolic(cfg: ScanConfig) -> list[FamilyRecord]:
@@ -226,14 +231,13 @@ def scan_hyperbolic(cfg: ScanConfig) -> list[FamilyRecord]:
     the window contains exactly k = m.
     """
     lo, hi = cfg.m_range
-    tasks = []
-    for m in range(lo, hi + 1):
-        for l in range(m + 1, 2 * m):
-            window = hyperbolic_k_window(m, l)
-            for k in window.solutions:
-                if cfg.k_min <= k <= cfg.k_bound:
-                    tasks.append((k, WeightSystem((1,) * m, l), l))
-    return _catalog("hyperbolic", tasks)
+    ks = range(cfg.k_min, cfg.k_bound + 1)
+    groups = [
+        (WeightSystem((1,) * m, l), [k for k in hyperbolic_k_window(m, l).solutions if k in ks])
+        for m in range(lo, hi + 1)
+        for l in range(m + 1, 2 * m)
+    ]
+    return _catalog("hyperbolic", groups)
 
 
 def generate_mixed_canonical(cfg: ScanConfig) -> list[FamilyRecord]:
@@ -244,12 +248,12 @@ def generate_mixed_canonical(cfg: ScanConfig) -> list[FamilyRecord]:
     certified.
     """
     lo, hi = cfg.m_range
-    tasks = []
-    for m in range(lo, hi + 1):
-        k = 2 * m - 1
-        if cfg.k_min <= k <= cfg.k_bound:
-            tasks.append((k, WeightSystem((1,) * (m - 1) + (m,), 2 * m), 2 * m))
-    return _catalog("mixed_canonical", tasks)
+    groups = [
+        (WeightSystem((1,) * (m - 1) + (m,), 2 * m), [2 * m - 1])
+        for m in range(lo, hi + 1)
+        if cfg.k_min <= 2 * m - 1 <= cfg.k_bound
+    ]
+    return _catalog("mixed_canonical", groups)
 
 
 def scan_all(cfg: ScanConfig) -> list[FamilyRecord]:
@@ -295,9 +299,8 @@ def ingest_weight_list(lines: Iterable[str], cfg: ScanConfig) -> IngestResult:
                 "(the generic singularity is not isolated)"
             )
             continue
-        ks = [k for k in range(cfg.k_min, cfg.k_bound + 1) if math.gcd(k, ws.degree) == 1]
         try:
-            records += [_build_record("ingested", k, ws, ws.degree) for k in ks]
+            records += _records("ingested", ws, range(cfg.k_min, cfg.k_bound + 1))
         except IntegrityError as exc:
             errors.append(f"line {lineno}: {exc}")
     records.sort(key=FamilyRecord.sort_key)

@@ -96,6 +96,15 @@ def test_run_cover(capsys):
     assert payload["torsion"] == "5^2"
 
 
+def test_cover_refuses_a_class_without_quasi_smooth_member(capsys):
+    # invariants refuses (1,2,2;5); cover must not print a torsion order for it
+    for command in (["invariants"], ["cover", "--k", "3"]):
+        assert main([*command, "--weights", "1,2,2", "--degree", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("integrity error: (1,2,2;5) has no quasi-smooth member")
+
+
 def test_run_moduli(capsys):
     run(parse_invocation(["moduli", "--weights", "4,3,3,3", "--degree", "12",
                           "--format", "json"]))
@@ -214,6 +223,19 @@ def test_ingest_cli_isolates_rows(tmp_path, capsys):
     assert {(r.base.weights, r.k) for r in records} == {((1, 1, 1), k) for k in (2, 4, 5, 7)}
 
 
+def test_ingest_cli_keeps_a_linear_variable_row(tmp_path, capsys):
+    src = tmp_path / "bases.txt"
+    src.write_text("1,1,1;3\nfoo\n1,1,4;4\n", encoding="utf-8")
+    code = main(["ingest", str(src), "--k-range", "2..7", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert [line.split(": ")[1] for line in captured.err.splitlines()] == ["line 2"]
+    meta, records = parse_catalog_json(captured.out)
+    assert {(r.base.weights, r.k) for r in records} == {
+        ((1, 1, 1), k) for k in (2, 4, 5, 7)
+    } | {((1, 1, 4), k) for k in (3, 5, 7)}
+
+
 def test_expand_torsion_past_the_digit_limit_exits_4(capsys):
     # 11^13421 (m = 6) has about 13,976 decimal digits
     code = main(["scan", "mixed-canonical", "--m", "3..8", "--expand-torsion"])
@@ -247,6 +269,27 @@ def test_parse_catalog_json_checks_the_schema():
     payload["meta"]["schema"] = "selinks.catalog/2"
     with pytest.raises(UsageError, match="selinks.catalog/2"):
         parse_catalog_json(json.dumps(payload))
+
+
+@pytest.mark.parametrize(
+    "group, key, value, message",
+    [
+        (None, "m", "three", "m is 'three', expected int"),
+        ("certificate", "fano", "yes", "fano is 'yes', expected bool"),
+        (None, "k", True, "k is True, expected int"),
+        ("certificate", "bp_sufficient", 1, "bp_sufficient is 1, expected bool"),
+        (None, "genus", 1.0, "genus is 1.0, expected int or null"),
+        ("base", "weights", "111", "'1' is not an integer"),
+        ("torsion", "base", 5.0, "5.0 is not an integer"),
+        ("torsion", "exponent", True, "True is not an integer"),
+    ],
+)
+def test_parse_catalog_json_checks_value_types(group, key, value, message):
+    payload = json.loads(_catalog_text())
+    (payload["records"][2] if group is None else payload["records"][2][group])[key] = value
+    with pytest.raises(UsageError, match="record 2: TypeError") as excinfo:
+        parse_catalog_json(json.dumps(payload))
+    assert message in str(excinfo.value)
 
 
 def test_invocation_is_plain_data():

@@ -204,3 +204,13 @@ def test_certified_implies_fano():
         ):
             cert = certify_cover(k, base)
             assert not cert.bp_sufficient or cert.fano
+
+
+def test_certify_cover_agrees_with_the_separate_tests(qs_triple_corpus):
+    # includes the boundary left == right, e.g. k = 2 on (1,1,1;3)
+    bases = qs_triple_corpus + [WeightSystem((1, 1, 1, 1), 4), WeightSystem((1, 1, 1), 5)]
+    for base in bases:
+        for k in range(2, 16):
+            cert = certify_cover(k, base)
+            assert cert.fano == is_fano(k, base), (base, k)
+            assert cert.necessary_klt == necessary_klt(k, base), (base, k)

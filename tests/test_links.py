@@ -95,6 +95,14 @@ def test_branched_cover_non_coprime_flagged():
     assert cov.cover == WeightSystem((3, 2, 4, 6), 12)
 
 
+def test_branched_cover_linear_weight_has_no_bp_exponents():
+    # w_3 = d: d / w_3 = 1 is a linear term, not a Brieskorn-Pham exponent
+    cov = branched_cover(3, WeightSystem((1, 1, 4), 4))
+    assert cov.coprime
+    assert cov.bp_exponents is None
+    assert cov.cover == WeightSystem((4, 3, 3, 12), 12)
+
+
 def test_quasi_smooth_examples():
     assert quasi_smooth_generic(WeightSystem((1, 2, 3), 6))
     assert quasi_smooth_generic(WeightSystem((1, 1, 1), 3))

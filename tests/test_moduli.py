@@ -1,12 +1,15 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selinks import (
     UsageError,
     WeightSystem,
     binomial,
     branched_cover,
+    count_monomials,
     fermat_cy_moduli,
     hyperbolic_moduli,
     moduli_count,
@@ -79,3 +82,25 @@ def test_hyperbolic_moduli_matches_literal_count():
     for m, l, k in [(3, 4, 3), (4, 5, 4), (5, 6, 5)]:
         cover = branched_cover(k, WeightSystem((1,) * m, l)).cover
         assert moduli_count(cover).complex_dim == hyperbolic_moduli(m, l)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    weights=st.lists(st.integers(1, 9), min_size=2, max_size=4),
+    degree=st.integers(2, 16),
+    ks=st.lists(st.integers(2, 40), min_size=2, max_size=4),
+)
+def test_cover_moduli_count_is_the_same_for_every_coprime_k(weights, degree, ks):
+    # z_0 has weight d on the cover, so a cover monomial of degree k t has
+    # z_0-exponent a multiple of k: h0_cover(O(k t)) = sum_j h0_base(O(t - j d))
+    base = WeightSystem(tuple(weights), degree)
+    ks = [k for k in ks if math.gcd(k, degree) == 1]
+    h0_degree = count_monomials(weights, degree) + 1
+    h0_weights_sum = 1 + sum(
+        count_monomials(weights, w - j * degree)
+        for w in weights
+        for j in range(w // degree + 1)
+    )
+    for k in ks:
+        mc = moduli_count(branched_cover(k, base).cover)
+        assert (mc.h0_degree, mc.h0_weights_sum) == (h0_degree, h0_weights_sum), k

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -6,13 +7,18 @@ from selinks import (
     ScanConfig,
     UsageError,
     WeightSystem,
+    branched_cover,
+    certify_cover,
     generate_mixed_canonical,
     generate_theorem2_family,
+    genus,
     ingest_weight_list,
+    moduli_count,
     scan_all,
     scan_euclidean_classification,
     scan_fermat_cy,
     scan_hyperbolic,
+    torsion_order,
 )
 
 SMALL = ScanConfig(weight_bound=20, k_bound=24, m_range=(3, 5))
@@ -189,8 +195,6 @@ def test_ingest_row_with_impossible_genus_is_isolated():
 
 
 def test_ingest_matches_generator_up_to_tag():
-    import dataclasses
-
     cfg = ScanConfig(k_bound=13, m_range=(4, 4))
     generated = {r.k: r for r in scan_fermat_cy(cfg)}
     ingested = {
@@ -199,3 +203,58 @@ def test_ingest_matches_generator_up_to_tag():
     assert set(generated) == set(ingested)
     for k, rec in ingested.items():
         assert dataclasses.replace(rec, family_tag="fermat_cy") == generated[k]
+
+
+def test_ingest_row_with_a_linear_variable_is_kept():
+    # (1,1,4;4) has w_3 = d: a linear term, so its covers are not
+    # Brieskorn-Pham and take the klt-sides certificate
+    lines = ["1,1,1;3", "foo", "1,1,4;4"]
+    cfg = ScanConfig(k_bound=7)
+    result = ingest_weight_list(lines, cfg)
+    assert [e.split(":")[0] for e in result.errors] == ["line 2"]
+    linear = [r for r in result.records if r.base == WeightSystem((1, 1, 4), 4)]
+    assert [r.k for r in linear] == [3, 5, 7]
+    assert not any(r.certificate.bp_applicable for r in linear)
+    assert {r.torsion.exponent for r in linear} == {0}  # the link is a sphere
+    cubic = [r for r in result.records if r.base == WeightSystem((1, 1, 1), 3)]
+    assert cubic == ingest_weight_list(lines[:1], cfg).records
+
+
+def _per_pair_recipe(rec, base):
+    """The record of the k-fold cover of `base`, every field computed for
+    this (base, k) alone."""
+    k = rec.k
+    assert math.gcd(k, base.degree) == 1
+    return dataclasses.replace(
+        rec,
+        m=base.m,
+        l_or_d=base.degree,
+        base=base.canonical(),
+        link_dimension=2 * base.m - 1,
+        torsion=torsion_order(k, base),
+        genus=genus(base) if base.m == 3 else None,
+        moduli=moduli_count(branched_cover(k, base).cover),
+        certificate=certify_cover(k, base),
+    )
+
+
+def test_records_equal_the_per_pair_recipe():
+    cfg = ScanConfig(k_bound=30, m_range=(3, 6))
+    records = scan_all(cfg)
+    assert len({(r.base, r.family_tag) for r in records}) == 15
+    for rec in records:  # every generated base is already in canonical order
+        assert rec == _per_pair_recipe(rec, rec.base)
+
+    rows = ["3,1,2;6", "2,3,1;8", "2,1,1;4", "1,1,1,1;4", "5,2,2,1;10", "1,3,2,2;9",
+            "4,1,1;5", "1,1,4;4"]
+    bases = {ws.canonical(): ws for ws in map(WeightSystem.parse, rows)}
+    result = ingest_weight_list(rows, cfg)
+    assert not result.errors
+    assert sorted((r.base.weights, r.base.degree, r.k) for r in result.records) == sorted(
+        (ws.weights, ws.degree, k)
+        for ws in bases
+        for k in range(cfg.k_min, cfg.k_bound + 1)
+        if math.gcd(k, ws.degree) == 1
+    )
+    for rec in result.records:
+        assert rec == _per_pair_recipe(rec, bases[rec.base])
