@@ -40,7 +40,6 @@ from .links import (
     WeightSystem,
     branched_cover,
     classify_case,
-    normalize_cover,
     quasi_smooth_generic,
     torsion_hypothesis,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "branched_cover",
     "quasi_smooth_generic",
     "torsion_hypothesis",
-    "normalize_cover",
     # topology
     "TorsionOrder",
     "reduced_ratios",

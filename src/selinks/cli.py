@@ -28,7 +28,6 @@ from .links import (
     WeightSystem,
     branched_cover,
     classify_case,
-    normalize_cover,
     quasi_smooth_generic,
     torsion_hypothesis,
 )
@@ -59,6 +58,8 @@ __all__ = [
 CATALOG_SCHEMA = "selinks.catalog/1"
 
 _SCAN_FAMILIES = ("euclidean", "theorem2", "fermat-cy", "hyperbolic", "mixed-canonical")
+# the scan and ingest defaults are the ScanConfig field defaults
+_SCAN_DEFAULTS = ScanConfig()
 
 @dataclass(frozen=True)
 class Invocation:
@@ -144,16 +145,21 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("scan", help="generate a family catalog")
     p.add_argument("family", choices=_SCAN_FAMILIES)
-    p.add_argument("--weight-bound", type=_positive_int, default=60)
-    p.add_argument("--k-bound", type=_positive_int, default=60)
-    p.add_argument("--m", type=_int_range, default=(3, 8), metavar="A..B")
+    p.add_argument("--weight-bound", type=_positive_int, default=_SCAN_DEFAULTS.weight_bound)
+    p.add_argument("--k-bound", type=_positive_int, default=_SCAN_DEFAULTS.k_bound)
+    p.add_argument("--m", type=_int_range, default=_SCAN_DEFAULTS.m_range, metavar="A..B")
     p.add_argument("--threads", type=_positive_int, default=None, help=_THREADS_HELP)
     p.add_argument("--expand-torsion", action="store_true")
     add_output_flags(p, formats=("table", "json", "csv"))
 
     p = sub.add_parser("ingest", help="certify a user-supplied weight list")
     p.add_argument("file")
-    p.add_argument("--k-range", type=_int_range, default=(2, 60), metavar="A..B")
+    p.add_argument(
+        "--k-range",
+        type=_int_range,
+        default=(_SCAN_DEFAULTS.k_min, _SCAN_DEFAULTS.k_bound),
+        metavar="A..B",
+    )
     p.add_argument("--threads", type=_positive_int, default=None, help=_THREADS_HELP)
     p.add_argument("--expand-torsion", action="store_true")
     add_output_flags(p, formats=("table", "json", "csv"))
@@ -537,9 +543,6 @@ def _run_cover(inv: Invocation) -> str:
     }
     if payload["torsion_hypothesis"]:
         payload["torsion"] = str(torsion_order(k, base))
-        if not cov.coprime:
-            _, reduced = normalize_cover(k, base)
-            payload["normalized_base"] = str(reduced)
     return _render_scalar(payload, inv.output_format)
 
 
@@ -572,16 +575,16 @@ def _run_moduli(inv: Invocation) -> str:
 
 
 def _scan_config(options: dict) -> ScanConfig:
-    k_range = options.get("k_range")
-    k_min, k_bound = (2, options.get("k_bound", 60))
-    if k_range is not None:
-        k_min, k_bound = k_range
-        if k_min < 2:
-            raise UsageError(f"k range must start at 2 or above, got {k_min}")
+    """The bounds of a scan or ingest; an absent option keeps its default."""
+    k_min, k_bound = options.get(
+        "k_range", (_SCAN_DEFAULTS.k_min, options.get("k_bound", _SCAN_DEFAULTS.k_bound))
+    )
+    if k_min < 2:
+        raise UsageError(f"k range must start at 2 or above, got {k_min}")
     return ScanConfig(
-        weight_bound=options.get("weight_bound", 60),
+        weight_bound=options.get("weight_bound", _SCAN_DEFAULTS.weight_bound),
         k_bound=k_bound,
-        m_range=options.get("m", (3, 8)),
+        m_range=options.get("m", _SCAN_DEFAULTS.m_range),
         k_min=k_min,
     )
 

@@ -15,6 +15,7 @@ on every certificate as an explicit assumption.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,19 +48,20 @@ def is_fano(k: int, base: WeightSystem) -> bool:
     """
     if k < 1:
         raise UsageError(f"k must be positive, got {k}")
-    return k * (base.norm - base.degree) + base.degree > 0
+    return _klt_sides(k, base)[0] > 0
 
 
-def _klt_sides(k: int, base: WeightSystem) -> tuple[Fraction, Fraction, str]:
-    left = Fraction(k * (base.norm - base.degree) + base.degree)
-    cands = [(Fraction(base.degree), "d")]
-    cands += [(Fraction(k * w), f"k*w[{i + 1}]") for i, w in enumerate(base.weights)]
-    best, witness = cands[0]
-    for value, tag in cands[1:]:
-        if value < best:
-            best, witness = value, tag
-    m = base.m
-    return left, Fraction(m, m - 1) * best, witness
+def _klt_sides(k: int, base: WeightSystem) -> tuple[int, int, str]:
+    """(left, least, witness): left = k(|w| - d) + d, least = min{d, k w_i}
+    and the first term attaining it.  The klt inequality is left <
+    m/(m-1) least."""
+    d = base.degree
+    left = k * (base.norm - d) + d
+    kw = [k * w for w in base.weights]
+    least = min(kw)
+    if d <= least:
+        return left, d, "d"
+    return left, least, f"k*w[{kw.index(least) + 1}]"
 
 
 def necessary_klt(k: int, base: WeightSystem) -> bool:
@@ -71,8 +73,8 @@ def necessary_klt(k: int, base: WeightSystem) -> bool:
     """
     if k < 1:
         raise UsageError(f"k must be positive, got {k}")
-    left, right, _ = _klt_sides(k, base)
-    return left < right
+    left, least, _ = _klt_sides(k, base)
+    return (base.m - 1) * left < base.m * least
 
 
 def spherical_never_klt(base: WeightSystem) -> bool:
@@ -151,18 +153,14 @@ def bp_sufficient_ke(a: Iterable[int]) -> BpVerdict:
     data = bp_data(a)
     n = len(data.exponents)
     m = n - 1
-    best = Fraction(1, data.exponents[0])
-    witness = "1/a[0]"
-    for i in range(1, n):
-        value = Fraction(1, data.exponents[i])
-        if value < best:
-            best, witness = value, f"1/a[{i}]"
-    for i in range(n):
-        for j in range(i + 1, n):
-            value = Fraction(1, data.gcds[i] * data.gcds[j])
-            if value < best:
-                best, witness = value, f"1/(b[{i}]*b[{j}])"
-    bound = 1 + Fraction(m, m - 1) * best
+    # the least of the 1/x is 1/(the greatest x); index() finds the first
+    pairs = list(itertools.combinations(range(n), 2))
+    b = data.gcds
+    values = list(data.exponents) + [b[i] * b[j] for i, j in pairs]
+    top = max(values)
+    at = values.index(top)
+    witness = f"1/a[{at}]" if at < n else "1/(b[{}]*b[{}])".format(*pairs[at - n])
+    bound = 1 + Fraction(m, (m - 1) * top)
     verdict = 1 < data.reciprocal_sum < bound
     return BpVerdict(verdict, data, bound, witness)
 
@@ -225,22 +223,25 @@ def certify_cover(k: int, base: WeightSystem) -> KeCertificate:
     """Evaluate every certificate test for the k-fold cover of `base`.
 
     The klt sides give both the Fano sign (left > 0) and the necessary klt
-    inequality (left < right).
+    inequality ((m-1) left < m least).
     """
     cover = branched_cover(k, base)
-    left, right, witness = _klt_sides(k, base)
-    fano, nklt, sufficient = left > 0, left < right, False
-    if cover.bp_exponents is not None:
+    m = base.m
+    left, least, witness = _klt_sides(k, base)
+    fano, nklt = left > 0, (m - 1) * left < m * least
+    if cover.bp_exponents is None:
+        sufficient, left_value, right = False, Fraction(left), Fraction(m * least, m - 1)
+    else:
         result = bp_sufficient_ke(cover.bp_exponents)
-        sufficient = result.verdict
-        left, right, witness = result.data.reciprocal_sum, result.bound, result.limiting_witness
+        sufficient, left_value, right = result.verdict, result.data.reciprocal_sum, result.bound
+        witness = result.limiting_witness
     return KeCertificate(
         fano=fano,
         necessary_klt=nklt,
         bp_applicable=cover.bp_exponents is not None,
         bp_sufficient=sufficient,
         gc_assumed=True,
-        left_value=left,
+        left_value=left_value,
         right_bound=right,
         limiting_witness=witness,
     )

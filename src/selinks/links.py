@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .arith import reduced_fraction
-from .errors import IntegrityError, UsageError
+from .errors import UsageError
 
 __all__ = [
     "WeightSystem",
@@ -28,28 +27,38 @@ __all__ = [
     "branched_cover",
     "quasi_smooth_generic",
     "torsion_hypothesis",
-    "torsion_obstruction",
-    "normalize_cover",
 ]
 
 
 @dataclass(frozen=True)
 class WeightSystem:
-    """A weight vector together with a weighted-homogeneous degree."""
+    """A weight vector together with a weighted-homogeneous degree.
+
+    Systems are reduced on construction: g = gcd(d, w_1, ..., w_m) is
+    divided out, so (2,2,2;6) *is* (1,1,1;3).  Both present the same
+    polynomials and the same link, and each class has one representative.
+    """
 
     weights: tuple[int, ...]
     degree: int
 
     def __post_init__(self) -> None:
-        ws = tuple(int(w) for w in self.weights)
-        object.__setattr__(self, "weights", ws)
+        ws = tuple(self.weights)
+        d = self.degree
         if len(ws) < 2:
             raise UsageError(f"a weight system needs at least two weights, got {ws}")
-        for w in ws:
-            if w < 1:
-                raise UsageError(f"weights must be positive, got {ws}")
-        if self.degree < 1:
-            raise UsageError(f"degree must be positive, got {self.degree}")
+        try:
+            g = math.gcd(d, *ws)
+        except TypeError:
+            raise UsageError(f"weights and degree must be integers, got {ws} and {d!r}") from None
+        if min(ws) < 1:
+            raise UsageError(f"weights must be positive, got {ws}")
+        if d < 1:
+            raise UsageError(f"degree must be positive, got {d}")
+        if g > 1:
+            ws = tuple(w // g for w in ws)
+            object.__setattr__(self, "degree", d // g)
+        object.__setattr__(self, "weights", ws)
 
     @property
     def m(self) -> int:
@@ -107,7 +116,7 @@ class CoverData:
     (a_0, ..., a_m) with a_0 = k and a_i = d / w_i >= 2.  A weight equal to
     d is a linear term, not a Brieskorn-Pham exponent, so such a cover
     carries none.  Covers with gcd(k, d) > 1 are representable but flagged
-    via `coprime`; see `normalize_cover`.
+    via `coprime`, which is the torsion hypothesis (`torsion_hypothesis`).
     """
 
     k: int
@@ -194,49 +203,13 @@ def quasi_smooth_generic(ws: WeightSystem) -> bool:
     return True
 
 
-def torsion_obstruction(k: int, ws: WeightSystem) -> Optional[tuple[int, int]]:
-    """First (index, u_i) with gcd(k, u_i) > 1, or None when none exists.
+def torsion_hypothesis(k: int, ws: WeightSystem) -> bool:
+    """Whether the k-fold cover of `ws` is a rational homology sphere.
 
-    The u_i are the numerators of d/w_i in lowest terms; gcd(k, u_i) = 1 for
-    all i is the hypothesis under which the k-fold cover is a rational
-    homology sphere with torsion order k^{b_{m-2}}.
+    The hypothesis is gcd(k, u_i) = 1 for every u_i / v_i = d / w_i in
+    lowest terms.  The lcm of the u_i is d / gcd(d, w_1, ..., w_m), which
+    is d on a reduced system, so the hypothesis is exactly gcd(k, d) = 1.
     """
     if k < 2:
         raise UsageError(f"branch order k must be at least 2, got {k}")
-    for i, w in enumerate(ws.weights):
-        u, _ = reduced_fraction(ws.degree, w)
-        if math.gcd(k, u) != 1:
-            return i, u
-    return None
-
-
-def torsion_hypothesis(k: int, ws: WeightSystem) -> bool:
-    """gcd(k, u_i) = 1 for every reduced ratio u_i / v_i = d / w_i."""
-    return torsion_obstruction(k, ws) is None
-
-
-def normalize_cover(k: int, base: WeightSystem) -> tuple[int, WeightSystem]:
-    """Divide common factors of k and d out of the weights.
-
-    Under the torsion hypothesis a prime shared by k and d cannot divide
-    any u_i, so it divides every weight; rescaling the weights and degree
-    by it presents an equivalent link.  Repeats until gcd(k, d') = 1.
-    """
-    obstruction = torsion_obstruction(k, base)
-    if obstruction is not None:
-        i, u = obstruction
-        raise UsageError(
-            f"cannot normalize: gcd({k}, u_{i + 1}) > 1 for u_{i + 1} = {u}; "
-            "the torsion hypothesis fails"
-        )
-    ws = base
-    g = math.gcd(k, ws.degree)
-    while g > 1:
-        if any(w % g for w in ws.weights):
-            # ruled out by the hypothesis; kept as a hard integrity check
-            raise IntegrityError(
-                f"common factor {g} of k and d does not divide the weights of {ws}"
-            )
-        ws = WeightSystem(tuple(w // g for w in ws.weights), ws.degree // g)
-        g = math.gcd(k, ws.degree)
-    return k, ws
+    return math.gcd(k, ws.degree) == 1

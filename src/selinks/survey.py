@@ -22,7 +22,7 @@ from .ke_cert import (
     euclidean_k_threshold,
     hyperbolic_k_window,
 )
-from .links import WeightSystem, branched_cover, quasi_smooth_generic
+from .links import WeightSystem, branched_cover, quasi_smooth_generic, torsion_hypothesis
 from .moduli import ModuliCount, moduli_count
 from .topology import genus, torsion_order
 
@@ -122,15 +122,15 @@ def _records(
     """Records of the k-fold covers of `base` for the k in `ks` coprime to d.
 
     Catalogs skip the other k here and nowhere else; a base left with none
-    costs nothing.  The Betti number, the genus and the moduli count are
-    computed once per base, exactly: every u_i divides d, so gcd(k, d) = 1
-    implies the torsion hypothesis; a cover monomial z_0^a z^beta of degree
-    k t forces k | a, so h0_cover(O(k t)) = sum_{j >= 0} h0_base(O(t - j d))
-    and h0_cover(O(d)) = 1, neither depending on k.  The least k gives the
-    smallest counting tables.
+    costs nothing.  On a reduced base gcd(k, d) = 1 is the torsion
+    hypothesis (`torsion_hypothesis`).  The Betti number, the genus and the
+    moduli count are computed once per base, exactly: a cover monomial
+    z_0^a z^beta of degree k t forces k | a, so h0_cover(O(k t)) =
+    sum_{j >= 0} h0_base(O(t - j d)) and h0_cover(O(d)) = 1, neither
+    depending on k.  The least k gives the smallest counting tables.
     """
     d = base.degree
-    ks = [k for k in ks if math.gcd(k, d) == 1]
+    ks = [k for k in ks if torsion_hypothesis(k, base)]
     if not ks:
         return []
     k0 = min(ks)
@@ -188,7 +188,7 @@ def scan_euclidean_classification(cfg: ScanConfig) -> list[EuclideanRow]:
 def _least_certifying_k(base: WeightSystem, k_bound: int) -> Optional[int]:
     """Smallest admissible k whose cover passes the sufficiency inequality."""
     for k in range(2, k_bound + 1):
-        if math.gcd(k, base.degree) == 1 and certify_cover(k, base).bp_sufficient:
+        if torsion_hypothesis(k, base) and certify_cover(k, base).bp_sufficient:
             return k
     return None
 

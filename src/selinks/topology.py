@@ -4,8 +4,8 @@ The middle Betti number of the link of a quasi-smooth weighted homogeneous
 polynomial comes from the Milnor-Orlik inclusion-exclusion formula over
 index subsets; in three variables it specializes to twice the genus of the
 orbit curve (Orlik-Wagreich).  The k-fold branched cover of such a link,
-for k coprime to every reduced numerator u_i of d/w_i, is a rational
-homology sphere whose middle homology has order k^{b_{m-2}}.
+for k coprime to the degree of the reduced system, is a rational homology
+sphere whose middle homology has order k^{b_{m-2}}.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Iterable
 
 from .arith import FactoredPower, lcm_many, reduced_fraction
 from .errors import IntegrityError, ResourceBudgetError, UsageError
-from .links import WeightSystem, torsion_obstruction
+from .links import WeightSystem, torsion_hypothesis
 
 __all__ = [
     "ReducedRatioVector",
@@ -174,14 +174,12 @@ def genus_one_criterion(ws: WeightSystem) -> bool:
 def torsion_order(k: int, base: WeightSystem) -> FactoredPower:
     """Order of the middle homology of the k-fold cover: k^{b_{m-2}(base)}.
 
-    Requires gcd(k, u_i) = 1 for every reduced numerator of d/w_i; the
-    cover link is then a rational homology sphere.
+    Requires the torsion hypothesis gcd(k, d) = 1 (`torsion_hypothesis`);
+    the cover link is then a rational homology sphere.
     """
-    obstruction = torsion_obstruction(k, base)
-    if obstruction is not None:
-        i, u = obstruction
+    if not torsion_hypothesis(k, base):
         raise UsageError(
             f"cover of {base} by k={k} is not certified a rational homology "
-            f"sphere: gcd(k, u_{i + 1}) > 1 for u_{i + 1} = {u}"
+            f"sphere: gcd(k, d) = gcd({k}, {base.degree}) > 1"
         )
     return FactoredPower(base=k, exponent=milnor_orlik_betti(base))

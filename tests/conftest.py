@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from selinks import WeightSystem, quasi_smooth_generic
+from selinks import IntegrityError, WeightSystem, quasi_smooth_generic, survey
 
 
 @pytest.fixture(scope="session")
@@ -25,3 +25,24 @@ def qs_triple_corpus() -> list[WeightSystem]:
                         corpus.append(ws)
     assert len(corpus) > 100
     return corpus
+
+
+@pytest.fixture
+def genus_raises_on(monkeypatch):
+    """Make the catalog's genus raise IntegrityError on one given system.
+
+    No reduced quasi-smooth system is known whose genus comes out
+    impossible, so ingest's per-row isolation is tested with this fake.
+    """
+
+    def install(bad: WeightSystem) -> None:
+        real_genus = survey.genus
+
+        def genus(ws):
+            if ws == bad:
+                raise IntegrityError(f"genus of {ws} evaluates to -5/4, not a non-negative integer")
+            return real_genus(ws)
+
+        monkeypatch.setattr(survey, "genus", genus)
+
+    return install

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from selinks import ScanConfig, UsageError, scan_all, scan_fermat_cy
+from selinks import ScanConfig, UsageError, WeightSystem, scan_all, scan_fermat_cy
 from selinks.cli import (
     CSV_HEADER,
     Invocation,
@@ -94,6 +94,26 @@ def test_run_cover(capsys):
     assert payload["cover"] == "(6,5,10,15;30)"
     assert payload["bp_exponents"] == "5,6,3,2"
     assert payload["torsion"] == "5^2"
+
+
+def test_invariants_of_a_scaled_system_are_those_of_the_reduced_one(capsys):
+    # (2,2,2;4) is the quadric class (1,1,1;2), genus 0
+    assert main(["invariants", "--weights", "2,2,2", "--degree", "4", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["system"] == "(1,1,1;2)"
+    assert payload["genus"] == 0
+    assert payload["betti"] == 0
+
+
+def test_cover_of_a_scaled_system_reports_the_reduced_base(capsys):
+    argv = ["cover", "--k", "2", "--weights", "2,2,2", "--degree", "6", "--format", "json"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["base"] == "(1,1,1;3)"
+    assert payload["coprime"] is True
+    assert payload["bp_exponents"] == "2,3,3,3"
+    assert payload["torsion_hypothesis"] is True
+    assert "normalized_base" not in payload
 
 
 def test_cover_refuses_a_class_without_quasi_smooth_member(capsys):
@@ -210,17 +230,34 @@ def test_byte_identical_across_runs_and_threads(capsys, monkeypatch):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
-def test_ingest_cli_isolates_rows(tmp_path, capsys):
+def test_ingest_cli_isolates_rows(tmp_path, capsys, genus_raises_on):
+    # (2,2,2;6) is (1,1,1;3)
+    genus_raises_on(WeightSystem((1, 2, 3), 6))
     src = tmp_path / "bases.txt"
-    src.write_text("1,1,1;3\nfoo\n1,1;0\n2,2,2;6\n", encoding="utf-8")
+    src.write_text("1,1,1;3\nfoo\n1,1;0\n2,2,2;6\n1,2,3;6\n", encoding="utf-8")
     code = main(["ingest", str(src), "--k-range", "2..7", "--format", "json"])
     captured = capsys.readouterr()
     assert code == 0
     assert [line.split(": ")[1] for line in captured.err.splitlines()] == [
-        "line 2", "line 3", "line 4"
+        "line 2", "line 3", "line 5"
     ]
     meta, records = parse_catalog_json(captured.out)
-    assert {(r.base.weights, r.k) for r in records} == {((1, 1, 1), k) for k in (2, 4, 5, 7)}
+    assert sorted((r.base.weights, r.k) for r in records) == sorted(
+        2 * [((1, 1, 1), k) for k in (2, 4, 5, 7)]
+    )
+
+
+def test_ingest_cli_labels_a_scaled_row_with_its_reduced_base(tmp_path, capsys):
+    src = tmp_path / "bases.txt"
+    src.write_text("1,1,1,1;4\n2,2,2,2;8\n", encoding="utf-8")
+    code = main(["ingest", str(src), "--k-range", "5..5", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    meta, records = parse_catalog_json(captured.out)
+    assert [(r.base.weights, r.base.degree, r.k, str(r.torsion)) for r in records] == 2 * [
+        ((1, 1, 1, 1), 4, 5, "5^21")
+    ]
 
 
 def test_ingest_cli_keeps_a_linear_variable_row(tmp_path, capsys):
@@ -295,3 +332,15 @@ def test_parse_catalog_json_checks_value_types(group, key, value, message):
 def test_invocation_is_plain_data():
     inv = Invocation("certify", {"exponents": (3, 4, 4, 4)}, "table", None)
     assert run(inv) == 0
+
+
+def test_scan_and_ingest_defaults_are_the_scan_config_defaults(tmp_path, capsys):
+    cfg = ScanConfig()
+    assert (cfg.weight_bound, cfg.k_bound, cfg.m_range, cfg.k_min) == (60, 60, (3, 8), 2)
+    defaults = {"weight_bound": 60, "k_bound": 60, "m_range": [3, 8], "k_min": 2}
+    src = tmp_path / "bases.txt"
+    src.write_text("1,1,1;3\n", encoding="utf-8")
+    for argv in (["scan", "mixed-canonical"], ["ingest", str(src)]):
+        assert main([*argv, "--format", "json"]) == 0
+        meta, _ = parse_catalog_json(capsys.readouterr().out)
+        assert meta["bounds"] == defaults

@@ -1,6 +1,10 @@
 import itertools
+import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selinks import (
     CaseClass,
@@ -9,8 +13,11 @@ from selinks import (
     branched_cover,
     classify_case,
     count_monomials,
-    normalize_cover,
+    genus,
+    milnor_orlik_betti,
+    moduli_count,
     quasi_smooth_generic,
+    reduced_fraction,
     torsion_hypothesis,
 )
 
@@ -118,24 +125,71 @@ def test_torsion_hypothesis():
     assert torsion_hypothesis(5, WeightSystem((1, 2, 3), 6))
     assert not torsion_hypothesis(3, WeightSystem((1, 2, 3), 6))
     assert torsion_hypothesis(2, WeightSystem((1, 1, 1), 3))
+    with pytest.raises(UsageError):
+        torsion_hypothesis(1, WeightSystem((1, 1, 1), 3))
 
 
-def test_normalize_cover_identity_when_coprime():
-    base = WeightSystem((1, 2, 3), 6)
-    assert normalize_cover(5, base) == (5, base)
-    base = WeightSystem((1, 1, 1), 3)
-    assert normalize_cover(4, base) == (4, base)
-
-
-def test_normalize_cover_divides_out_common_factor():
-    # scaling a valid base by g keeps the u_i, so normalization undoes it
+def test_weight_system_divides_out_common_factor():
+    # (5,10,15;30) is (1,2,3;6): the same polynomials, the same link
     base = WeightSystem((1, 2, 3), 6)
     scaled = WeightSystem((5, 10, 15), 30)
-    assert normalize_cover(5, scaled) == (5, base)
-    twice_scaled = WeightSystem((25, 50, 75), 150)
-    assert normalize_cover(5, twice_scaled) == (5, base)
+    assert scaled == base
+    assert (scaled.weights, scaled.degree) == ((1, 2, 3), 6)
+    assert WeightSystem((25, 50, 75), 150) == base
+    assert branched_cover(5, scaled) == branched_cover(5, base)
+    assert WeightSystem.parse("2,2,2;6") == WeightSystem((1, 1, 1), 3)
 
 
-def test_normalize_cover_refuses_without_hypothesis():
-    with pytest.raises(UsageError, match="u_1"):
-        normalize_cover(3, WeightSystem((1, 2, 3), 6))
+def test_reduced_system_is_kept_as_given():
+    ws = WeightSystem((3, 1, 2), 6)
+    assert (ws.weights, ws.degree) == ((3, 1, 2), 6)
+    # gcd(w, d) = 1 although the weights share the factor 2
+    ws = WeightSystem((2, 2, 2), 3)
+    assert (ws.weights, ws.degree) == ((2, 2, 2), 3)
+
+
+@pytest.mark.parametrize(
+    "weights, degree",
+    [((1.5, 1, 1), 3), (("2", "1", "1"), 4), ((1, 1, 1), 3.0), ((Fraction(1), 1, 1), 3)],
+)
+def test_weight_system_refuses_non_integers(weights, degree):
+    with pytest.raises(UsageError, match="must be integers"):
+        WeightSystem(weights, degree)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(1, 9), min_size=3, max_size=4),
+    st.integers(2, 30),
+    st.integers(2, 6),
+)
+def test_scaling_gives_the_same_system_and_invariants(weights, degree, g):
+    base = WeightSystem(tuple(weights), degree)
+    scaled = WeightSystem(tuple(g * w for w in weights), g * degree)
+    assert scaled == base
+    assert quasi_smooth_generic(scaled) == quasi_smooth_generic(base)
+    # the monomial counts do not see the scale either
+    w, d = base.weights, base.degree
+    assert count_monomials(tuple(g * x for x in w), g * d) == count_monomials(w, d)
+    if quasi_smooth_generic(base):
+        assert milnor_orlik_betti(scaled) == milnor_orlik_betti(base)
+        assert moduli_count(scaled) == moduli_count(base)
+        if base.m == 3:
+            assert genus(scaled) == genus(base)
+
+
+def _per_ratio_hypothesis(k, ws):
+    """gcd(k, u_i) = 1 for every u_i / v_i = d / w_i in lowest terms."""
+    return all(math.gcd(k, reduced_fraction(ws.degree, w)[0]) == 1 for w in ws.weights)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(1, 12), min_size=3, max_size=4),
+    st.integers(2, 40),
+    st.integers(2, 39),
+)
+def test_torsion_hypothesis_is_the_per_ratio_rule(weights, degree, k):
+    ws = WeightSystem(tuple(weights), degree)
+    assert math.gcd(ws.degree, *ws.weights) == 1
+    assert torsion_hypothesis(k, ws) == _per_ratio_hypothesis(k, ws)

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from selinks import (
+    FamilyRecord,
     ScanConfig,
     UsageError,
     WeightSystem,
@@ -183,15 +184,26 @@ def test_ingest_pipeline():
     assert all(math.gcd(k, by_key[(w, k)].base.degree) == 1 for w, k in by_key)
 
 
-def test_ingest_row_with_impossible_genus_is_isolated():
-    # (2,2,2;6) passes the quasi-smoothness test but its genus is -5/4
-    lines = ["1,1,1;3", "foo", "1,1;0", "2,2,2;6"]
+def test_ingest_row_with_impossible_genus_is_isolated(genus_raises_on):
+    genus_raises_on(WeightSystem((1, 2, 3), 6))
+    # (2,2,2;6) is (1,1,1;3) and yields its records
+    lines = ["1,1,1;3", "foo", "1,1;0", "2,2,2;6", "1,2,3;6"]
     cfg = ScanConfig(k_bound=7)
     result = ingest_weight_list(lines, cfg)
-    assert [e.split(":")[0] for e in result.errors] == ["line 2", "line 3", "line 4"]
+    assert [e.split(":")[0] for e in result.errors] == ["line 2", "line 3", "line 5"]
     assert "-5/4" in result.errors[2]
-    assert result.records == ingest_weight_list(lines[:1], cfg).records
-    assert {r.k for r in result.records} == {2, 4, 5, 7}
+    cubic = ingest_weight_list(lines[:1], cfg).records
+    assert {r.k for r in cubic} == {2, 4, 5, 7}
+    assert result.records == sorted(cubic + cubic, key=FamilyRecord.sort_key)
+
+
+def test_ingest_labels_a_scaled_row_with_its_reduced_base():
+    cfg = ScanConfig(k_bound=7)
+    result = ingest_weight_list(["1,1,1,1;4", "2,2,2,2;8"], cfg)
+    assert not result.errors
+    assert {r.base for r in result.records} == {WeightSystem((1, 1, 1, 1), 4)}
+    once = ingest_weight_list(["1,1,1,1;4"], cfg).records
+    assert result.records == sorted(once + once, key=FamilyRecord.sort_key)
 
 
 def test_ingest_matches_generator_up_to_tag():

@@ -155,7 +155,7 @@ def test_torsion_order_values():
 
 
 def test_torsion_order_refuses_without_hypothesis():
-    with pytest.raises(UsageError, match="u_1"):
+    with pytest.raises(UsageError, match=r"gcd\(k, d\) = gcd\(3, 6\) > 1"):
         torsion_order(3, WeightSystem((1, 2, 3), 6))
 
 
