@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Rational homology 5-spheres from covers of Euclidean links.
+"""Covers of Euclidean links: rational homology 5-spheres.
 
 In three variables with |w| = d there are exactly three singularity
 classes.  Covering them with any branch order k coprime to d produces

@@ -7,27 +7,13 @@ comparison.  No floating point appears anywhere on a computation path.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import ResourceBudgetError, UsageError
 
-# all fractional quantities in this package are plain stdlib Fractions,
-# which already enforce lowest terms and a positive denominator
-Rational = Fraction
-
-__all__ = [
-    "Rational",
-    "FactoredPower",
-    "gcd_many",
-    "lcm_many",
-    "reduced_fraction",
-    "binomial",
-    "count_monomials",
-]
+__all__ = ["FactoredPower", "count_monomials"]
 
 
 @dataclass(frozen=True)
@@ -77,42 +63,6 @@ def _check_positive(xs: Sequence[int], what: str) -> None:
     for x in xs:
         if x < 1:
             raise UsageError(f"{what} must be positive integers, got {x}")
-
-
-def gcd_many(xs: Iterable[int]) -> int:
-    """Greatest common divisor of a nonempty collection of positive integers."""
-    xs = tuple(xs)
-    if not xs:
-        raise UsageError("gcd of an empty collection is undefined")
-    _check_positive(xs, "gcd arguments")
-    return math.gcd(*xs)
-
-
-def lcm_many(xs: Iterable[int]) -> int:
-    """Least common multiple; empty input gives 1 (empty-product convention).
-
-    The convention matters: the empty index subset in the Betti number
-    formula contributes an empty product divided by an empty lcm, and both
-    must be 1 for the closed-form checks to come out right.
-    """
-    xs = tuple(xs)
-    _check_positive(xs, "lcm arguments")
-    return math.lcm(*xs)
-
-
-def reduced_fraction(d: int, w: int) -> tuple[int, int]:
-    """Write d/w in lowest terms, returning the coprime pair (u, v)."""
-    if d < 1 or w < 1:
-        raise UsageError(f"reduced_fraction needs positive integers, got ({d}, {w})")
-    g = math.gcd(d, w)
-    return d // g, w // g
-
-
-def binomial(n: int, r: int) -> int:
-    """Exact binomial coefficient; zero when r exceeds n."""
-    if n < 0 or r < 0:
-        raise UsageError(f"binomial needs non-negative arguments, got ({n}, {r})")
-    return math.comb(n, r)
 
 
 def count_monomials(weights: Iterable[int], target: int) -> int:

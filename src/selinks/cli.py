@@ -358,6 +358,27 @@ def record_from_json(obj: dict) -> FamilyRecord:
     return FamilyRecord(**top)
 
 
+def _check_consistent(obj: dict, rec: FamilyRecord) -> None:
+    """Refuse (ValueError) a parsed record whose fields disagree.
+
+    The base must be given reduced with sorted weights, as catalogs write
+    it, and the fields derived from it and from k must match it.  Nothing
+    is recomputed, so the check costs no more than the parse.
+    """
+    base = rec.base
+    given = (tuple(obj["base"]["weights"]), obj["base"]["degree"])
+    if given != (tuple(sorted(base.weights)), base.degree):
+        raise ValueError(f"base {given} is not reduced with sorted weights, {base} is")
+    for name, value, expected in (
+        ("l_or_d", rec.l_or_d, base.degree),
+        ("m", rec.m, base.m),
+        ("link_dimension", rec.link_dimension, 2 * base.m - 1),
+        ("torsion base", rec.torsion.base, rec.k),
+    ):
+        if value != expected:
+            raise ValueError(f"{name} is {value}, expected {expected} from {base} and k = {rec.k}")
+
+
 def _csv_row(rec: FamilyRecord, expand_torsion: bool) -> list:
     # csv writes None as an empty cell
     return [
@@ -428,8 +449,8 @@ def render_catalog(
 def parse_catalog_json(text: str) -> tuple[dict, list[FamilyRecord]]:
     """Inverse of the JSON rendering: (meta, records), exact.
 
-    Malformed text, a catalog of another schema and a malformed record
-    (named by its index) all raise UsageError.
+    Malformed text, a catalog of another schema and a malformed or
+    inconsistent record (named by its index) all raise UsageError.
     """
     try:
         payload = json.loads(text)
@@ -444,9 +465,11 @@ def parse_catalog_json(text: str) -> tuple[dict, list[FamilyRecord]]:
     records = []
     for index, obj in enumerate(objs):
         try:
-            records.append(record_from_json(obj))
+            rec = record_from_json(obj)
+            _check_consistent(obj, rec)
         except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise UsageError(f"malformed catalog record {index}: {exc!r}") from None
+        records.append(rec)
     return meta, records
 
 
@@ -535,7 +558,6 @@ def _run_cover(inv: Invocation) -> str:
         "base": str(base),
         "k": k,
         "cover": str(cov.cover),
-        "coprime": cov.coprime,
         "bp_exponents": (
             None if cov.bp_exponents is None else ",".join(map(str, cov.bp_exponents))
         ),
@@ -562,7 +584,7 @@ def _run_certify(inv: Invocation) -> str:
 
 
 def _run_moduli(inv: Invocation) -> str:
-    ws = WeightSystem(inv.options["weights"], inv.options["degree"])
+    ws = _quasi_smooth_system(inv.options)
     mc = moduli_count(ws)
     payload = {
         "system": str(ws),

@@ -5,6 +5,8 @@ driver) can react by kind: bad input, an exact computation contradicting a
 mathematical invariant, and resource budgets.
 """
 
+__all__ = ["UsageError", "IntegrityError", "ResourceBudgetError"]
+
 
 class UsageError(ValueError):
     """A precondition was violated or the input is malformed."""

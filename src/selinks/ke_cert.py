@@ -31,7 +31,6 @@ __all__ = [
     "HyperbolicWindow",
     "is_fano",
     "necessary_klt",
-    "spherical_never_klt",
     "euclidean_k_threshold",
     "bp_data",
     "bp_sufficient_ke",
@@ -75,17 +74,6 @@ def necessary_klt(k: int, base: WeightSystem) -> bool:
         raise UsageError(f"k must be positive, got {k}")
     left, least, _ = _klt_sides(k, base)
     return (base.m - 1) * left < base.m * least
-
-
-def spherical_never_klt(base: WeightSystem) -> bool:
-    """Spherical bases (|w| > d) fail the necessary klt inequality for every k.
-
-    The left side is at least k + d, which forces both (m-1)k < d and
-    (m-1)d < k, a contradiction.
-    """
-    if classify_case(base) is not CaseClass.SPHERICAL:
-        raise UsageError(f"{base} is not spherical (|w| - d <= 0)")
-    return True
 
 
 def euclidean_k_threshold(base: WeightSystem) -> int:

@@ -115,15 +115,14 @@ class CoverData:
     class of a Brieskorn-Pham polynomial and `bp_exponents` holds
     (a_0, ..., a_m) with a_0 = k and a_i = d / w_i >= 2.  A weight equal to
     d is a linear term, not a Brieskorn-Pham exponent, so such a cover
-    carries none.  Covers with gcd(k, d) > 1 are representable but flagged
-    via `coprime`, which is the torsion hypothesis (`torsion_hypothesis`).
+    carries none.  Covers with gcd(k, d) > 1 are representable; whether a
+    cover is a rational homology sphere is `torsion_hypothesis`.
     """
 
     k: int
     base: WeightSystem
     cover: WeightSystem
     bp_exponents: Optional[tuple[int, ...]]
-    coprime: bool
 
 
 def branched_cover(k: int, base: WeightSystem) -> CoverData:
@@ -143,7 +142,7 @@ def branched_cover(k: int, base: WeightSystem) -> CoverData:
     bp = None
     if g == 1 and all(w < d and d % w == 0 for w in base.weights):
         bp = (k,) + tuple(d // w for w in base.weights)
-    return CoverData(k=k, base=base, cover=cover, bp_exponents=bp, coprime=(g == 1))
+    return CoverData(k=k, base=base, cover=cover, bp_exponents=bp)
 
 
 def _reachable_degrees(weights: tuple[int, ...], target: int) -> int:
@@ -176,9 +175,11 @@ def quasi_smooth_generic(ws: WeightSystem) -> bool:
     |I| monomials of degree d of the form (monomial in I-variables) * z_j
     with the outside indices j pairwise distinct.  Quasi-smoothness of a
     generic member is equivalent to an isolated singularity at the origin
-    for m >= 3.  Subsets are visited smallest first: the singleton tests
-    are pure modular arithmetic and reject most systems before any counting
-    happens.
+    for m >= 3.  The singleton tests come first: they are pure modular
+    arithmetic and reject most systems before any counting happens.  If
+    w_i | d, the monomial z_i^{d/w_i} satisfies (a) for every I containing
+    i, so only the subsets of J = {i : w_i does not divide d} are tested
+    further (the pointer view of Kreuzer-Skarke).
     """
     w = ws.weights
     d = ws.degree
@@ -190,8 +191,9 @@ def quasi_smooth_generic(ws: WeightSystem) -> bool:
         if any(j != i and d >= w[j] and (d - w[j]) % w[i] == 0 for j in range(m)):
             continue
         return False
-    for size in range(2, m + 1):
-        for subset in itertools.combinations(range(m), size):
+    non_pointing = [i for i in range(m) if d % w[i]]
+    for size in range(2, len(non_pointing) + 1):
+        for subset in itertools.combinations(non_pointing, size):
             wi = tuple(w[i] for i in subset)
             if _has_monomial(wi, d):
                 continue

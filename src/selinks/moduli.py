@@ -14,9 +14,10 @@ h^0_cover(O(d)) = 1.  Catalogs therefore count once per base.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .arith import binomial, count_monomials
+from .arith import count_monomials
 from .errors import UsageError
 from .links import WeightSystem
 
@@ -63,7 +64,7 @@ def fermat_cy_moduli(m: int) -> int:
     """
     if m < 3:
         raise UsageError(f"m must be at least 3, got {m}")
-    return binomial(2 * m - 1, m) - m * m
+    return math.comb(2 * m - 1, m) - m * m
 
 
 def hyperbolic_moduli(m: int, l: int) -> int:
@@ -75,4 +76,4 @@ def hyperbolic_moduli(m: int, l: int) -> int:
             f"l must satisfy m+1 <= l <= 2m-1, got l={l} for m={m} "
             f"(admissible range {m + 1}..{2 * m - 1})"
         )
-    return binomial(m + l - 1, l) - m * m
+    return math.comb(m + l - 1, l) - m * m

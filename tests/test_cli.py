@@ -110,15 +110,16 @@ def test_cover_of_a_scaled_system_reports_the_reduced_base(capsys):
     assert main(argv) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["base"] == "(1,1,1;3)"
-    assert payload["coprime"] is True
     assert payload["bp_exponents"] == "2,3,3,3"
     assert payload["torsion_hypothesis"] is True
     assert "normalized_base" not in payload
+    assert "coprime" not in payload  # torsion_hypothesis is the one flag
 
 
 def test_cover_refuses_a_class_without_quasi_smooth_member(capsys):
-    # invariants refuses (1,2,2;5); cover must not print a torsion order for it
-    for command in (["invariants"], ["cover", "--k", "3"]):
+    # invariants refuses (1,2,2;5); cover must not print a torsion order for
+    # it, nor moduli a parameter count
+    for command in (["invariants"], ["cover", "--k", "3"], ["moduli"]):
         assert main([*command, "--weights", "1,2,2", "--degree", "5"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -325,6 +326,29 @@ def test_parse_catalog_json_checks_value_types(group, key, value, message):
     payload = json.loads(_catalog_text())
     (payload["records"][2] if group is None else payload["records"][2][group])[key] = value
     with pytest.raises(UsageError, match="record 2: TypeError") as excinfo:
+        parse_catalog_json(json.dumps(payload))
+    assert message in str(excinfo.value)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"base": {"weights": [1, 1, 1], "degree": 5}}, "l_or_d is 3, expected 5"),
+        ({"base": {"weights": [2, 2, 2], "degree": 6}}, "not reduced with sorted weights"),
+        ({"base": {"weights": [2, 1, 1], "degree": 3}}, "not reduced with sorted weights"),
+        ({"m": 7}, "m is 7, expected 3"),
+        ({"link_dimension": 9}, "link_dimension is 9, expected 5"),
+        ({"torsion": {"base": 11, "exponent": 2}}, "torsion base is 11, expected 5"),
+    ],
+)
+def test_parse_catalog_json_refuses_an_inconsistent_record(edit, message):
+    payload = json.loads(_catalog_text())
+    record = payload["records"][2]
+    assert (record["base"], record["k"], record["l_or_d"]) == (
+        {"weights": [1, 1, 1], "degree": 3}, 5, 3
+    )
+    record.update(edit)
+    with pytest.raises(UsageError, match="record 2: ValueError") as excinfo:
         parse_catalog_json(json.dumps(payload))
     assert message in str(excinfo.value)
 

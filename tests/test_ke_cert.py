@@ -18,7 +18,6 @@ from selinks import (
     hyperbolic_k_window,
     is_fano,
     necessary_klt,
-    spherical_never_klt,
 )
 
 
@@ -59,15 +58,17 @@ def test_euclidean_k_threshold():
 
 
 def test_spherical_never_klt_examples():
+    # the proposition: a spherical base (|w| > d) with min(w) <= (|w| - d)(m - 1)
+    # fails the necessary klt inequality for every k: with
+    # left = k(|w| - d) + d, (m-1) left < m min{d, k min(w)} would force both
+    # d < k min(w) and k min(w) <= (m-1) k (|w| - d) < d
     for ws in (
         WeightSystem((1, 1, 1), 2),
         WeightSystem((1, 1, 2), 3),
         WeightSystem((2, 3, 5), 9),
     ):
-        assert spherical_never_klt(ws)
+        assert classify_case(ws) is CaseClass.SPHERICAL
         assert not any(necessary_klt(k, ws) for k in range(1, 1001))
-    with pytest.raises(UsageError):
-        spherical_never_klt(WeightSystem((1, 2, 3), 6))
 
 
 def test_spherical_never_klt_random_sweep():
@@ -85,7 +86,6 @@ def test_spherical_never_klt_random_sweep():
         if min(w) > (sum(w) - d) * (m - 1):
             continue
         seen.add((w, d))
-        assert spherical_never_klt(ws)
         assert not any(necessary_klt(k, ws) for k in range(1, 1001)), (w, d)
 
 
@@ -95,7 +95,6 @@ def test_necessary_klt_spherical_boundary_case():
     ws = WeightSystem((3, 4, 6), 12)
     assert classify_case(ws) is CaseClass.SPHERICAL
     assert [k for k in range(1, 100) if necessary_klt(k, ws)] == [4, 5]
-    assert spherical_never_klt(ws)  # the proposition itself is unconditional
 
 
 def test_bp_data_fields():

@@ -17,7 +17,6 @@ from selinks import (
     milnor_orlik_betti,
     moduli_count,
     quasi_smooth_generic,
-    reduced_fraction,
     torsion_hypothesis,
 )
 
@@ -61,7 +60,7 @@ def test_branched_cover_cubic():
     cov = branched_cover(4, WeightSystem((1, 1, 1), 3))
     assert cov.cover == WeightSystem((3, 4, 4, 4), 12)
     assert cov.bp_exponents == (4, 3, 3, 3)
-    assert cov.coprime
+    assert torsion_hypothesis(4, cov.base)
 
 
 def test_branched_cover_d6():
@@ -97,7 +96,7 @@ def test_branched_cover_rejects_small_k():
 
 def test_branched_cover_non_coprime_flagged():
     cov = branched_cover(4, WeightSystem((1, 2, 3), 6))
-    assert not cov.coprime
+    assert not torsion_hypothesis(4, cov.base)
     assert cov.bp_exponents is None
     assert cov.cover == WeightSystem((3, 2, 4, 6), 12)
 
@@ -105,7 +104,7 @@ def test_branched_cover_non_coprime_flagged():
 def test_branched_cover_linear_weight_has_no_bp_exponents():
     # w_3 = d: d / w_3 = 1 is a linear term, not a Brieskorn-Pham exponent
     cov = branched_cover(3, WeightSystem((1, 1, 4), 4))
-    assert cov.coprime
+    assert torsion_hypothesis(3, cov.base)
     assert cov.bp_exponents is None
     assert cov.cover == WeightSystem((4, 3, 3, 12), 12)
 
@@ -180,7 +179,7 @@ def test_scaling_gives_the_same_system_and_invariants(weights, degree, g):
 
 def _per_ratio_hypothesis(k, ws):
     """gcd(k, u_i) = 1 for every u_i / v_i = d / w_i in lowest terms."""
-    return all(math.gcd(k, reduced_fraction(ws.degree, w)[0]) == 1 for w in ws.weights)
+    return all(math.gcd(k, ws.degree // math.gcd(ws.degree, w)) == 1 for w in ws.weights)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -193,3 +192,51 @@ def test_torsion_hypothesis_is_the_per_ratio_rule(weights, degree, k):
     ws = WeightSystem(tuple(weights), degree)
     assert math.gcd(ws.degree, *ws.weights) == 1
     assert torsion_hypothesis(k, ws) == _per_ratio_hypothesis(k, ws)
+
+
+def quasi_smooth_all_subsets(ws):
+    """The subset criterion literally, over every nonempty index set."""
+    w, d, m = ws.weights, ws.degree, ws.m
+    for size in range(1, m + 1):
+        for subset in itertools.combinations(range(m), size):
+            wi = [w[i] for i in subset]
+            if count_monomials(wi, d):
+                continue
+            outside = [j for j in range(m) if j not in subset]
+            if sum(1 for j in outside if d >= w[j] and count_monomials(wi, d - w[j])) < size:
+                return False
+    return True
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(st.lists(st.integers(1, 12), min_size=2, max_size=7), st.integers(1, 60))
+def test_quasi_smooth_equals_the_all_subsets_test(weights, degree):
+    ws = WeightSystem(tuple(weights), degree)
+    assert quasi_smooth_generic(ws) == quasi_smooth_all_subsets(ws)
+
+
+@st.composite
+def invertible_systems(draw):
+    """The weights of a sum of chain blocks z_1^{a_1} z_2 + ... + z_r^{a_r}.
+
+    Such a polynomial has an isolated singularity, and every chain variable
+    but the last has w_i not dividing d, so these systems reach the subset
+    stage that random systems rarely pass.
+    """
+    qs = []  # weights as fractions of d
+    for _ in range(draw(st.integers(2, 3))):
+        exponents = draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
+        q = Fraction(1, exponents[-1])
+        qs.append(q)
+        for a in reversed(exponents[:-1]):
+            q = (1 - q) / a
+            qs.append(q)
+    d = math.lcm(*(q.denominator for q in qs))
+    return WeightSystem(tuple(int(q * d) for q in qs), d)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(invertible_systems())
+def test_invertible_systems_are_quasi_smooth(ws):
+    assert quasi_smooth_generic(ws)
+    assert quasi_smooth_all_subsets(ws)

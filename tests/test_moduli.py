@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from selinks import (
     UsageError,
     WeightSystem,
-    binomial,
     branched_cover,
     count_monomials,
     fermat_cy_moduli,
@@ -73,7 +72,7 @@ def test_hyperbolic_moduli():
     assert hyperbolic_moduli(3, 4) == 6
     assert hyperbolic_moduli(4, 5) == 40
     for m in range(3, 9):
-        assert hyperbolic_moduli(m, m + 1) == binomial(2 * m, m + 1) - m * m
+        assert hyperbolic_moduli(m, m + 1) == math.comb(2 * m, m + 1) - m * m
     with pytest.raises(UsageError):
         hyperbolic_moduli(3, 7)
 

@@ -1,21 +1,23 @@
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selinks import (
+    FactoredPower,
     IntegrityError,
     ResourceBudgetError,
-    TorsionOrder,
     UsageError,
     WeightSystem,
     betti_bp_oracle,
     fermat_betti,
-    fermat_cy_betti,
     genus,
     genus_one_criterion,
     milnor_orlik_betti,
-    reduced_ratios,
+    quasi_smooth_generic,
     torsion_order,
 )
 
@@ -25,9 +27,24 @@ def bp_weight_system(a):
     return WeightSystem(tuple(big_l // ai for ai in a), big_l)
 
 
-def test_reduced_ratios():
-    assert reduced_ratios(WeightSystem((1, 2, 3), 6)) == ((6, 1), (3, 1), (2, 1))
-    assert reduced_ratios(WeightSystem((1, 2, 2), 5)) == ((5, 1), (5, 2), (5, 2))
+def milnor_orlik_subset_sum(ws):
+    """The Milnor-Orlik sum literally, over all 2^m index subsets.
+
+    Each subset S contributes (-1)^(m-|S|) prod_S u_i / (prod_S v_i lcm_S u_i)
+    with u_i/v_i = d/w_i in lowest terms; the empty subset contributes
+    (-1)^m.  Returns the exact total, integral or not.
+    """
+    d = ws.degree
+    ratios = [(d // math.gcd(d, w), w // math.gcd(d, w)) for w in ws.weights]
+    total = Fraction(0)
+    for size in range(ws.m + 1):
+        for subset in itertools.combinations(ratios, size):
+            term = Fraction(
+                math.prod(u for u, _ in subset),
+                math.prod(v for _, v in subset) * math.lcm(*(u for u, _ in subset)),
+            )
+            total += term if (ws.m - size) % 2 == 0 else -term
+    return total
 
 
 # the enumeration oracle comes first: its examples are small enough to list
@@ -85,13 +102,14 @@ def test_milnor_orlik_rejects_non_integral():
 
 
 def test_fermat_cy_betti():
-    assert fermat_cy_betti(3) == 2
-    assert fermat_cy_betti(4) == 21
-    assert fermat_cy_betti(5) == 204
+    # the Fermat Calabi-Yau base (1, ..., 1; m) is the case l = m
+    assert fermat_betti(3, 3) == 2
+    assert fermat_betti(4, 4) == 21
+    assert fermat_betti(5, 5) == 204
     for m in range(3, 8):
-        assert fermat_cy_betti(m) == milnor_orlik_betti(WeightSystem((1,) * m, m))
+        assert fermat_betti(m, m) == milnor_orlik_betti(WeightSystem((1,) * m, m))
     with pytest.raises(UsageError):
-        fermat_cy_betti(2)
+        fermat_betti(2, 2)
 
 
 def test_fermat_betti():
@@ -160,8 +178,43 @@ def test_torsion_order_refuses_without_hypothesis():
 
 
 def test_torsion_order_stays_factored():
-    t = TorsionOrder(21, 204)
+    t = torsion_order(21, WeightSystem((1,) * 5, 5))
+    assert t == FactoredPower(21, 204)
     assert str(t) == "21^204"
     assert len(str(t.expand())) > 200
     with pytest.raises(UsageError):
-        TorsionOrder(1, 5)
+        FactoredPower(1, 5)
+
+
+def test_subset_sum_oracle_hand_value():
+    # (1,2,3;6), u = (6,3,2), v = (1,1,1): -1 + 3 - (18/6 + 12/6 + 6/6) + 36/6 = 2
+    assert milnor_orlik_subset_sum(WeightSystem((1, 2, 3), 6)) == 2
+    # (2,3,4;9) has no quasi-smooth member
+    assert milnor_orlik_subset_sum(WeightSystem((2, 3, 4), 9)) == Fraction(3, 4)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.lists(st.integers(1, 12), min_size=2, max_size=7), st.integers(1, 60))
+def test_milnor_orlik_equals_the_subset_sum(weights, degree):
+    # on every system, quasi-smooth or not: an integral non-negative total
+    # is the Betti number, anything else is refused
+    ws = WeightSystem(tuple(weights), degree)
+    total = milnor_orlik_subset_sum(ws)
+    if total.denominator == 1 and total >= 0:
+        assert milnor_orlik_betti(ws) == total
+    else:
+        with pytest.raises(IntegrityError):
+            milnor_orlik_betti(ws)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.integers(2, 9), min_size=2, max_size=5))
+def test_milnor_orlik_equals_the_brieskorn_pham_count(a):
+    assert milnor_orlik_betti(bp_weight_system(a)) == betti_bp_oracle(a)
+
+
+def test_fermat_24_is_quasi_smooth_with_its_closed_form_betti():
+    # 2^24 subsets for the literal sum and the literal subset test
+    ws = WeightSystem((1,) * 24, 24)
+    assert milnor_orlik_betti(ws) == fermat_betti(24, 24)
+    assert quasi_smooth_generic(ws)
