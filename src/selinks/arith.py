@@ -15,6 +15,11 @@ from .errors import ResourceBudgetError, UsageError
 
 __all__ = ["FactoredPower", "count_monomials"]
 
+# the most cells count_monomials' table may have (target + 1); at the limit
+# the table and its exact counts take up to about 100 MB and a few seconds,
+# and past it the computation is refused rather than run out of memory
+COUNT_MONOMIALS_CELL_LIMIT = 10**6
+
 
 @dataclass(frozen=True)
 class FactoredPower:
@@ -71,7 +76,9 @@ def count_monomials(weights: Iterable[int], target: int) -> int:
     Counts exponent vectors a >= 0 with sum a_i * weights_i = target, i.e.
     h^0 of O(target) on the weighted projective space of the given weights.
     One-dimensional counting table over the target value; exact and
-    deterministic.
+    deterministic.  A target whose table would pass
+    COUNT_MONOMIALS_CELL_LIMIT cells raises ResourceBudgetError before
+    anything is allocated.
     """
     weights = tuple(weights)
     if not weights:
@@ -79,6 +86,11 @@ def count_monomials(weights: Iterable[int], target: int) -> int:
     _check_positive(weights, "weights")
     if target < 0:
         raise UsageError(f"target must be non-negative, got {target}")
+    if target + 1 > COUNT_MONOMIALS_CELL_LIMIT:
+        raise ResourceBudgetError(
+            f"counting monomials of degree {target} needs {target + 1} table cells, "
+            f"more than the limit of {COUNT_MONOMIALS_CELL_LIMIT}"
+        )
     table = [0] * (target + 1)
     table[0] = 1
     for w in weights:

@@ -267,21 +267,18 @@ _FIELDS = (
 )
 
 # the table view's own layout: (header, width, alignment, cell), where a
-# cell names a CSV column, "base" is the system as (w1,...,wm;d) and None
-# is blank
+# cell names a CSV column and "base" is the system as (w1,...,wm;d)
 _TABLE = (
     ("family", 16, "<", "family"),
     ("dim", 4, ">", "link_dimension"),
     ("m", 3, ">", "m"),
     ("d/l", 5, ">", "l_or_d"),
     ("k", 4, ">", "k"),
-    ("", 2, "<", None),
     ("base", 18, "<", "base"),
     ("torsion", 12, "<", "torsion"),
     ("g", 3, ">", "genus"),
     ("mu", 5, ">", "moduli_complex"),
     ("real", 5, ">", "moduli_real"),
-    ("", 2, "<", None),
     ("fano", 5, "<", "fano"),
     ("klt", 5, "<", "necessary_klt"),
     ("bp", 5, "<", "bp_applicable"),
@@ -432,13 +429,15 @@ def render_catalog(
         writer.writerows(_csv_row(rec, expand_torsion) for rec in records)
         return buf.getvalue()
     if fmt == "table":
-        head = "".join(f"{header:{align}{width}}" for header, width, align, _ in _TABLE)
+        # a space between cells keeps a cell wider than its column apart
+        # from the next one
+        head = " ".join(f"{header:{align}{width}}" for header, width, align, _ in _TABLE)
         lines = [head, "-" * len(head)]
         for rec in records:
             cells = dict(zip(CSV_HEADER, _csv_row(rec, expand_torsion)), base=rec.base)
             lines.append(
-                "".join(
-                    f"{'' if key is None else _table_text(cells[key]):{align}{width}}"
+                " ".join(
+                    f"{_table_text(cells[key]):{align}{width}}"
                     for _, width, align, key in _TABLE
                 )
             )

@@ -10,12 +10,14 @@ are byte-identical across runs).
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Iterable, NamedTuple, Optional
+from typing import ClassVar, Iterable, Iterator, NamedTuple, Optional
 
 from .arith import FactoredPower, count_monomials
-from .errors import IntegrityError, UsageError
+from .errors import IntegrityError, ResourceBudgetError, UsageError
 from .ke_cert import (
     KeCertificate,
     certify_cover,
@@ -164,23 +166,57 @@ def _catalog(tag: str, groups: Iterable[tuple]) -> list[FamilyRecord]:
     return records
 
 
+def _euclidean_candidates(m: int, bound: int) -> Iterator[tuple[int, ...]]:
+    """Sorted weight vectors w_1 <= ... <= w_m <= bound that may be Euclidean
+    (|w| = d) and quasi-smooth.
+
+    With S = w_1 + ... + w_{m-1}, the singleton test of
+    `quasi_smooth_generic` on the largest weight needs w_m | d or
+    w_m | d - w_j for some j < m; since d = S + w_m, that is w_m | S or
+    w_m | S - w_j.  For m >= 3 each S - w_j is positive, so w_m is taken
+    from the divisors of these numbers in [w_{m-1}, bound] and no
+    quasi-smooth system is left out.
+    """
+    divisors: list[list[int]] = [[] for _ in range((m - 1) * bound + 1)]
+    for q in range(1, bound + 1):
+        for n in range(q, len(divisors), q):
+            divisors[n].append(q)
+    for prefix in itertools.combinations_with_replacement(range(1, bound + 1), m - 1):
+        s = sum(prefix)
+        last = set()
+        for n in {s, *(s - w for w in prefix)}:
+            divs = divisors[n]
+            last.update(divs[bisect.bisect_left(divs, prefix[-1]):])
+        for w_m in sorted(last):
+            yield prefix + (w_m,)
+
+
+def _euclidean_systems(m: int, bound: int) -> list[WeightSystem]:
+    """Every |w| = d class in m >= 3 variables with a quasi-smooth member and
+    sorted weights up to `bound`, with gcd(w) = 1 (`_euclidean_candidates`)."""
+    systems = []
+    for weights in _euclidean_candidates(m, bound):
+        if math.gcd(*weights) != 1:
+            continue
+        ws = WeightSystem(weights, sum(weights))
+        if quasi_smooth_generic(ws):
+            systems.append(ws)
+    return systems
+
+
 def scan_euclidean_classification(cfg: ScanConfig) -> list[EuclideanRow]:
     """All |w| = d classes in three variables up to the weight bound.
 
     Enumerates canonical triples w1 <= w2 <= w3 <= weight_bound with
-    gcd 1 and d = w1 + w2 + w3, keeping those with a quasi-smooth member.
-    Exhaustive up to the bound; the outcome is stable once the bound
-    covers all genuine classes.
+    gcd 1 and d = w1 + w2 + w3, w3 taken from the divisors the singleton
+    test allows (`_euclidean_candidates`), keeping those with a
+    quasi-smooth member.  Exhaustive up to the bound; the outcome is stable
+    once the bound covers all genuine classes.
     """
-    rows = []
-    for w3 in range(1, cfg.weight_bound + 1):
-        for w2 in range(1, w3 + 1):
-            for w1 in range(1, w2 + 1):
-                if math.gcd(w1, math.gcd(w2, w3)) != 1:
-                    continue
-                ws = WeightSystem((w1, w2, w3), w1 + w2 + w3)
-                if quasi_smooth_generic(ws):
-                    rows.append(EuclideanRow(ws, count_monomials(ws.weights, ws.degree)))
+    rows = [
+        EuclideanRow(ws, count_monomials(ws.weights, ws.degree))
+        for ws in _euclidean_systems(3, cfg.weight_bound)
+    ]
     rows.sort(key=lambda row: (row.system.weights, row.system.degree))
     return rows
 
@@ -278,9 +314,10 @@ def ingest_weight_list(lines: Iterable[str], cfg: ScanConfig) -> IngestResult:
     Input is one system per line in the form ``w1,...,wm;d`` with ``#``
     comments.  Each accepted base is covered by every k in the configured
     range with gcd(k, d) = 1.  Malformed rows, rows without a quasi-smooth
-    member and rows whose invariants come out impossible (IntegrityError)
-    are reported with their line numbers and skipped; they never abort the
-    batch or cost another row its records.
+    member, rows whose invariants come out impossible (IntegrityError) and
+    rows past a resource budget (ResourceBudgetError) are reported with
+    their line numbers and skipped; they never abort the batch or cost
+    another row its records.
     """
     records: list[FamilyRecord] = []
     errors: list[str] = []
@@ -301,7 +338,7 @@ def ingest_weight_list(lines: Iterable[str], cfg: ScanConfig) -> IngestResult:
             continue
         try:
             records += _records("ingested", ws, range(cfg.k_min, cfg.k_bound + 1))
-        except IntegrityError as exc:
+        except (IntegrityError, ResourceBudgetError) as exc:
             errors.append(f"line {lineno}: {exc}")
     records.sort(key=FamilyRecord.sort_key)
     return IngestResult(records=records, errors=errors)

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from selinks import FactoredPower, ResourceBudgetError, UsageError, count_monomials
+from selinks.arith import COUNT_MONOMIALS_CELL_LIMIT
 
 
 def test_count_monomials_classified_degrees():
@@ -36,6 +37,15 @@ def test_count_monomials_against_direct_enumeration():
             if sum(e * w for e, w in zip(exps, weights)) == target
         )
         assert count_monomials(weights, target) == direct
+
+
+def test_count_monomials_refuses_a_table_past_the_cell_limit():
+    assert count_monomials((1,), COUNT_MONOMIALS_CELL_LIMIT - 1) == 1
+    with pytest.raises(ResourceBudgetError, match="table cells"):
+        count_monomials((1,), COUNT_MONOMIALS_CELL_LIMIT)
+    # about 10^9 cells if it were allocated; refused before the table exists
+    with pytest.raises(ResourceBudgetError, match="1000000001 table cells"):
+        count_monomials((1, 1, 1), 10**9)
 
 
 def test_factored_power():

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from selinks import ScanConfig, UsageError, WeightSystem, scan_all, scan_fermat_cy
 from selinks.cli import (
+    _TABLE,
     CSV_HEADER,
     Invocation,
     main,
@@ -189,6 +194,19 @@ def test_catalog_table_renders():
     assert "3^6" in text or "hyperbolic" in text
 
 
+def test_catalog_table_keeps_every_cell_apart():
+    # torsion, mu and real overflow their columns here, and False fills klt
+    cfg = ScanConfig(k_bound=60, m_range=(18, 20))
+    records = scan_fermat_cy(cfg)
+    lines = render_catalog(records, "table", cfg).splitlines()
+    assert len(lines) == len(records) + 2
+    columns = len(_TABLE)
+    assert len(lines[0].split()) == columns
+    for line in lines[2:]:
+        assert len(line.split()) == columns, line
+    assert not any("FalseTrue" in line or "TrueFalse" in line for line in lines)
+
+
 def test_expand_torsion_decimal(capsys):
     main(["scan", "fermat-cy", "--m", "4..4", "--k-bound", "13",
           "--format", "json", "--expand-torsion"])
@@ -282,6 +300,43 @@ def test_expand_torsion_past_the_digit_limit_exits_4(capsys):
     assert captured.out == ""
     assert captured.err.startswith("resource budget error: 11^13421 ")
     assert "Traceback" not in captured.err
+
+
+def test_moduli_past_the_counting_budget_exits_4(capsys):
+    code = main(["moduli", "--weights", "1,1,1", "--degree", "1000000000"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.startswith("resource budget error: counting monomials of degree ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+def test_ingest_cli_reports_a_row_past_the_counting_budget(tmp_path, capsys):
+    # the moduli count of the k = 7 cover of (1,1,1;3000000) counts in
+    # degree 21000000, past the table budget
+    src = tmp_path / "bases.txt"
+    src.write_text("1,1,1;3\n1,1,1;3000000\n", encoding="utf-8")
+    code = main(["ingest", str(src), "--k-range", "2..7", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err.startswith("ingest: line 2: counting monomials of degree ")
+    assert len(captured.err.splitlines()) == 1
+    meta, records = parse_catalog_json(captured.out)
+    assert {(r.base.weights, r.base.degree, r.k) for r in records} == {
+        ((1, 1, 1), 3, k) for k in (2, 4, 5, 7)
+    }
+
+
+def test_python_dash_m_selinks_runs_the_command_line():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "selinks", "--version"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("selinks ")
 
 
 def _catalog_text() -> str:
