@@ -32,7 +32,7 @@ for weights, d in [((1, 1, 1), 3), ((1, 1, 2), 4), ((1, 2, 3), 6)]:
 # cover in dimension 5; (2,4,4,4) fails the right-hand bound.
 for a in [(3, 4, 4, 4), (2, 4, 4, 4), (5, 6, 6, 2), (13, 4, 4, 4, 4)]:
     res = bp_sufficient_ke(a)
-    print(f"exponents {a}: sum 1/a_i = {res.data.reciprocal_sum}, "
+    print(f"exponents {a}: sum 1/a_i = {res.reciprocal_sum}, "
           f"bound = {res.bound}, certified = {res.verdict} "
           f"(limited by {res.limiting_witness})")
 

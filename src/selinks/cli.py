@@ -569,13 +569,12 @@ def _run_cover(inv: Invocation) -> str:
 
 def _run_certify(inv: Invocation) -> str:
     result = bp_sufficient_ke(inv.options["exponents"])
-    data = result.data
     payload = {
-        "exponents": ",".join(map(str, data.exponents)),
-        "reciprocal_sum": _frac_str(data.reciprocal_sum),
+        "exponents": ",".join(map(str, result.exponents)),
+        "reciprocal_sum": _frac_str(result.reciprocal_sum),
         "bound": _frac_str(result.bound),
-        "cofactor_lcms": ",".join(map(str, data.cofactor_lcms)),
-        "gcds": ",".join(map(str, data.gcds)),
+        "cofactor_lcms": ",".join(map(str, result.cofactor_lcms)),
+        "gcds": ",".join(map(str, result.gcds)),
         "limiting_witness": result.limiting_witness,
         "verdict": result.verdict,
     }

@@ -19,20 +19,18 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import UsageError
-from .links import CaseClass, WeightSystem, branched_cover, classify_case
+from .links import CaseClass, WeightSystem, classify_case, torsion_hypothesis
 
 __all__ = [
-    "BpData",
     "BpVerdict",
     "KeCertificate",
     "HyperbolicWindow",
     "is_fano",
     "necessary_klt",
     "euclidean_k_threshold",
-    "bp_data",
     "bp_sufficient_ke",
     "hyperbolic_k_window",
     "certify_cover",
@@ -88,41 +86,41 @@ def euclidean_k_threshold(base: WeightSystem) -> int:
 
 
 @dataclass(frozen=True)
-class BpData:
-    """Arithmetic of a Brieskorn-Pham exponent vector (a_0, ..., a_m).
+class BpVerdict:
+    """The sufficiency test on an exponent vector (a_0, ..., a_m), with its
+    exact decisive quantities.
 
     cofactor_lcms[j] is C^j = lcm(a_i : i != j) and gcds[j] is
-    b_j = gcd(a_j, C^j); reciprocal_sum is sum 1/a_i, exact.
+    b_j = gcd(a_j, C^j); reciprocal_sum is sum 1/a_i, bound the right side
+    of the inequality and limiting_witness the term that sets it.
     """
 
     exponents: tuple[int, ...]
     cofactor_lcms: tuple[int, ...]
     gcds: tuple[int, ...]
     reciprocal_sum: Fraction
-
-
-@dataclass(frozen=True)
-class BpVerdict:
-    """Outcome of the sufficiency test, with its exact decisive quantities."""
-
-    verdict: bool
-    data: BpData
     bound: Fraction
     limiting_witness: str
+    verdict: bool
 
 
-def bp_data(a: Iterable[int]) -> BpData:
-    a = tuple(a)
-    if len(a) < 3:
-        raise UsageError(f"need at least three exponents, got {a}")
-    if any(ai < 2 for ai in a):
-        raise UsageError(f"exponents must be at least 2, got {a}")
-    cofactors = tuple(
-        math.lcm(*(ai for j, ai in enumerate(a) if j != i)) for i in range(len(a))
-    )
-    gcds = tuple(math.gcd(ai, ci) for ai, ci in zip(a, cofactors))
-    total = sum(Fraction(1, ai) for ai in a)
-    return BpData(a, cofactors, gcds, total)
+def _cofactor_gcds(a: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(C, b) with C^j = lcm(a_i : i != j) and b_j = gcd(a_j, C^j)."""
+    cofactors = tuple(math.lcm(*a[:j], *a[j + 1:]) for j in range(len(a)))
+    return cofactors, tuple(map(math.gcd, a, cofactors))
+
+
+def _greatest_term(a: tuple[int, ...], b: tuple[int, ...], shift: int = 0) -> tuple[int, str]:
+    """The greatest a_i or b_i b_j (i < j) and the first term attaining it,
+    the a_i before the pairs, named with every index raised by `shift`."""
+    pairs = list(itertools.combinations(range(len(a)), 2))
+    values = list(a) + [b[i] * b[j] for i, j in pairs]
+    top = max(values)
+    at = values.index(top)
+    if at < len(a):
+        return top, f"1/a[{at + shift}]"
+    i, j = pairs[at - len(a)]
+    return top, f"1/(b[{i + shift}]*b[{j + shift}])"
 
 
 def bp_sufficient_ke(a: Iterable[int]) -> BpVerdict:
@@ -136,21 +134,75 @@ def bp_sufficient_ke(a: Iterable[int]) -> BpVerdict:
     left inequality is the Fano condition in this presentation; the right
     one certifies a Kähler-Einstein orbifold metric for perturbations
     satisfying the genericity condition.  The witness names the index or
-    pair attaining the min.
+    pair attaining the min.  This is the literal test on any exponent
+    vector; certificates of covers use it solved in k (`certify_cover`).
     """
-    data = bp_data(a)
-    n = len(data.exponents)
-    m = n - 1
-    # the least of the 1/x is 1/(the greatest x); index() finds the first
-    pairs = list(itertools.combinations(range(n), 2))
-    b = data.gcds
-    values = list(data.exponents) + [b[i] * b[j] for i, j in pairs]
-    top = max(values)
-    at = values.index(top)
-    witness = f"1/a[{at}]" if at < n else "1/(b[{}]*b[{}])".format(*pairs[at - n])
+    a = tuple(a)
+    if len(a) < 3:
+        raise UsageError(f"need at least three exponents, got {a}")
+    if any(ai < 2 for ai in a):
+        raise UsageError(f"exponents must be at least 2, got {a}")
+    m = len(a) - 1
+    cofactors, gcds = _cofactor_gcds(a)
+    total = sum(Fraction(1, ai) for ai in a)
+    # the least of the 1/x is 1/(the greatest x)
+    top, witness = _greatest_term(a, gcds)
     bound = 1 + Fraction(m, (m - 1) * top)
-    verdict = 1 < data.reciprocal_sum < bound
-    return BpVerdict(verdict, data, bound, witness)
+    return BpVerdict(a, cofactors, gcds, total, bound, witness, 1 < total < bound)
+
+
+class _KRule(NamedTuple):
+    """The sufficiency inequality on the covers z_0^k + f of one base, solved in k.
+
+    The cover exponents are (k, a_1, ..., a_m) with a_i = d/w_i.  For
+    gcd(k, d) = 1, b_0 = 1 and each b_i (i >= 1) is free of k, so the
+    inequality reads 1 < S + 1/k < 1 + m/((m-1) max(k, T)) with S and T
+    below, and holds exactly for the k in the open interval (lower, upper).
+    """
+
+    m: int
+    reciprocal_sum: Fraction  # S = sum 1/a_i = |w|/d
+    top: int  # T, the greatest a_i or b_i b_j over base indices
+    witness: str  # the first term attaining T, in cover indices
+    lower: Fraction  # equal to upper when no k passes
+    upper: Optional[Fraction]  # None: no upper bound
+
+    def admits(self, k: int) -> bool:
+        return self.lower < k and (self.upper is None or k < self.upper)
+
+    def sides(self, k: int) -> tuple[Fraction, Fraction, str]:
+        """S + 1/k, the right bound and the term attaining it; k is index 0,
+        so it is the witness whenever k >= T."""
+        top, witness = (k, "1/a[0]") if k >= self.top else (self.top, self.witness)
+        bound = 1 + Fraction(self.m, (self.m - 1) * top)
+        return self.reciprocal_sum + Fraction(1, k), bound, witness
+
+
+def _sufficiency_in_k(base: WeightSystem) -> Optional[_KRule]:
+    """The solved sufficiency inequality of `base`, or None unless every w_i
+    is a proper divisor of d (the covers are then not Brieskorn-Pham).
+
+    For k <= T the right inequality is 1/k < D = 1 + m/((m-1) T) - S, so
+    k > lower = 1/D, and no k passes when D <= 0 (then S > 1).  For k >= T
+    it is S - 1 < 1/((m-1) k), which bounds k < 1/((m-1)(S-1)) when S > 1;
+    the left one bounds k < 1/(1-S) when S < 1.  Both sides agree at k = T,
+    so the passing k form one open interval.
+    """
+    a = base.bp_exponents
+    if a is None:
+        return None
+    m = base.m
+    top, witness = _greatest_term(a, _cofactor_gcds(a)[1], shift=1)
+    s = Fraction(base.norm, base.degree)
+    if s < 1:
+        upper = 1 / (1 - s)
+    elif s > 1:
+        upper = 1 / ((m - 1) * (s - 1))
+    else:
+        upper = None
+    room = 1 + Fraction(m, (m - 1) * top) - s
+    lower = 1 / room if room > 0 else upper
+    return _KRule(m, s, top, witness, lower, upper)
 
 
 class HyperbolicWindow(NamedTuple):
@@ -164,10 +216,11 @@ class HyperbolicWindow(NamedTuple):
 def hyperbolic_k_window(m: int, l: int) -> HyperbolicWindow:
     """Branch orders k certifying covers of (1, ..., 1; l) with l > m.
 
-    The Fano condition bounds k < l/(l-m) and the sufficiency inequality
-    bounds k > (m-1) l^2 / ((m-1) l (l-m) + m); pairing them with k >= 2
-    confines l to m+1 <= l <= 2m-1.  Solutions are the integers in the
-    open interval that are coprime to l (covers sharing a factor with the
+    The interval is `_sufficiency_in_k` on the base: the Fano condition
+    bounds k < l/(l-m) and the sufficiency inequality bounds
+    k > (m-1) l^2 / ((m-1) l (l-m) + m); pairing them with k >= 2 confines
+    l to m+1 <= l <= 2m-1.  Solutions are the integers in the open
+    interval that are coprime to l (covers sharing a factor with the
     degree are reduced away, not certified here).
     """
     if m < 3:
@@ -177,13 +230,14 @@ def hyperbolic_k_window(m: int, l: int) -> HyperbolicWindow:
             f"l must satisfy m+1 <= l <= 2m-1, got l={l} for m={m} "
             f"(admissible range {m + 1}..{2 * m - 1})"
         )
-    lower = Fraction((m - 1) * l * l, (m - 1) * l * (l - m) + m)
-    upper = Fraction(l, l - m)
-    start = max(2, math.floor(lower) + 1)
+    base = WeightSystem((1,) * m, l)
+    rule = _sufficiency_in_k(base)
     solutions = tuple(
-        k for k in range(start, math.ceil(upper)) if k < upper and math.gcd(k, l) == 1
+        k
+        for k in range(2, math.ceil(rule.upper))
+        if rule.admits(k) and torsion_hypothesis(k, base)
     )
-    return HyperbolicWindow(lower, upper, solutions)
+    return HyperbolicWindow(rule.lower, rule.upper, solutions)
 
 
 @dataclass(frozen=True)
@@ -211,22 +265,26 @@ def certify_cover(k: int, base: WeightSystem) -> KeCertificate:
     """Evaluate every certificate test for the k-fold cover of `base`.
 
     The klt sides give both the Fano sign (left > 0) and the necessary klt
-    inequality ((m-1) left < m least).
+    inequality ((m-1) left < m least).  A Brieskorn-Pham cover (every w_i
+    a proper divisor of d, gcd(k, d) = 1) is decided by the sufficiency
+    inequality solved in k (`_sufficiency_in_k`), which equals the literal
+    `bp_sufficient_ke` on the cover exponents.
     """
-    cover = branched_cover(k, base)
+    if k < 2:
+        raise UsageError(f"branch order k must be at least 2, got {k}")
     m = base.m
     left, least, witness = _klt_sides(k, base)
     fano, nklt = left > 0, (m - 1) * left < m * least
-    if cover.bp_exponents is None:
+    rule = _sufficiency_in_k(base) if torsion_hypothesis(k, base) else None
+    if rule is None:
         sufficient, left_value, right = False, Fraction(left), Fraction(m * least, m - 1)
     else:
-        result = bp_sufficient_ke(cover.bp_exponents)
-        sufficient, left_value, right = result.verdict, result.data.reciprocal_sum, result.bound
-        witness = result.limiting_witness
+        sufficient = rule.admits(k)
+        left_value, right, witness = rule.sides(k)
     return KeCertificate(
         fano=fano,
         necessary_klt=nklt,
-        bp_applicable=cover.bp_exponents is not None,
+        bp_applicable=rule is not None,
         bp_sufficient=sufficient,
         gc_assumed=True,
         left_value=left_value,

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .errors import UsageError
+from .arith import COUNT_MONOMIALS_CELL_LIMIT
+from .errors import ResourceBudgetError, UsageError
 
 __all__ = [
     "WeightSystem",
@@ -68,6 +69,16 @@ class WeightSystem:
     def norm(self) -> int:
         return sum(self.weights)
 
+    @property
+    def bp_exponents(self) -> Optional[tuple[int, ...]]:
+        """(d/w_1, ..., d/w_m) when every weight is a proper divisor of d,
+        the exponents of the Brieskorn-Pham member; otherwise None (a
+        weight equal to d is a linear term, not an exponent)."""
+        d = self.degree
+        if all(w < d and d % w == 0 for w in self.weights):
+            return tuple(d // w for w in self.weights)
+        return None
+
     def canonical(self) -> "WeightSystem":
         """Weights sorted ascending; used for enumeration and record keys."""
         return WeightSystem(tuple(sorted(self.weights)), self.degree)
@@ -111,11 +122,10 @@ class CoverData:
     """A k-fold branched cover of the sphere over the link of `base`.
 
     `cover` is the weight system of z_0^k + f.  When every base weight is
-    a proper divisor of the base degree and gcd(k, d) = 1, the cover is the
-    class of a Brieskorn-Pham polynomial and `bp_exponents` holds
-    (a_0, ..., a_m) with a_0 = k and a_i = d / w_i >= 2.  A weight equal to
-    d is a linear term, not a Brieskorn-Pham exponent, so such a cover
-    carries none.  Covers with gcd(k, d) > 1 are representable; whether a
+    a proper divisor of the base degree (`WeightSystem.bp_exponents`) and
+    gcd(k, d) = 1, the cover is the class of a Brieskorn-Pham polynomial
+    and `bp_exponents` holds (a_0, ..., a_m) with a_0 = k and
+    a_i = d / w_i >= 2.  Covers with gcd(k, d) > 1 are representable; whether a
     cover is a rational homology sphere is `torsion_hypothesis`.
     """
 
@@ -139,14 +149,24 @@ def branched_cover(k: int, base: WeightSystem) -> CoverData:
     cover = WeightSystem(
         (d // g,) + tuple(k // g * w for w in base.weights), math.lcm(k, d)
     )
-    bp = None
-    if g == 1 and all(w < d and d % w == 0 for w in base.weights):
-        bp = (k,) + tuple(d // w for w in base.weights)
+    bp = base.bp_exponents if g == 1 else None
+    if bp is not None:
+        bp = (k,) + bp
     return CoverData(k=k, base=base, cover=cover, bp_exponents=bp)
 
 
 def _reachable_degrees(weights: tuple[int, ...], target: int) -> int:
-    """Bitset of weighted degrees <= target attainable by the given weights."""
+    """Bitset of weighted degrees <= target attainable by the given weights.
+
+    The bitset has target + 1 cells, one per degree, as the table of
+    `count_monomials` has; past the same COUNT_MONOMIALS_CELL_LIMIT it
+    raises ResourceBudgetError before anything is allocated.
+    """
+    if target + 1 > COUNT_MONOMIALS_CELL_LIMIT:
+        raise ResourceBudgetError(
+            f"tracing monomial degrees up to {target} needs {target + 1} bitset cells, "
+            f"more than the limit of {COUNT_MONOMIALS_CELL_LIMIT}"
+        )
     mask = (1 << (target + 1)) - 1
     bits = 1
     for w in weights:
@@ -179,7 +199,8 @@ def quasi_smooth_generic(ws: WeightSystem) -> bool:
     arithmetic and reject most systems before any counting happens.  If
     w_i | d, the monomial z_i^{d/w_i} satisfies (a) for every I containing
     i, so only the subsets of J = {i : w_i does not divide d} are tested
-    further (the pointer view of Kreuzer-Skarke).
+    further (the pointer view of Kreuzer-Skarke).  A degree past the
+    bitset budget of `_reachable_degrees` raises ResourceBudgetError.
     """
     w = ws.weights
     d = ws.degree

@@ -20,6 +20,7 @@ from .arith import FactoredPower, count_monomials
 from .errors import IntegrityError, ResourceBudgetError, UsageError
 from .ke_cert import (
     KeCertificate,
+    bp_sufficient_ke,
     certify_cover,
     euclidean_k_threshold,
     hyperbolic_k_window,
@@ -41,6 +42,11 @@ __all__ = [
     "scan_all",
     "ingest_weight_list",
 ]
+
+# the most records one scan, or one ingest run in total, may build; at the
+# limit `scan fermat-cy` takes about 7 s and 470 MiB peak as JSON, and past
+# it the run is refused before it runs out of memory (see README)
+CATALOG_RECORD_LIMIT = 50_000
 
 # the three Euclidean (|w| = d) classes in three variables
 _EUCLIDEAN_BASES = (
@@ -114,25 +120,42 @@ class IngestResult:
     errors: list[str]
 
 
+def _branch_orders(base: WeightSystem, ks: Iterable[int], spent: int = 0) -> list[int]:
+    """The k in `ks` coprime to d, refused once they and the `spent` records
+    counted before them would pass CATALOG_RECORD_LIMIT.
+
+    Catalogs skip the other k here and nowhere else; on a reduced base
+    gcd(k, d) = 1 is the torsion hypothesis (`torsion_hypothesis`).  The
+    count stops at the limit, so a huge k range is refused at once.
+    """
+    orders = []
+    for k in ks:
+        if torsion_hypothesis(k, base):
+            if spent + len(orders) == CATALOG_RECORD_LIMIT:
+                raise ResourceBudgetError(
+                    f"a catalog of more than {CATALOG_RECORD_LIMIT} records is refused "
+                    f"(the limit is passed at {base}, k = {k})"
+                )
+            orders.append(k)
+    return orders
+
+
 def _records(
     tag: str,
     base: WeightSystem,
-    ks: Iterable[int],
+    ks: list[int],
     paper_min_k: Optional[int] = None,
     literal_min_k: Optional[int] = None,
 ) -> list[FamilyRecord]:
-    """Records of the k-fold covers of `base` for the k in `ks` coprime to d.
+    """Records of the k-fold covers of `base` for the k in `ks`, each coprime
+    to d (`_branch_orders`).
 
-    Catalogs skip the other k here and nowhere else; a base left with none
-    costs nothing.  On a reduced base gcd(k, d) = 1 is the torsion
-    hypothesis (`torsion_hypothesis`).  The Betti number, the genus and the
+    A base with no k costs nothing.  The Betti number, the genus and the
     moduli count are computed once per base, exactly: a cover monomial
     z_0^a z^beta of degree k t forces k | a, so h0_cover(O(k t)) =
     sum_{j >= 0} h0_base(O(t - j d)) and h0_cover(O(d)) = 1, neither
     depending on k.  The least k gives the smallest counting tables.
     """
-    d = base.degree
-    ks = [k for k in ks if torsion_hypothesis(k, base)]
     if not ks:
         return []
     k0 = min(ks)
@@ -145,7 +168,7 @@ def _records(
             family_tag=tag,
             m=base.m,
             k=k,
-            l_or_d=d,
+            l_or_d=base.degree,
             base=canonical,
             link_dimension=2 * base.m - 1,
             torsion=FactoredPower(k, betti),
@@ -160,8 +183,15 @@ def _records(
 
 
 def _catalog(tag: str, groups: Iterable[tuple]) -> list[FamilyRecord]:
-    """Records for (base, ks[, paper_min_k, literal_min_k]) groups, in catalog order."""
-    records = [rec for group in groups for rec in _records(tag, *group)]
+    """Records for (base, ks[, paper_min_k, literal_min_k]) groups, in catalog
+    order; every group's branch orders are counted against the record
+    budget before any record is built."""
+    kept, spent = [], 0
+    for base, ks, *rest in groups:
+        orders = _branch_orders(base, ks, spent)
+        spent += len(orders)
+        kept.append((base, orders, *rest))
+    records = [rec for group in kept for rec in _records(tag, *group)]
     records.sort(key=FamilyRecord.sort_key)
     return records
 
@@ -222,9 +252,13 @@ def scan_euclidean_classification(cfg: ScanConfig) -> list[EuclideanRow]:
 
 
 def _least_certifying_k(base: WeightSystem, k_bound: int) -> Optional[int]:
-    """Smallest admissible k whose cover passes the sufficiency inequality."""
+    """Smallest admissible k whose cover passes the sufficiency inequality,
+    found by sweeping the literal inequality (`bp_sufficient_ke`) over k."""
     for k in range(2, k_bound + 1):
-        if torsion_hypothesis(k, base) and certify_cover(k, base).bp_sufficient:
+        if not torsion_hypothesis(k, base):
+            continue
+        exponents = branched_cover(k, base).bp_exponents
+        if exponents is not None and bp_sufficient_ke(exponents).verdict:
             return k
     return None
 
@@ -317,27 +351,33 @@ def ingest_weight_list(lines: Iterable[str], cfg: ScanConfig) -> IngestResult:
     member, rows whose invariants come out impossible (IntegrityError) and
     rows past a resource budget (ResourceBudgetError) are reported with
     their line numbers and skipped; they never abort the batch or cost
-    another row its records.
+    another row its records.  Only the run's record budget
+    (CATALOG_RECORD_LIMIT, counted over all rows) ends the run, with
+    ResourceBudgetError.
     """
     records: list[FamilyRecord] = []
     errors: list[str] = []
+    ks = range(cfg.k_min, cfg.k_bound + 1)
     for lineno, raw in enumerate(lines, start=1):
         text = _strip_comment(raw)
         if not text:
             continue
         try:
             ws = WeightSystem.parse(text)
-        except UsageError as exc:
+            smooth = quasi_smooth_generic(ws)
+        except (UsageError, ResourceBudgetError) as exc:
             errors.append(f"line {lineno}: {exc}")
             continue
-        if not quasi_smooth_generic(ws):
+        if not smooth:
             errors.append(
                 f"line {lineno}: {ws} rejected: no quasi-smooth member "
                 "(the generic singularity is not isolated)"
             )
             continue
+        # the record budget is the run's, not the row's: passing it ends the run
+        orders = _branch_orders(ws, ks, len(records))
         try:
-            records += _records("ingested", ws, range(cfg.k_min, cfg.k_bound + 1))
+            records += _records("ingested", ws, orders)
         except (IntegrityError, ResourceBudgetError) as exc:
             errors.append(f"line {lineno}: {exc}")
     records.sort(key=FamilyRecord.sort_key)

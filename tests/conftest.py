@@ -1,8 +1,17 @@
 import math
+from fractions import Fraction
 
 import pytest
 
-from selinks import IntegrityError, WeightSystem, quasi_smooth_generic, survey
+from selinks import (
+    IntegrityError,
+    KeCertificate,
+    WeightSystem,
+    bp_sufficient_ke,
+    branched_cover,
+    quasi_smooth_generic,
+    survey,
+)
 
 
 @pytest.fixture(scope="session")
@@ -46,3 +55,30 @@ def genus_raises_on(monkeypatch):
         monkeypatch.setattr(survey, "genus", genus)
 
     return install
+
+
+def _literal_certificate(k: int, base: WeightSystem) -> KeCertificate:
+    """The certificate of the k-fold cover of `base`, computed the literal
+    way: the sufficiency test on the cover's own exponents when it has
+    them, otherwise the two sides of the necessary klt inequality,
+    k(|w| - d) + d < m/(m-1) min{d, k w_i}, with d winning ties and then
+    the first index."""
+    m, d = base.m, base.degree
+    left = k * (base.norm - d) + d
+    terms = [(d, "d")] + [(k * w, f"k*w[{i}]") for i, w in enumerate(base.weights, start=1)]
+    least, witness = min(terms, key=lambda term: term[0])
+    fano, nklt = left > 0, (m - 1) * left < m * least
+    exponents = branched_cover(k, base).bp_exponents
+    if exponents is None:
+        right = Fraction(m * least, m - 1)
+        return KeCertificate(fano, nklt, False, False, True, Fraction(left), right, witness)
+    bp = bp_sufficient_ke(exponents)
+    return KeCertificate(
+        fano, nklt, True, bp.verdict, True, bp.reciprocal_sum, bp.bound, bp.limiting_witness
+    )
+
+
+@pytest.fixture(scope="session")
+def literal_certificate():
+    """The literal certificate recipe, the oracle for `certify_cover`."""
+    return _literal_certificate

@@ -312,6 +312,23 @@ def test_moduli_past_the_counting_budget_exits_4(capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["invariants", "--weights", "1,2,4", "--degree", "100000001"], "tracing monomial degrees"),
+        (["scan", "fermat-cy", "--k-bound", "3000000", "--m", "3..3"], "a catalog of more than"),
+    ],
+)
+def test_bitset_and_record_budgets_exit_4(argv, message, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.startswith(f"resource budget error: {message}")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def test_ingest_cli_reports_a_row_past_the_counting_budget(tmp_path, capsys):
     # the moduli count of the k = 7 cover of (1,1,1;3000000) counts in
     # degree 21000000, past the table budget

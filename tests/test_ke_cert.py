@@ -4,21 +4,25 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from selinks import (
     CaseClass,
+    ScanConfig,
     UsageError,
     WeightSystem,
-    bp_data,
     bp_sufficient_ke,
     branched_cover,
     certify_cover,
     classify_case,
     euclidean_k_threshold,
+    generate_theorem2_family,
     hyperbolic_k_window,
     is_fano,
     necessary_klt,
 )
+from selinks.ke_cert import _sufficiency_in_k
 
 
 def test_is_fano():
@@ -98,7 +102,8 @@ def test_necessary_klt_spherical_boundary_case():
 
 
 def test_bp_data_fields():
-    data = bp_data((3, 4, 4, 4))
+    data = bp_sufficient_ke((3, 4, 4, 4))
+    assert data.exponents == (3, 4, 4, 4)
     assert data.cofactor_lcms == (4, 12, 12, 12)
     assert data.gcds == (1, 4, 4, 4)
     assert data.reciprocal_sum == Fraction(13, 12)
@@ -107,7 +112,7 @@ def test_bp_data_fields():
 def test_bp_sufficient_examples():
     res = bp_sufficient_ke((3, 4, 4, 4))
     assert res.verdict
-    assert res.data.reciprocal_sum == Fraction(13, 12)
+    assert res.reciprocal_sum == Fraction(13, 12)
     assert res.bound == Fraction(35, 32)
 
     assert bp_sufficient_ke((13, 4, 4, 4, 4)).verdict
@@ -115,7 +120,7 @@ def test_bp_sufficient_examples():
 
     res = bp_sufficient_ke((2, 4, 4, 4))
     assert not res.verdict
-    assert res.data.reciprocal_sum == Fraction(5, 4)
+    assert res.reciprocal_sum == Fraction(5, 4)
     assert res.bound == Fraction(35, 32)
 
 
@@ -213,3 +218,51 @@ def test_certify_cover_agrees_with_the_separate_tests(qs_triple_corpus):
             cert = certify_cover(k, base)
             assert cert.fano == is_fano(k, base), (base, k)
             assert cert.necessary_klt == necessary_klt(k, base), (base, k)
+
+
+@st.composite
+def divisor_bases(draw):
+    """Bases whose weights all divide d: Brieskorn-Pham unless a weight is d."""
+    d = draw(st.integers(2, 120))
+    divisors = [q for q in range(1, d + 1) if d % q == 0]
+    weights = draw(st.lists(st.sampled_from(divisors), min_size=2, max_size=7))
+    return WeightSystem(tuple(weights), d)
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(base=divisor_bases(), k=st.integers(2, 400))
+@example(base=WeightSystem((1, 1, 4), 4), k=3)  # a weight equal to d: a linear term
+@example(base=WeightSystem((1, 1, 1), 3), k=6)  # k not coprime to d
+@example(base=WeightSystem((1, 1, 1), 3), k=10)  # k > T = 9: k sets the bound
+@example(base=WeightSystem((1, 1, 1), 2), k=3)  # S > 1 with no k passing
+@example(base=WeightSystem((2, 2, 2, 5), 10), k=3)  # none passes, though k < 1/(2(S-1))
+@example(base=WeightSystem((3, 4, 6), 12), k=5)  # S > 1, and k = 5 passes
+@example(base=WeightSystem((1, 2, 4, 4), 16), k=3)  # S + 1/k equals the bound
+def test_certify_cover_equals_the_literal_recipe(base, k, literal_certificate):
+    assert certify_cover(k, base) == literal_certificate(k, base)
+
+
+def test_certify_cover_refuses_k_below_2():
+    base = WeightSystem((1, 1, 1), 3)
+    for k in (1, 0, -2):
+        with pytest.raises(UsageError, match="at least 2"):
+            certify_cover(k, base)
+
+
+def test_the_rule_on_fermat_cy_bases_is_k_above_m_m_minus_1():
+    for m in range(3, 11):
+        rule = _sufficiency_in_k(WeightSystem((1,) * m, m))
+        assert rule.lower == m * (m - 1)
+        assert rule.upper is None
+
+
+def test_the_rule_gives_the_literal_minimal_k():
+    # 7/11/13 are the least k coprime to d above the rule's lower bound
+    records = generate_theorem2_family(ScanConfig(k_bound=20))
+    literal = {rec.l_or_d: rec.literal_min_k for rec in records}
+    assert literal == {3: 7, 4: 11, 6: 13}
+    for base in {rec.base for rec in records}:
+        k = math.floor(_sufficiency_in_k(base).lower) + 1
+        while math.gcd(k, base.degree) != 1:
+            k += 1
+        assert k == literal[base.degree], base

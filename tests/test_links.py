@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from selinks import (
     CaseClass,
+    ResourceBudgetError,
     UsageError,
     WeightSystem,
     branched_cover,
@@ -17,8 +18,10 @@ from selinks import (
     milnor_orlik_betti,
     moduli_count,
     quasi_smooth_generic,
+    links,
     torsion_hypothesis,
 )
+from selinks.arith import COUNT_MONOMIALS_CELL_LIMIT
 
 
 def test_weight_system_validation():
@@ -240,3 +243,19 @@ def invertible_systems(draw):
 def test_invertible_systems_are_quasi_smooth(ws):
     assert quasi_smooth_generic(ws)
     assert quasi_smooth_all_subsets(ws)
+
+
+def test_quasi_smoothness_refuses_a_bitset_past_the_cell_limit():
+    # the pair of weights 2, 4 does not divide an odd d, so the subset test
+    # traces the degrees up to d in a bitset of d + 1 cells
+    at_limit = COUNT_MONOMIALS_CELL_LIMIT - 1
+    bits = links._reachable_degrees((2, 4), at_limit)  # the even degrees
+    assert bits >> (at_limit - 1) == 1
+    with pytest.raises(ResourceBudgetError, match=f"{at_limit + 2} bitset cells"):
+        links._reachable_degrees((2, 4), at_limit + 1)
+    assert not quasi_smooth_generic(WeightSystem((1, 2, 4), at_limit))
+    with pytest.raises(ResourceBudgetError, match="1000002 bitset cells"):
+        quasi_smooth_generic(WeightSystem((1, 2, 4), at_limit + 2))
+    # about 10^8 cells if it were allocated; refused before the bitset exists
+    with pytest.raises(ResourceBudgetError, match="100000002 bitset cells"):
+        quasi_smooth_generic(WeightSystem((1, 2, 4), 100000001))

@@ -5,11 +5,11 @@ import pytest
 
 from selinks import (
     FamilyRecord,
+    ResourceBudgetError,
     ScanConfig,
     UsageError,
     WeightSystem,
     branched_cover,
-    certify_cover,
     generate_mixed_canonical,
     generate_theorem2_family,
     genus,
@@ -19,8 +19,10 @@ from selinks import (
     scan_euclidean_classification,
     scan_fermat_cy,
     scan_hyperbolic,
+    survey,
     torsion_order,
 )
+from selinks.cli import parse_catalog_json, render_catalog
 
 SMALL = ScanConfig(weight_bound=20, k_bound=24, m_range=(3, 5))
 
@@ -232,9 +234,9 @@ def test_ingest_row_with_a_linear_variable_is_kept():
     assert cubic == ingest_weight_list(lines[:1], cfg).records
 
 
-def _per_pair_recipe(rec, base):
+def _per_pair_recipe(rec, base, literal_certificate):
     """The record of the k-fold cover of `base`, every field computed for
-    this (base, k) alone."""
+    this (base, k) alone and the certificate the literal way."""
     k = rec.k
     assert math.gcd(k, base.degree) == 1
     return dataclasses.replace(
@@ -246,16 +248,23 @@ def _per_pair_recipe(rec, base):
         torsion=torsion_order(k, base),
         genus=genus(base) if base.m == 3 else None,
         moduli=moduli_count(branched_cover(k, base).cover),
-        certificate=certify_cover(k, base),
+        certificate=literal_certificate(k, base),
     )
 
 
-def test_records_equal_the_per_pair_recipe():
+def _read_back(records, cfg):
+    """The records rendered as a JSON catalog and parsed again."""
+    meta, parsed = parse_catalog_json(render_catalog(records, "json", cfg))
+    assert parsed == records
+    return parsed
+
+
+def test_records_equal_the_per_pair_recipe(literal_certificate):
     cfg = ScanConfig(k_bound=30, m_range=(3, 6))
-    records = scan_all(cfg)
+    records = _read_back(scan_all(cfg), cfg)
     assert len({(r.base, r.family_tag) for r in records}) == 15
     for rec in records:  # every generated base is already in canonical order
-        assert rec == _per_pair_recipe(rec, rec.base)
+        assert rec == _per_pair_recipe(rec, rec.base, literal_certificate)
 
     rows = ["3,1,2;6", "2,3,1;8", "2,1,1;4", "1,1,1,1;4", "5,2,2,1;10", "1,3,2,2;9",
             "4,1,1;5", "1,1,4;4"]
@@ -268,5 +277,51 @@ def test_records_equal_the_per_pair_recipe():
         for k in range(cfg.k_min, cfg.k_bound + 1)
         if math.gcd(k, ws.degree) == 1
     )
-    for rec in result.records:
-        assert rec == _per_pair_recipe(rec, bases[rec.base])
+    for rec in _read_back(result.records, cfg):
+        assert rec == _per_pair_recipe(rec, bases[rec.base], literal_certificate)
+
+
+def test_record_budget_at_the_limit_and_past_it():
+    # (1,1,1;3) has 50,000 branch orders coprime to 3 in 2..75001
+    base = WeightSystem((1, 1, 1), 3)
+    assert survey.CATALOG_RECORD_LIMIT == 50_000
+    assert len(survey._branch_orders(base, range(2, 75002))) == survey.CATALOG_RECORD_LIMIT
+    with pytest.raises(ResourceBudgetError, match="more than 50000 records"):
+        survey._branch_orders(base, range(2, 75003))
+    # the count stops at the limit, so a huge range is refused at once
+    with pytest.raises(ResourceBudgetError, match="k = 75002"):
+        survey._branch_orders(base, range(2, 10**12))
+
+
+def test_a_scan_past_the_record_budget_builds_no_record(monkeypatch):
+    cfg = ScanConfig(k_bound=13, m_range=(3, 4))
+    count = len(scan_fermat_cy(cfg))  # k coprime to 3 and to 4
+    monkeypatch.setattr(survey, "CATALOG_RECORD_LIMIT", count)
+    assert len(scan_fermat_cy(cfg)) == count
+
+    def unreachable(*args):
+        raise AssertionError("a record was built")
+
+    monkeypatch.setattr(survey, "CATALOG_RECORD_LIMIT", count - 1)
+    monkeypatch.setattr(survey, "_records", unreachable)
+    with pytest.raises(ResourceBudgetError, match="records is refused"):
+        scan_fermat_cy(cfg)
+
+
+def test_the_record_budget_counts_a_whole_ingest_run(monkeypatch):
+    # k in 2..7: four records of (1,1,1;3), three of (1,1,1,1;4)
+    rows = ["1,1,1;3", "1,1,1,1;4"]
+    cfg = ScanConfig(k_bound=7)
+    monkeypatch.setattr(survey, "CATALOG_RECORD_LIMIT", 7)
+    assert len(ingest_weight_list(rows, cfg).records) == 7
+    monkeypatch.setattr(survey, "CATALOG_RECORD_LIMIT", 6)
+    with pytest.raises(ResourceBudgetError, match=r"passed at \(1,1,1,1;4\), k = 7"):
+        ingest_weight_list(rows, cfg)
+
+
+def test_ingest_row_past_the_bitset_budget_is_isolated():
+    rows = ["1,1,1;3", "1,2,4;100000001"]
+    result = ingest_weight_list(rows, ScanConfig(k_bound=7))
+    assert [e.split(":")[0] for e in result.errors] == ["line 2"]
+    assert "bitset cells" in result.errors[0]
+    assert result.records == ingest_weight_list(rows[:1], ScanConfig(k_bound=7)).records
