@@ -17,6 +17,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import Any, Callable, NamedTuple, Optional, Sequence, get_args, get_type_hints
 
@@ -316,26 +317,72 @@ def _plain_types(field: _Field) -> Optional[tuple[type, ...]]:
 
 CSV_HEADER = tuple(field.column for field in _FIELDS)
 _values = attrgetter(*(field.attr_path for field in _FIELDS))
-_JSON_OUT = tuple((*_split(f.json_path), f.codec and f.codec.to_json) for f in _FIELDS)
 _JSON_IN = tuple(
     (*_split(f.json_path), *_split(f.attr_path), f.codec and f.codec.from_json, _plain_types(f))
     for f in _FIELDS
 )
 _TEXT_OUT = tuple(f.codec and f.codec.to_text for f in _FIELDS)
 
+# the JSON text of a scalar, by exact type: bool is a subclass of int and
+# True == 1, so neither isinstance nor a lookup by value tells them apart;
+# strings are escaped as json.dumps escapes them by default (ensure_ascii)
+_SCALAR_JSON = {
+    int: int.__repr__,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+    str: encode_basestring_ascii,
+}
 
-def record_to_json(rec: FamilyRecord, expand_torsion: bool = False) -> dict:
-    obj: dict = {}
-    for (group, key, encode), value in zip(_JSON_OUT, _values(rec)):
-        if encode is not None:
-            value = encode(value, expand_torsion)
-        if group is None:
-            obj[key] = value
-        elif group in obj:
-            obj[group][key] = value
-        else:
-            obj[group] = {key: value}
-    return obj
+
+def _json_text(value: Any, indent: str) -> str:
+    """json.dumps(value, indent=2) for a value whose key sits at `indent`:
+    the scalars above and the lists and objects the codecs make of them."""
+    if isinstance(value, dict):
+        opening, closing = "{", "}"
+        inner = indent + "  "
+        items = [
+            f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
+            for key, item in value.items()
+        ]
+    elif isinstance(value, list):
+        opening, closing = "[", "]"
+        inner = indent + "  "
+        items = [_json_text(item, inner) for item in value]
+    else:
+        return _SCALAR_JSON.get(type(value), json.dumps)(value)
+    if not items:
+        return opening + closing
+    return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{closing}"
+
+
+def _json_layout() -> tuple[tuple, str]:
+    """What json.dumps(indent=2) writes around each field of a record in the
+    catalog's "records" list, from _FIELDS.
+
+    Per field: the text before its value (the comma, newline and
+    indentation, a group's closing or opening, the quoted key), its codec's
+    `to_json` and the indentation of its key.  Then the text that closes
+    the record.  The first field's text starts with the comma that
+    separates a record from the one before it.
+    """
+    layout, group_open = [], None
+    for index, field in enumerate(_FIELDS):
+        group, key = _split(field.json_path)
+        text = ",\n    {" if index == 0 else ","
+        if group != group_open:
+            if group_open is not None:
+                text = "\n      }" + text
+            if group is not None:
+                text += f"\n      {encode_basestring_ascii(group)}: {{"
+            group_open = group
+        indent = "      " if group is None else "        "
+        text += f"\n{indent}{encode_basestring_ascii(key)}: "
+        layout.append((text, field.codec and field.codec.to_json, indent))
+    closing = "\n    }" if group_open is None else "\n      }\n    }"
+    return tuple(layout), closing
+
+
+_JSON_FIELDS, _JSON_RECORD_CLOSE = _json_layout()
 
 
 def record_from_json(obj: dict) -> FamilyRecord:
@@ -417,11 +464,27 @@ def render_catalog(
 ) -> str:
     """Serialize records (already in canonical order) to table, csv or json."""
     if fmt == "json":
-        payload = {
-            "meta": _catalog_meta(cfg, expand_torsion, len(records)),
-            "records": [record_to_json(r, expand_torsion) for r in records],
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        # the bytes of json.dumps({"meta": ..., "records": [...]}, indent=2),
+        # written field by field from _FIELDS (_json_layout)
+        head = json.dumps(
+            {"meta": _catalog_meta(cfg, expand_torsion, len(records)), "records": []}, indent=2
+        )
+        if not records:
+            return head + "\n"
+        parts = [head[: -len("]\n}")]]
+        # scalars, most of the values, skip _json_text's container tests
+        append, scalar, dumps = parts.append, _SCALAR_JSON.get, json.dumps
+        for rec in records:
+            for (text, encode, indent), value in zip(_JSON_FIELDS, _values(rec)):
+                append(text)
+                if encode is None:
+                    append(scalar(type(value), dumps)(value))
+                else:
+                    append(_json_text(encode(value, expand_torsion), indent))
+            append(_JSON_RECORD_CLOSE)
+        parts[1] = parts[1][1:]  # no comma before the first record
+        parts.append("\n  ]\n}\n")
+        return "".join(parts)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -628,8 +691,10 @@ def _run_scan(inv: Invocation) -> str:
 
 
 def _run_ingest(inv: Invocation) -> str:
-    with open(inv.options["file"], "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
+    # lines are split as bytes, so a line that is not UTF-8 costs only itself
+    # a row diagnostic; splitlines ends a line at \n, \r\n or \r, as text mode does
+    with open(inv.options["file"], "rb") as fh:
+        lines = fh.read().splitlines()
     cfg = _scan_config(inv.options)
     result: IngestResult = ingest_weight_list(lines, cfg)
     for message in result.errors:
@@ -662,6 +727,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         argv = sys.argv[1:]
     try:
         return run(parse_invocation(argv))
+    except SystemExit as exc:
+        # argparse ends --help and --version this way, after printing them
+        return exc.code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

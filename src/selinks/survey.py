@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, Iterator, NamedTuple, Optional
 
-from .arith import FactoredPower, count_monomials
+from .arith import COUNT_MONOMIALS_CELL_LIMIT, FactoredPower, count_monomials
 from .errors import IntegrityError, ResourceBudgetError, UsageError
 from .ke_cert import (
     KeCertificate,
@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 # the most records one scan, or one ingest run in total, may build; at the
-# limit `scan fermat-cy` takes about 7 s and 470 MiB peak as JSON, and past
+# limit `scan fermat-cy` takes about 4.7 s and 170 MiB peak as JSON, and past
 # it the run is refused before it runs out of memory (see README)
 CATALOG_RECORD_LIMIT = 50_000
 
@@ -206,7 +206,18 @@ def _euclidean_candidates(m: int, bound: int) -> Iterator[tuple[int, ...]]:
     w_m | S - w_j.  For m >= 3 each S - w_j is positive, so w_m is taken
     from the divisors of these numbers in [w_{m-1}, bound] and no
     quasi-smooth system is left out.
+
+    The walk over the C(bound + m - 2, m - 1) prefixes is refused with
+    ResourceBudgetError, before anything is built, when that count passes
+    COUNT_MONOMIALS_CELL_LIMIT.
     """
+    prefixes = math.comb(bound + m - 2, m - 1)
+    if prefixes > COUNT_MONOMIALS_CELL_LIMIT:
+        raise ResourceBudgetError(
+            f"enumerating Euclidean systems in {m} variables up to weight bound {bound} "
+            f"walks {prefixes} sorted weight prefixes, more than the limit of "
+            f"{COUNT_MONOMIALS_CELL_LIMIT}"
+        )
     divisors: list[list[int]] = [[] for _ in range((m - 1) * bound + 1)]
     for q in range(1, bound + 1):
         for n in range(q, len(divisors), q):
@@ -342,23 +353,32 @@ def _strip_comment(line: str) -> str:
     return line.split("#", 1)[0].strip()
 
 
-def ingest_weight_list(lines: Iterable[str], cfg: ScanConfig) -> IngestResult:
+def ingest_weight_list(lines: Iterable[str | bytes], cfg: ScanConfig) -> IngestResult:
     """Run the full pipeline on user-supplied base systems.
 
     Input is one system per line in the form ``w1,...,wm;d`` with ``#``
-    comments.  Each accepted base is covered by every k in the configured
-    range with gcd(k, d) = 1.  Malformed rows, rows without a quasi-smooth
-    member, rows whose invariants come out impossible (IntegrityError) and
-    rows past a resource budget (ResourceBudgetError) are reported with
-    their line numbers and skipped; they never abort the batch or cost
-    another row its records.  Only the run's record budget
-    (CATALOG_RECORD_LIMIT, counted over all rows) ends the run, with
-    ResourceBudgetError.
+    comments; a line given as bytes is decoded as UTF-8, and a byte order
+    mark opening the first line is dropped.  Each accepted base is covered
+    by every k in the configured range with gcd(k, d) = 1.  Lines that are
+    not UTF-8, malformed rows, rows without a quasi-smooth member, rows
+    whose invariants come out impossible (IntegrityError) and rows past a
+    resource budget (ResourceBudgetError) are reported with their line
+    numbers and skipped; they never abort the batch or cost another row its
+    records.  Only the run's record budget (CATALOG_RECORD_LIMIT, counted
+    over all rows) ends the run, with ResourceBudgetError.
     """
     records: list[FamilyRecord] = []
     errors: list[str] = []
     ks = range(cfg.k_min, cfg.k_bound + 1)
     for lineno, raw in enumerate(lines, start=1):
+        if isinstance(raw, bytes):
+            try:
+                raw = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                errors.append(f"line {lineno}: not UTF-8 text ({exc})")
+                continue
+        if lineno == 1:
+            raw = raw.removeprefix("\ufeff")
         text = _strip_comment(raw)
         if not text:
             continue

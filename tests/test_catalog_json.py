@@ -1,0 +1,165 @@
+"""The JSON catalog writer against its oracle.
+
+`render_catalog(..., "json", ...)` writes each record field by field from
+`_FIELDS`.  The oracle builds the catalog as nested dicts and lets
+`json.dumps(indent=2)` write it; the two must give the same text.
+"""
+
+import dataclasses
+import itertools
+import json
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from selinks import (
+    FactoredPower,
+    FamilyRecord,
+    KeCertificate,
+    ModuliCount,
+    ScanConfig,
+    WeightSystem,
+    ingest_weight_list,
+    scan_all,
+    scan_fermat_cy,
+    scan_hyperbolic,
+)
+from selinks.cli import _FIELDS, _catalog_meta, _split, _values, render_catalog
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+FAMILY_TAGS = ("euclidean5", "fermat_cy", "hyperbolic", "mixed_canonical", "ingested")
+
+
+def record_to_json(rec: FamilyRecord, expand_torsion: bool = False) -> dict:
+    """One record as the nested dicts its JSON form spells out."""
+    obj: dict = {}
+    for field, value in zip(_FIELDS, _values(rec)):
+        if field.codec is not None:
+            value = field.codec.to_json(value, expand_torsion)
+        group, key = _split(field.json_path)
+        (obj if group is None else obj.setdefault(group, {}))[key] = value
+    return obj
+
+
+def oracle(records, cfg, expand_torsion=False) -> str:
+    payload = {
+        "meta": _catalog_meta(cfg, expand_torsion, len(records)),
+        "records": [record_to_json(rec, expand_torsion) for rec in records],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def assert_writer_is_the_oracle(records, cfg, expand_torsion=False):
+    written = render_catalog(records, "json", cfg, expand_torsion)
+    expected = oracle(records, cfg, expand_torsion)
+    if written != expected:
+        # name the first difference: a diff of two catalogs takes minutes
+        at = next(
+            (i for i, (a, b) in enumerate(zip(written, expected)) if a != b),
+            min(len(written), len(expected)),
+        )
+        near = slice(max(at - 60, 0), at + 60)
+        pytest.fail(
+            f"writer and oracle differ at character {at}: "
+            f"{written[near]!r} against {expected[near]!r}"
+        )
+
+
+def test_every_family_at_k_bound_400():
+    cfg = ScanConfig(k_bound=400, m_range=(3, 10))
+    records = scan_all(cfg)
+    assert len(records) == 2495
+    assert_writer_is_the_oracle(records, cfg)
+
+
+def test_the_benchmark_ingest_rows(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import ingest_rows
+
+    try:
+        cfg = ScanConfig()
+        records = ingest_weight_list(ingest_rows(0).lines, cfg).records
+    finally:
+        sys.modules.pop("workloads", None)
+        sys.modules.pop("oracles", None)
+    assert len(records) == 5291
+    assert_writer_is_the_oracle(records, cfg)
+
+
+@pytest.mark.parametrize(
+    "scan, cfg",
+    [
+        (scan_fermat_cy, ScanConfig(k_bound=30, m_range=(3, 5))),
+        (scan_hyperbolic, ScanConfig(k_bound=20, m_range=(3, 4))),
+        (scan_all, ScanConfig(k_bound=12, m_range=(3, 4))),
+    ],
+)
+def test_expanded_torsion(scan, cfg):
+    records = scan(cfg)
+    assert records
+    assert_writer_is_the_oracle(records, cfg, expand_torsion=True)
+
+
+@pytest.mark.parametrize("cfg", [None, ScanConfig()])
+@pytest.mark.parametrize("expand_torsion", [False, True])
+def test_an_empty_catalog(cfg, expand_torsion):
+    text = render_catalog([], "json", cfg, expand_torsion)
+    assert '"records": []\n}\n' in text
+    assert text == oracle([], cfg, expand_torsion)
+
+
+def test_every_combination_of_the_certificate_flags():
+    rec = scan_fermat_cy(ScanConfig(k_bound=5, m_range=(3, 3)))[0]
+    sides = (Fraction(1, 3), Fraction(-7, 2), "k*w[1]")
+    records = [
+        dataclasses.replace(rec, certificate=KeCertificate(*flags, *sides))
+        for flags in itertools.product((False, True), repeat=5)
+    ]
+    assert_writer_is_the_oracle(records, None)
+
+
+big_ints = st.integers(-(2**70), 2**70) | st.sampled_from([2**64, 2**64 + 1, -(2**64), 10**30])
+positive = st.integers(1, 2**70)
+fractions = st.builds(Fraction, big_ints, positive)
+records = st.builds(
+    FamilyRecord,
+    family_tag=st.sampled_from(FAMILY_TAGS),
+    m=big_ints,
+    k=big_ints,
+    l_or_d=big_ints,
+    base=st.builds(WeightSystem, st.lists(positive, min_size=2, max_size=12), positive),
+    link_dimension=big_ints,
+    torsion=st.builds(FactoredPower, st.integers(2, 2**70), st.integers(0, 40)),
+    genus=st.none() | big_ints,
+    moduli=st.builds(ModuliCount, big_ints, big_ints, big_ints, big_ints),
+    certificate=st.builds(
+        KeCertificate,
+        st.booleans(),
+        st.booleans(),
+        st.booleans(),
+        st.booleans(),
+        st.booleans(),
+        fractions,
+        fractions,
+        st.text(max_size=12),
+    ),
+    paper_min_k=st.none() | big_ints,
+    literal_min_k=st.none() | big_ints,
+)
+configs = st.none() | st.builds(
+    ScanConfig,
+    weight_bound=positive,
+    k_bound=positive,
+    m_range=st.tuples(st.integers(3, 9), st.integers(9, 2**70)),
+    k_min=st.integers(2, 2**70),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(records=st.lists(records, max_size=4), cfg=configs, expand_torsion=st.booleans())
+def test_random_records(records, cfg, expand_torsion):
+    assert_writer_is_the_oracle(records, cfg, expand_torsion)

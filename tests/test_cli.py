@@ -440,3 +440,54 @@ def test_scan_and_ingest_defaults_are_the_scan_config_defaults(tmp_path, capsys)
         assert main([*argv, "--format", "json"]) == 0
         meta, _ = parse_catalog_json(capsys.readouterr().out)
         assert meta["bounds"] == defaults
+
+
+def test_ingest_cli_reports_a_line_that_is_not_utf8(tmp_path, capsys):
+    src = tmp_path / "bases.txt"
+    src.write_bytes(b"1,1,1;3\n\xff\n1,1,2;4\n")
+    code = main(["ingest", str(src), "--k-range", "2..5", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err.startswith("ingest: line 2: not UTF-8 text (")
+    assert len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err
+    meta, records = parse_catalog_json(captured.out)
+    assert {(r.base.weights, r.k) for r in records} == {
+        ((1, 1, 1), 2), ((1, 1, 1), 4), ((1, 1, 1), 5), ((1, 1, 2), 3), ((1, 1, 2), 5)
+    }
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"\xef\xbb\xbf1,1,1;3\n1,1,2;4\n",
+        b"1,1,1;3\r\n1,1,2;4\r\n",
+        b"1,1,1;3\r1,1,2;4",
+    ],
+)
+def test_ingest_cli_reads_a_byte_order_mark_and_every_line_ending(data, tmp_path, capsys):
+    src = tmp_path / "bases.txt"
+    src.write_bytes(data)
+    assert main(["ingest", str(src), "--k-range", "2..5", "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    plain = tmp_path / "plain.txt"
+    plain.write_text("1,1,1;3\n1,1,2;4\n", encoding="utf-8")
+    assert main(["ingest", str(plain), "--k-range", "2..5", "--format", "json"]) == 0
+    assert captured.out == capsys.readouterr().out
+
+
+def test_scan_euclidean_past_the_prefix_budget_exits_4(capsys):
+    code = main(["scan", "euclidean", "--weight-bound", "1000000"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.startswith("resource budget error: enumerating Euclidean systems ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["scan", "--help"]])
+def test_help_and_version_return_0(argv, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out

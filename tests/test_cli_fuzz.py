@@ -1,0 +1,121 @@
+"""Random command lines through `cli.main`, in process.
+
+Every command line must end in one of the documented exit codes (0 success,
+1 usage, 2 integrity, 3 I/O, 4 resource budget) and never in an exception.
+Values are drawn small, malformed, or huge; the huge ones are those a
+budget refuses at once, so every run stays short.  `--m` stays within
+3..12, since a scan's m range has no budget yet.
+"""
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from selinks.cli import main
+
+FAMILIES = ("euclidean", "theorem2", "fermat-cy", "hyperbolic", "mixed-canonical")
+SWITCHES = ("--expand-torsion", "--help", "--version")
+PREFIXES = {
+    1: "usage error: ",
+    2: "integrity error: ",
+    3: "i/o error: ",
+    4: "resource budget error: ",
+}
+
+
+@pytest.fixture(scope="module")
+def paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "good.txt").write_text("# rows\n1,1,1;3\n1,2,3;6\nfoo\n1,2,2;5\n", encoding="utf-8")
+    (root / "bytes.txt").write_bytes(b"\xef\xbb\xbf1,1,1;3\r\n\xff\xfe\n1,1,2;4\r\n")
+    return {
+        "good": str(root / "good.txt"),
+        "bytes": str(root / "bytes.txt"),
+        "absent": str(root / "absent.txt"),
+        "directory": str(root),
+        "out": str(root / "out.txt"),
+        "no-dir": str(root / "no" / "such" / "out.txt"),
+    }
+
+
+def flag_values(paths):
+    """Per flag: values the parser accepts (small, or huge ones a budget
+    refuses), then values it refuses."""
+    return {
+        "--weights": (["1,1,1", "1,2,3", "1,1,1,1", "1,2,4", "2,2,2", "1,2,2", "1,1,4",
+                       "1000000000,1", "1,1,1,1,1,1"], ["0,1,2", "1", "1,x", "", "1;2"]),
+        "--degree": (["1", "3", "4", "5", "6", "12", "1000000000", "100000001"],
+                     ["0", "-3", "x"]),
+        "--k": (["2", "5", "7", "1000000000"], ["0", "1", "-1", "x", ""]),
+        "--exponents": (["3,4,4,4", "2,3,3,3", "2,3,7", "2,2", "1000000000,2,2"],
+                        ["1,1", "0,2", "2", "", "x"]),
+        "--format": (["table", "json", "csv"], ["xml"]),
+        "--out": ([paths["out"], paths["no-dir"], paths["directory"], ""], []),
+        "--weight-bound": (["1", "7", "60", "1000000", "1000000000000"], ["0", "x"]),
+        "--k-bound": (["1", "2", "7", "60", "3000000", "1000000000000"], ["0", "-5", "x"]),
+        "--m": (["3..3", "3..5", "3..12", "4..4", "2..4"], ["8..3", "3..", "x", "3..x"]),
+        "--k-range": (["2..7", "2..60", "5..5", "1..5", "2..3000000"], ["7..2", "x"]),
+        "--threads": (["1", "4"], ["0", "x"]),
+    }
+
+
+# per subcommand: the flags it requires, then the ones it may take
+FLAGS = {
+    "invariants": (("--weights", "--degree"), ("--format", "--out")),
+    "cover": (("--k", "--weights", "--degree"), ("--format", "--out")),
+    "certify": (("--exponents",), ("--format", "--out")),
+    "moduli": (("--weights", "--degree"), ("--format", "--out")),
+    "scan": ((), ("--weight-bound", "--k-bound", "--m", "--threads", "--expand-torsion",
+                  "--format", "--out")),
+    "ingest": ((), ("--k-range", "--threads", "--expand-torsion", "--format", "--out")),
+}
+
+
+@st.composite
+def command_lines(draw, paths):
+    """A subcommand with its required flags (each left out now and then) and
+    some of its optional ones, then a few tokens of any kind."""
+    values = flag_values(paths)
+
+    def flag(name):
+        if name in SWITCHES:
+            return [name]
+        good, bad = values[name]
+        return [name, draw(st.sampled_from(bad if bad and not draw(st.integers(0, 5)) else good))]
+
+    command = draw(st.sampled_from([*FLAGS, "bogus", None]))
+    argv = [] if command is None else [command]
+    if command == "scan":
+        argv.append(draw(st.sampled_from(FAMILIES)))
+    elif command == "ingest":
+        argv.append(paths[draw(st.sampled_from(["good", "bytes", "absent", "directory"]))])
+    required, optional = FLAGS.get(command, ((), ()))
+    for name in required:
+        if draw(st.integers(0, 9)):
+            argv += flag(name)
+    for name in draw(st.lists(st.sampled_from(optional), unique=True)) if optional else ():
+        argv += flag(name)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        token = draw(st.sampled_from(sorted(values) + list(SWITCHES)))
+        argv += flag(token) if draw(st.booleans()) else [token]
+    return argv
+
+
+@settings(
+    derandomize=True,
+    max_examples=400,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_every_command_line_ends_in_a_documented_exit_code(data, paths, capsys):
+    argv = data.draw(command_lines(paths), label="argv")
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2, 3, 4), argv
+    lines = captured.err.splitlines()
+    if code:
+        # ingest's row diagnostics, then one line naming the failure
+        assert lines[-1].startswith(PREFIXES[code]), (argv, captured.err)
+        lines.pop()
+    assert all(line.startswith("ingest: line ") for line in lines), (argv, captured.err)

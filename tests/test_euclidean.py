@@ -8,7 +8,16 @@ below tries every sorted weight vector up to the bound instead.
 import itertools
 import math
 
-from selinks import WeightSystem, quasi_smooth_generic
+import pytest
+
+from selinks import (
+    ResourceBudgetError,
+    ScanConfig,
+    WeightSystem,
+    quasi_smooth_generic,
+    scan_euclidean_classification,
+)
+from selinks.arith import COUNT_MONOMIALS_CELL_LIMIT
 from selinks.survey import _euclidean_candidates, _euclidean_systems
 
 
@@ -65,3 +74,18 @@ def test_four_variables_give_reids_95_weighted_k3_classes():
     for known in ("(1,1,1,1;4)", "(1,1,1,3;6)", "(1,1,4,6;12)", "(1,6,14,21;42)",
                   "(3,3,4,5;15)", "(5,6,22,33;66)"):
         assert known in names
+
+
+def test_the_prefix_walk_is_refused_past_the_cell_limit():
+    # C(1414, 2) = 998,991 sorted pairs up to 1413, C(1415, 2) = 1,000,405 up
+    # to 1414; in four variables C(182, 3) = 988,260 triples up to 180
+    assert COUNT_MONOMIALS_CELL_LIMIT == 10**6
+    for m, bound in ((3, 1413), (4, 180)):
+        assert math.comb(bound + m - 2, m - 1) <= COUNT_MONOMIALS_CELL_LIMIT
+        assert next(_euclidean_candidates(m, bound)) == (1,) * m
+        with pytest.raises(ResourceBudgetError, match=r"sorted weight prefixes, more than"):
+            next(_euclidean_candidates(m, bound + 1))
+    with pytest.raises(ResourceBudgetError, match="walks 500000500000 sorted weight prefixes"):
+        scan_euclidean_classification(ScanConfig(weight_bound=10**6))
+    # the benchmark's bound and the bound of Reid's 95 stay well inside
+    assert math.comb(151, 2) == 11_325 and math.comb(68, 3) == 50_116

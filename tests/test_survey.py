@@ -325,3 +325,25 @@ def test_ingest_row_past_the_bitset_budget_is_isolated():
     assert [e.split(":")[0] for e in result.errors] == ["line 2"]
     assert "bitset cells" in result.errors[0]
     assert result.records == ingest_weight_list(rows[:1], ScanConfig(k_bound=7)).records
+
+
+def test_ingest_reports_a_line_that_is_not_utf8_and_keeps_the_others():
+    cfg = ScanConfig(k_bound=5)
+    result = ingest_weight_list([b"1,1,1;3", b"\xff", b"1,1,2;4"], cfg)
+    assert len(result.errors) == 1
+    assert result.errors[0].startswith("line 2: not UTF-8 text (")
+    assert result.records == ingest_weight_list(["1,1,1;3", "", "1,1,2;4"], cfg).records
+    assert {(r.base.weights, r.k) for r in result.records} == {
+        ((1, 1, 1), 2), ((1, 1, 1), 4), ((1, 1, 1), 5), ((1, 1, 2), 3), ((1, 1, 2), 5)
+    }
+
+
+@pytest.mark.parametrize("first", ["\ufeff1,1,1;3", b"\xef\xbb\xbf1,1,1;3"])
+def test_ingest_drops_a_byte_order_mark_opening_the_first_line(first):
+    cfg = ScanConfig(k_bound=5)
+    result = ingest_weight_list([first, "1,1,2;4"], cfg)
+    assert result.errors == []
+    assert result.records == ingest_weight_list(["1,1,1;3", "1,1,2;4"], cfg).records
+    # a mark anywhere else is not whitespace: the row is malformed
+    later = ingest_weight_list(["1,1,2;4", first], cfg)
+    assert [e.split(":")[0] for e in later.errors] == ["line 2"]
