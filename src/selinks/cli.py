@@ -15,7 +15,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
@@ -68,8 +68,6 @@ class Invocation:
 
     subcommand: str
     options: dict
-    output_format: str
-    output_path: Optional[str]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -109,11 +107,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-# scans are serial: the work is pure Python, so threads would only take
-# turns on the interpreter lock; the flag is kept so old scripts still run
-_THREADS_HELP = "accepted and ignored; scans run serially"
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="selinks", description=__doc__)
     parser.add_argument("--version", action="version", version=f"selinks {__version__}")
@@ -149,7 +142,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--weight-bound", type=_positive_int, default=_SCAN_DEFAULTS.weight_bound)
     p.add_argument("--k-bound", type=_positive_int, default=_SCAN_DEFAULTS.k_bound)
     p.add_argument("--m", type=_int_range, default=_SCAN_DEFAULTS.m_range, metavar="A..B")
-    p.add_argument("--threads", type=_positive_int, default=None, help=_THREADS_HELP)
     p.add_argument("--expand-torsion", action="store_true")
     add_output_flags(p, formats=("table", "json", "csv"))
 
@@ -161,7 +153,6 @@ def _build_parser() -> _Parser:
         default=(_SCAN_DEFAULTS.k_min, _SCAN_DEFAULTS.k_bound),
         metavar="A..B",
     )
-    p.add_argument("--threads", type=_positive_int, default=None, help=_THREADS_HELP)
     p.add_argument("--expand-torsion", action="store_true")
     add_output_flags(p, formats=("table", "json", "csv"))
 
@@ -175,12 +166,7 @@ def parse_invocation(argv: Sequence[str]) -> Invocation:
     command = options.pop("command")
     if command == "cover" and ns.k < 2:
         raise UsageError(f"branch order k must be at least 2, got {ns.k}")
-    return Invocation(
-        subcommand=command,
-        options=options,
-        output_format=options.get("format", "table"),
-        output_path=options.get("out"),
-    )
+    return Invocation(subcommand=command, options=options)
 
 
 # ---------------------------------------------------------------------------
@@ -447,12 +433,7 @@ def _catalog_meta(cfg: Optional[ScanConfig], expand_torsion: bool, count: int) -
         "count": count,
     }
     if cfg is not None:
-        meta["bounds"] = {
-            "weight_bound": cfg.weight_bound,
-            "k_bound": cfg.k_bound,
-            "m_range": list(cfg.m_range),
-            "k_min": cfg.k_min,
-        }
+        meta["bounds"] = asdict(cfg)
     return meta
 
 
@@ -609,7 +590,7 @@ def _run_invariants(inv: Invocation) -> str:
     }
     if ws.m == 3:
         payload["genus"] = genus(ws)
-    return _render_scalar(payload, inv.output_format)
+    return _render_scalar(payload, inv.options["format"])
 
 
 def _run_cover(inv: Invocation) -> str:
@@ -627,7 +608,7 @@ def _run_cover(inv: Invocation) -> str:
     }
     if payload["torsion_hypothesis"]:
         payload["torsion"] = str(torsion_order(k, base))
-    return _render_scalar(payload, inv.output_format)
+    return _render_scalar(payload, inv.options["format"])
 
 
 def _run_certify(inv: Invocation) -> str:
@@ -641,7 +622,7 @@ def _run_certify(inv: Invocation) -> str:
         "limiting_witness": result.limiting_witness,
         "verdict": result.verdict,
     }
-    return _render_scalar(payload, inv.output_format)
+    return _render_scalar(payload, inv.options["format"])
 
 
 def _run_moduli(inv: Invocation) -> str:
@@ -654,30 +635,16 @@ def _run_moduli(inv: Invocation) -> str:
         "complex_dim": mc.complex_dim,
         "real_dim": mc.real_dim,
     }
-    return _render_scalar(payload, inv.output_format)
-
-
-def _scan_config(options: dict) -> ScanConfig:
-    """The bounds of a scan or ingest; an absent option keeps its default."""
-    k_min, k_bound = options.get(
-        "k_range", (_SCAN_DEFAULTS.k_min, options.get("k_bound", _SCAN_DEFAULTS.k_bound))
-    )
-    if k_min < 2:
-        raise UsageError(f"k range must start at 2 or above, got {k_min}")
-    return ScanConfig(
-        weight_bound=options.get("weight_bound", _SCAN_DEFAULTS.weight_bound),
-        k_bound=k_bound,
-        m_range=options.get("m", _SCAN_DEFAULTS.m_range),
-        k_min=k_min,
-    )
+    return _render_scalar(payload, inv.options["format"])
 
 
 def _run_scan(inv: Invocation) -> str:
-    cfg = _scan_config(inv.options)
-    family = inv.options["family"]
+    options = inv.options
+    cfg = ScanConfig(options["weight_bound"], options["k_bound"], options["m"])
+    family = options["family"]
     if family == "euclidean":
         rows = scan_euclidean_classification(cfg)
-        return render_euclidean_rows(rows, inv.output_format)
+        return render_euclidean_rows(rows, options["format"])
     generator = {
         "theorem2": generate_theorem2_family,
         "fermat-cy": scan_fermat_cy,
@@ -685,23 +652,21 @@ def _run_scan(inv: Invocation) -> str:
         "mixed-canonical": generate_mixed_canonical,
     }[family]
     records = generator(cfg)
-    return render_catalog(
-        records, inv.output_format, cfg, inv.options.get("expand_torsion", False)
-    )
+    return render_catalog(records, options["format"], cfg, options["expand_torsion"])
 
 
 def _run_ingest(inv: Invocation) -> str:
+    options = inv.options
+    k_min, k_bound = options["k_range"]
+    cfg = ScanConfig(k_bound=k_bound, k_min=k_min)
     # lines are split as bytes, so a line that is not UTF-8 costs only itself
     # a row diagnostic; splitlines ends a line at \n, \r\n or \r, as text mode does
-    with open(inv.options["file"], "rb") as fh:
+    with open(options["file"], "rb") as fh:
         lines = fh.read().splitlines()
-    cfg = _scan_config(inv.options)
     result: IngestResult = ingest_weight_list(lines, cfg)
     for message in result.errors:
         print(f"ingest: {message}", file=sys.stderr)
-    return render_catalog(
-        result.records, inv.output_format, cfg, inv.options.get("expand_torsion", False)
-    )
+    return render_catalog(result.records, options["format"], cfg, options["expand_torsion"])
 
 
 _HANDLERS = {
@@ -717,7 +682,7 @@ _HANDLERS = {
 def run(invocation: Invocation) -> int:
     """Dispatch a validated invocation; raises on failure (see `main`)."""
     text = _HANDLERS[invocation.subcommand](invocation)
-    _write_output(text, invocation.output_path)
+    _write_output(text, invocation.options["out"])
     return 0
 
 

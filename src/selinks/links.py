@@ -20,6 +20,11 @@ from typing import Optional
 from .arith import COUNT_MONOMIALS_CELL_LIMIT
 from .errors import ResourceBudgetError, UsageError
 
+# the most bitset cells the subset walk of `quasi_smooth_generic` may trace:
+# its subsets of two or more non-pointing indices, each with d + 1 cells; at
+# the limit the walk takes about 1.5 s, and past it the test is refused
+QUASI_SMOOTH_WALK_CELL_LIMIT = 10**9
+
 __all__ = [
     "WeightSystem",
     "CaseClass",
@@ -200,7 +205,10 @@ def quasi_smooth_generic(ws: WeightSystem) -> bool:
     w_i | d, the monomial z_i^{d/w_i} satisfies (a) for every I containing
     i, so only the subsets of J = {i : w_i does not divide d} are tested
     further (the pointer view of Kreuzer-Skarke).  A degree past the
-    bitset budget of `_reachable_degrees` raises ResourceBudgetError.
+    bitset budget of `_reachable_degrees`, or a walk over more than
+    QUASI_SMOOTH_WALK_CELL_LIMIT cells (the 2^|J| - |J| - 1 subsets of J
+    with two or more indices, d + 1 cells each), raises ResourceBudgetError
+    before the walk starts.
     """
     w = ws.weights
     d = ws.degree
@@ -213,6 +221,13 @@ def quasi_smooth_generic(ws: WeightSystem) -> bool:
             continue
         return False
     non_pointing = [i for i in range(m) if d % w[i]]
+    subsets = 2 ** len(non_pointing) - len(non_pointing) - 1
+    if subsets * (d + 1) > QUASI_SMOOTH_WALK_CELL_LIMIT:
+        raise ResourceBudgetError(
+            f"the quasi-smoothness test of {ws} walks {subsets} index subsets of "
+            f"{d + 1} bitset cells each, more than the limit of "
+            f"{QUASI_SMOOTH_WALK_CELL_LIMIT} cells"
+        )
     for size in range(2, len(non_pointing) + 1):
         for subset in itertools.combinations(non_pointing, size):
             wi = tuple(w[i] for i in subset)

@@ -48,6 +48,12 @@ __all__ = [
 # it the run is refused before it runs out of memory (see README)
 CATALOG_RECORD_LIMIT = 50_000
 
+# the most variables a base of the fermat-cy, hyperbolic and mixed-canonical
+# scans may have; at m 3..32 each scan builds its bases' invariants in under
+# half a second (the record budget bounds the k side), and past it the scan
+# is refused before any base is built (see README)
+SCAN_M_LIMIT = 32
+
 # the three Euclidean (|w| = d) classes in three variables
 _EUCLIDEAN_BASES = (
     WeightSystem((1, 1, 1), 3),
@@ -124,8 +130,9 @@ def _branch_orders(base: WeightSystem, ks: Iterable[int], spent: int = 0) -> lis
     """The k in `ks` coprime to d, refused once they and the `spent` records
     counted before them would pass CATALOG_RECORD_LIMIT.
 
-    Catalogs skip the other k here and nowhere else; on a reduced base
-    gcd(k, d) = 1 is the torsion hypothesis (`torsion_hypothesis`).  The
+    Every catalog's records pass through here (`hyperbolic_k_window` and
+    `_least_certifying_k` also skip the other k, in their own sweeps); on a
+    reduced base gcd(k, d) = 1 is the torsion hypothesis.  The
     count stops at the limit, so a huge k range is refused at once.
     """
     orders = []
@@ -158,18 +165,19 @@ def _records(
     """
     if not ks:
         return []
+    # records name the sorted base, so the certificate's witness indexes it
+    base = base.canonical()
     k0 = min(ks)
     betti = torsion_order(k0, base).exponent
     curve_genus = genus(base) if base.m == 3 else None
     moduli = moduli_count(branched_cover(k0, base).cover)
-    canonical = base.canonical()
     return [
         FamilyRecord(
             family_tag=tag,
             m=base.m,
             k=k,
             l_or_d=base.degree,
-            base=canonical,
+            base=base,
             link_dimension=2 * base.m - 1,
             torsion=FactoredPower(k, betti),
             genus=curve_genus,
@@ -194,6 +202,17 @@ def _catalog(tag: str, groups: Iterable[tuple]) -> list[FamilyRecord]:
     records = [rec for group in kept for rec in _records(tag, *group)]
     records.sort(key=FamilyRecord.sort_key)
     return records
+
+
+def _m_values(cfg: ScanConfig) -> range:
+    """The m of cfg.m_range; past SCAN_M_LIMIT, ResourceBudgetError."""
+    lo, hi = cfg.m_range
+    if hi > SCAN_M_LIMIT:
+        raise ResourceBudgetError(
+            f"a scan of bases in {lo}..{hi} variables is refused: the limit is "
+            f"{SCAN_M_LIMIT} variables"
+        )
+    return range(lo, hi + 1)
 
 
 def _euclidean_candidates(m: int, bound: int) -> Iterator[tuple[int, ...]]:
@@ -300,9 +319,8 @@ def scan_fermat_cy(cfg: ScanConfig) -> list[FamilyRecord]:
     parameter count depend only on m, while the certificate flips exactly
     at k = m(m-1).
     """
-    lo, hi = cfg.m_range
     ks = range(cfg.k_min, cfg.k_bound + 1)
-    return _catalog("fermat_cy", [(WeightSystem((1,) * m, m), ks) for m in range(lo, hi + 1)])
+    return _catalog("fermat_cy", [(WeightSystem((1,) * m, m), ks) for m in _m_values(cfg)])
 
 
 def scan_hyperbolic(cfg: ScanConfig) -> list[FamilyRecord]:
@@ -311,11 +329,10 @@ def scan_hyperbolic(cfg: ScanConfig) -> list[FamilyRecord]:
     Branch orders come from the exact admissibility window; for l = m+1
     the window contains exactly k = m.
     """
-    lo, hi = cfg.m_range
     ks = range(cfg.k_min, cfg.k_bound + 1)
     groups = [
         (WeightSystem((1,) * m, l), [k for k in hyperbolic_k_window(m, l).solutions if k in ks])
-        for m in range(lo, hi + 1)
+        for m in _m_values(cfg)
         for l in range(m + 1, 2 * m)
     ]
     return _catalog("hyperbolic", groups)
@@ -328,10 +345,9 @@ def generate_mixed_canonical(cfg: ScanConfig) -> list[FamilyRecord]:
     sufficiency inequality holds for every m >= 2, so the whole family is
     certified.
     """
-    lo, hi = cfg.m_range
     groups = [
         (WeightSystem((1,) * (m - 1) + (m,), 2 * m), [2 * m - 1])
-        for m in range(lo, hi + 1)
+        for m in _m_values(cfg)
         if cfg.k_min <= 2 * m - 1 <= cfg.k_bound
     ]
     return _catalog("mixed_canonical", groups)

@@ -1,7 +1,8 @@
 """The JSON catalog writer against its oracle.
 
 `render_catalog(..., "json", ...)` writes each record field by field from
-`_FIELDS`.  The oracle builds the catalog as nested dicts and lets
+`_FIELDS`.  The oracle spells each record out by hand as nested dicts,
+from the `FamilyRecord` attributes and not from `_FIELDS`, and lets
 `json.dumps(indent=2)` write it; the two must give the same text.
 """
 
@@ -28,21 +29,50 @@ from selinks import (
     scan_fermat_cy,
     scan_hyperbolic,
 )
-from selinks.cli import _FIELDS, _catalog_meta, _split, _values, render_catalog
+from selinks.cli import _catalog_meta, render_catalog
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 FAMILY_TAGS = ("euclidean5", "fermat_cy", "hyperbolic", "mixed_canonical", "ingested")
 
 
+def fraction(value: Fraction) -> dict:
+    return {"num": value.numerator, "den": value.denominator}
+
+
 def record_to_json(rec: FamilyRecord, expand_torsion: bool = False) -> dict:
     """One record as the nested dicts its JSON form spells out."""
-    obj: dict = {}
-    for field, value in zip(_FIELDS, _values(rec)):
-        if field.codec is not None:
-            value = field.codec.to_json(value, expand_torsion)
-        group, key = _split(field.json_path)
-        (obj if group is None else obj.setdefault(group, {}))[key] = value
-    return obj
+    torsion = {"base": rec.torsion.base, "exponent": rec.torsion.exponent}
+    if expand_torsion:
+        torsion["decimal"] = str(rec.torsion.base**rec.torsion.exponent)
+    cert = rec.certificate
+    return {
+        "family": rec.family_tag,
+        "m": rec.m,
+        "k": rec.k,
+        "l_or_d": rec.l_or_d,
+        "base": {"weights": list(rec.base.weights), "degree": rec.base.degree},
+        "link_dimension": rec.link_dimension,
+        "torsion": torsion,
+        "genus": rec.genus,
+        "moduli": {
+            "complex": rec.moduli.complex_dim,
+            "real": rec.moduli.real_dim,
+            "h0_degree": rec.moduli.h0_degree,
+            "h0_weights_sum": rec.moduli.h0_weights_sum,
+        },
+        "certificate": {
+            "fano": cert.fano,
+            "necessary_klt": cert.necessary_klt,
+            "bp_applicable": cert.bp_applicable,
+            "bp_sufficient": cert.bp_sufficient,
+            "gc_assumed": cert.gc_assumed,
+            "left_value": fraction(cert.left_value),
+            "right_bound": fraction(cert.right_bound),
+            "limiting_witness": cert.limiting_witness,
+        },
+        "paper_min_k": rec.paper_min_k,
+        "literal_min_k": rec.literal_min_k,
+    }
 
 
 def oracle(records, cfg, expand_torsion=False) -> str:

@@ -25,8 +25,8 @@ def test_parse_invocation_invariants():
     assert inv.subcommand == "invariants"
     assert inv.options["weights"] == (1, 2, 3)
     assert inv.options["degree"] == 6
-    assert inv.output_format == "table"
-    assert inv.output_path is None
+    assert inv.options["format"] == "table"
+    assert inv.options["out"] is None
 
 
 def test_parse_invocation_scan():
@@ -34,7 +34,7 @@ def test_parse_invocation_scan():
     assert inv.subcommand == "scan"
     assert inv.options["family"] == "hyperbolic"
     assert inv.options["m"] == (3, 8)
-    assert inv.output_format == "json"
+    assert inv.options["format"] == "json"
 
 
 def test_parse_invocation_usage_errors():
@@ -238,15 +238,28 @@ def test_ingest_cli(tmp_path, capsys):
     assert 13 in ks and all(math.gcd(k, 4) == 1 for k in ks)
 
 
-def test_byte_identical_across_runs_and_threads(capsys, monkeypatch):
-    # --threads and SELINKS_THREADS are accepted and ignored
+def test_byte_identical_across_runs(capsys, monkeypatch):
+    # SELINKS_THREADS is not read
     monkeypatch.setenv("SELINKS_THREADS", "not a number")
     outputs = []
-    for threads in ([], ["--threads", "4"], ["--threads", "8"]):
-        code = main(["scan", "theorem2", "--k-bound", "12", "--format", "json", *threads])
+    for _ in range(2):
+        code = main(["scan", "theorem2", "--k-bound", "12", "--format", "json"])
         assert code == 0
         outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", [["scan", "theorem2"], ["ingest", "rows.txt"]])
+def test_threads_is_not_an_option(command, capsys):
+    assert main([*command, "--threads", "4"]) == 1
+    assert capsys.readouterr().err == "usage error: unrecognized arguments: --threads 4\n"
+
+
+def test_a_k_range_below_2_is_refused_by_the_scan_config(tmp_path, capsys):
+    src = tmp_path / "bases.txt"
+    src.write_text("1,1,1;3\n", encoding="utf-8")
+    assert main(["ingest", str(src), "--k-range", "1..5"]) == 1
+    assert capsys.readouterr().err == "usage error: k_min must be at least 2, got 1\n"
 
 
 def test_ingest_cli_isolates_rows(tmp_path, capsys, genus_raises_on):
@@ -312,11 +325,21 @@ def test_moduli_past_the_counting_budget_exits_4(capsys):
     assert "Traceback" not in captured.err
 
 
+# the weights of a loop polynomial of degree 746495 in 16 variables, none of
+# which divides the degree: its subset walk has 2^16 - 17 subsets
+WIDE_LOOP = ("172633,228596,289303,167889,242828,260839,224817,296861,152773,288176,"
+             "170143,236066,274363,197769,153188,286931")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
         (["invariants", "--weights", "1,2,4", "--degree", "100000001"], "tracing monomial degrees"),
         (["scan", "fermat-cy", "--k-bound", "3000000", "--m", "3..3"], "a catalog of more than"),
+        (["invariants", "--weights", WIDE_LOOP, "--degree", "746495"],
+         "the quasi-smoothness test of "),
+        (["scan", "fermat-cy", "--k-bound", "2", "--m", "3..1000000000"], "a scan of bases in "),
+        (["scan", "hyperbolic", "--m", "3..300"], "a scan of bases in "),
     ],
 )
 def test_bitset_and_record_budgets_exit_4(argv, message, capsys):
@@ -426,7 +449,7 @@ def test_parse_catalog_json_refuses_an_inconsistent_record(edit, message):
 
 
 def test_invocation_is_plain_data():
-    inv = Invocation("certify", {"exponents": (3, 4, 4, 4)}, "table", None)
+    inv = Invocation("certify", {"exponents": (3, 4, 4, 4), "format": "table", "out": None})
     assert run(inv) == 0
 
 
@@ -440,6 +463,18 @@ def test_scan_and_ingest_defaults_are_the_scan_config_defaults(tmp_path, capsys)
         assert main([*argv, "--format", "json"]) == 0
         meta, _ = parse_catalog_json(capsys.readouterr().out)
         assert meta["bounds"] == defaults
+
+
+def test_ingest_cli_reports_a_row_past_the_walk_budget(tmp_path, capsys):
+    src = tmp_path / "bases.txt"
+    src.write_text(f"1,1,1;3\n{WIDE_LOOP};746495\n", encoding="utf-8")
+    code = main(["ingest", str(src), "--k-range", "2..5", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err.startswith("ingest: line 2: the quasi-smoothness test of ")
+    assert len(captured.err.splitlines()) == 1
+    meta, records = parse_catalog_json(captured.out)
+    assert {(r.base.weights, r.k) for r in records} == {((1, 1, 1), k) for k in (2, 4, 5)}
 
 
 def test_ingest_cli_reports_a_line_that_is_not_utf8(tmp_path, capsys):

@@ -3,14 +3,17 @@
 Every command line must end in one of the documented exit codes (0 success,
 1 usage, 2 integrity, 3 I/O, 4 resource budget) and never in an exception.
 Values are drawn small, malformed, or huge; the huge ones are those a
-budget refuses at once, so every run stays short.  `--m` stays within
-3..12, since a scan's m range has no budget yet.
+budget refuses at once, so every run stays short.  The vocabulary drawn
+from is checked against the parser, so no flag goes unfuzzed.
 """
+
+import argparse
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from selinks import cli
 from selinks.cli import main
 
 FAMILIES = ("euclidean", "theorem2", "fermat-cy", "hyperbolic", "mixed-canonical")
@@ -53,9 +56,9 @@ def flag_values(paths):
         "--out": ([paths["out"], paths["no-dir"], paths["directory"], ""], []),
         "--weight-bound": (["1", "7", "60", "1000000", "1000000000000"], ["0", "x"]),
         "--k-bound": (["1", "2", "7", "60", "3000000", "1000000000000"], ["0", "-5", "x"]),
-        "--m": (["3..3", "3..5", "3..12", "4..4", "2..4"], ["8..3", "3..", "x", "3..x"]),
+        "--m": (["3..3", "3..5", "3..12", "4..4", "2..4", "3..33", "3..1000000000",
+                 "1000000000..1000000000"], ["8..3", "3..", "x", "3..x"]),
         "--k-range": (["2..7", "2..60", "5..5", "1..5", "2..3000000"], ["7..2", "x"]),
-        "--threads": (["1", "4"], ["0", "x"]),
     }
 
 
@@ -65,9 +68,8 @@ FLAGS = {
     "cover": (("--k", "--weights", "--degree"), ("--format", "--out")),
     "certify": (("--exponents",), ("--format", "--out")),
     "moduli": (("--weights", "--degree"), ("--format", "--out")),
-    "scan": ((), ("--weight-bound", "--k-bound", "--m", "--threads", "--expand-torsion",
-                  "--format", "--out")),
-    "ingest": ((), ("--k-range", "--threads", "--expand-torsion", "--format", "--out")),
+    "scan": ((), ("--weight-bound", "--k-bound", "--m", "--expand-torsion", "--format", "--out")),
+    "ingest": ((), ("--k-range", "--expand-torsion", "--format", "--out")),
 }
 
 
@@ -119,3 +121,27 @@ def test_every_command_line_ends_in_a_documented_exit_code(data, paths, capsys):
         assert lines[-1].startswith(PREFIXES[code]), (argv, captured.err)
         lines.pop()
     assert all(line.startswith("ingest: line ") for line in lines), (argv, captured.err)
+
+
+def test_the_vocabulary_is_the_parser(paths):
+    """FAMILIES, FLAGS, SWITCHES and the flag values name exactly what
+    `cli._build_parser` defines: a flag it drops cannot linger here, and a
+    flag it adds cannot go unfuzzed."""
+    parser = cli._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands.choices) == set(FLAGS)
+    switches, valued = set(), set()
+    for action in parser._actions:
+        switches.update(s for s in action.option_strings if s.startswith("--"))
+    for command, sub in commands.choices.items():
+        options = [a for a in sub._actions if a.option_strings and a.dest != "help"]
+        required, optional = FLAGS[command]
+        assert [a.option_strings for a in options if a.required] == [[f] for f in required]
+        assert {a.option_strings[0] for a in options if not a.required} == set(optional)
+        for action in options:
+            (switches if action.nargs == 0 else valued).update(action.option_strings)
+        if command == "scan":
+            (family,) = [a for a in sub._actions if a.dest == "family"]
+            assert tuple(family.choices) == FAMILIES
+    assert switches == set(SWITCHES)
+    assert valued == set(flag_values(paths))

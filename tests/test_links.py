@@ -259,3 +259,15 @@ def test_quasi_smoothness_refuses_a_bitset_past_the_cell_limit():
     # about 10^8 cells if it were allocated; refused before the bitset exists
     with pytest.raises(ResourceBudgetError, match="100000002 bitset cells"):
         quasi_smooth_generic(WeightSystem((1, 2, 4), 100000001))
+
+
+def test_the_subset_walk_is_refused_past_its_cell_limit():
+    # ten weights 2 do not divide an odd d, so the walk has 2^10 - 11 = 1013
+    # subsets of two or more of them, each traced in d + 1 bitset cells
+    assert links.QUASI_SMOOTH_WALK_CELL_LIMIT == 10**9
+    at_limit = 10**9 // 1013 - 1
+    assert at_limit % 2 == 1
+    assert 1013 * (at_limit + 1) <= 10**9 < 1013 * (at_limit + 3)
+    assert not quasi_smooth_generic(WeightSystem((1,) + (2,) * 10, at_limit))
+    with pytest.raises(ResourceBudgetError, match=f"walks 1013 index subsets of {at_limit + 3} "):
+        quasi_smooth_generic(WeightSystem((1,) + (2,) * 10, at_limit + 2))

@@ -268,7 +268,7 @@ def test_records_equal_the_per_pair_recipe(literal_certificate):
 
     rows = ["3,1,2;6", "2,3,1;8", "2,1,1;4", "1,1,1,1;4", "5,2,2,1;10", "1,3,2,2;9",
             "4,1,1;5", "1,1,4;4"]
-    bases = {ws.canonical(): ws for ws in map(WeightSystem.parse, rows)}
+    bases = {WeightSystem.parse(row).canonical() for row in rows}
     result = ingest_weight_list(rows, cfg)
     assert not result.errors
     assert sorted((r.base.weights, r.base.degree, r.k) for r in result.records) == sorted(
@@ -277,8 +277,22 @@ def test_records_equal_the_per_pair_recipe(literal_certificate):
         for k in range(cfg.k_min, cfg.k_bound + 1)
         if math.gcd(k, ws.degree) == 1
     )
+    # ingest certifies the sorted base the record names, not the row as typed
     for rec in _read_back(result.records, cfg):
-        assert rec == _per_pair_recipe(rec, bases[rec.base], literal_certificate)
+        assert rec == _per_pair_recipe(rec, rec.base, literal_certificate)
+
+
+def test_permuted_rows_give_equal_records():
+    cfg = ScanConfig(k_bound=13)
+    rows = ["1,2,3;6", "3,2,1;6", "2,3,1;6", "5,2,2,1;10", "1,2,5,2;10"]
+    records = ingest_weight_list(rows, cfg).records
+    by_row = [ingest_weight_list([row], cfg).records for row in rows]
+    assert by_row[0] and by_row[0] == by_row[1] == by_row[2]
+    assert by_row[3] and by_row[3] == by_row[4]
+    assert records == sorted(sum(by_row, []), key=FamilyRecord.sort_key)
+    # (1,2,3;6) at k = 5: the witness indexes the sorted weights
+    witnesses = {r.certificate.limiting_witness for r in by_row[1] if r.k == 5}
+    assert witnesses == {r.certificate.limiting_witness for r in by_row[0] if r.k == 5}
 
 
 def test_record_budget_at_the_limit_and_past_it():
@@ -306,6 +320,21 @@ def test_a_scan_past_the_record_budget_builds_no_record(monkeypatch):
     monkeypatch.setattr(survey, "_records", unreachable)
     with pytest.raises(ResourceBudgetError, match="records is refused"):
         scan_fermat_cy(cfg)
+
+
+@pytest.mark.parametrize("scan", [scan_fermat_cy, scan_hyperbolic, generate_mixed_canonical])
+def test_the_m_budget_at_the_limit_and_past_it(scan, monkeypatch):
+    assert survey.SCAN_M_LIMIT == 32
+    at_limit = scan(ScanConfig(k_bound=63, m_range=(32, 32)))
+    assert at_limit and {r.m for r in at_limit} == {32}
+
+    def unreachable(*args):
+        raise AssertionError("a base was built")
+
+    monkeypatch.setattr(survey, "WeightSystem", unreachable)
+    for m_range in ((32, 33), (33, 33), (3, 10**9)):
+        with pytest.raises(ResourceBudgetError, match="the limit is 32 variables"):
+            scan(ScanConfig(k_bound=63, m_range=m_range))
 
 
 def test_the_record_budget_counts_a_whole_ingest_run(monkeypatch):
