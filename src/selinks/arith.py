@@ -20,6 +20,11 @@ __all__ = ["FactoredPower", "count_monomials"]
 # and past it the computation is refused rather than run out of memory
 COUNT_MONOMIALS_CELL_LIMIT = 10**6
 
+# the most table updates count_monomials may make, one per weight and cell
+# (len(weights) * (target + 1)); at the limit a count takes about 3 s, and
+# past it the count is refused rather than run for minutes
+COUNT_MONOMIALS_WORK_LIMIT = 2 * 10**7
+
 
 @dataclass(frozen=True)
 class FactoredPower:
@@ -77,8 +82,9 @@ def count_monomials(weights: Iterable[int], target: int) -> int:
     h^0 of O(target) on the weighted projective space of the given weights.
     One-dimensional counting table over the target value; exact and
     deterministic.  A target whose table would pass
-    COUNT_MONOMIALS_CELL_LIMIT cells raises ResourceBudgetError before
-    anything is allocated.
+    COUNT_MONOMIALS_CELL_LIMIT cells, or a count that would make more than
+    COUNT_MONOMIALS_WORK_LIMIT table updates, raises ResourceBudgetError
+    before anything is allocated.
     """
     weights = tuple(weights)
     if not weights:
@@ -90,6 +96,12 @@ def count_monomials(weights: Iterable[int], target: int) -> int:
         raise ResourceBudgetError(
             f"counting monomials of degree {target} needs {target + 1} table cells, "
             f"more than the limit of {COUNT_MONOMIALS_CELL_LIMIT}"
+        )
+    updates = len(weights) * (target + 1)
+    if updates > COUNT_MONOMIALS_WORK_LIMIT:
+        raise ResourceBudgetError(
+            f"counting monomials of degree {target} in {len(weights)} weights makes "
+            f"{updates} table updates, more than the limit of {COUNT_MONOMIALS_WORK_LIMIT}"
         )
     table = [0] * (target + 1)
     table[0] = 1

@@ -11,8 +11,8 @@ class has an isolated singularity.
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -20,10 +20,17 @@ from typing import Optional
 from .arith import COUNT_MONOMIALS_CELL_LIMIT
 from .errors import ResourceBudgetError, UsageError
 
-# the most bitset cells the subset walk of `quasi_smooth_generic` may trace:
-# its subsets of two or more non-pointing indices, each with d + 1 cells; at
-# the limit the walk takes about 1.5 s, and past it the test is refused
-QUASI_SMOOTH_WALK_CELL_LIMIT = 10**9
+# the most bitset cells the walk of `quasi_smooth_generic` may charge: each
+# set it visits costs max(d + 1, 2^16) cells per shift and per AND with
+# popcount of its bitset, the floor standing for the interpreter's cost of one
+# step on a small d; at the limit the walk takes about 1.1 s, and past it the
+# test is refused
+QUASI_SMOOTH_WALK_CELL_LIMIT = 15 * 10**9
+
+# the most bitset cells the walk may hold at once, one bitset of d + 1 cells
+# per set on its path (12.5 MB); without it a walk within the charge above
+# could hold hundreds of megabytes
+QUASI_SMOOTH_PATH_CELL_LIMIT = 10**8
 
 __all__ = [
     "WeightSystem",
@@ -160,38 +167,6 @@ def branched_cover(k: int, base: WeightSystem) -> CoverData:
     return CoverData(k=k, base=base, cover=cover, bp_exponents=bp)
 
 
-def _reachable_degrees(weights: tuple[int, ...], target: int) -> int:
-    """Bitset of weighted degrees <= target attainable by the given weights.
-
-    The bitset has target + 1 cells, one per degree, as the table of
-    `count_monomials` has; past the same COUNT_MONOMIALS_CELL_LIMIT it
-    raises ResourceBudgetError before anything is allocated.
-    """
-    if target + 1 > COUNT_MONOMIALS_CELL_LIMIT:
-        raise ResourceBudgetError(
-            f"tracing monomial degrees up to {target} needs {target + 1} bitset cells, "
-            f"more than the limit of {COUNT_MONOMIALS_CELL_LIMIT}"
-        )
-    mask = (1 << (target + 1)) - 1
-    bits = 1
-    for w in weights:
-        # close under repeated addition of w by doubling the shift
-        shift = w
-        while shift <= target:
-            bits |= (bits << shift) & mask
-            shift <<= 1
-    return bits
-
-
-def _has_monomial(weights: tuple[int, ...], target: int) -> bool:
-    """Whether some monomial in the given variables has weighted degree target."""
-    if target == 0:
-        return True
-    if len(weights) == 1:
-        return target % weights[0] == 0
-    return bool(_reachable_degrees(weights, target) >> target & 1)
-
-
 def quasi_smooth_generic(ws: WeightSystem) -> bool:
     """Whether a generic member of the weight class is quasi-smooth.
 
@@ -200,44 +175,73 @@ def quasi_smooth_generic(ws: WeightSystem) -> bool:
     |I| monomials of degree d of the form (monomial in I-variables) * z_j
     with the outside indices j pairwise distinct.  Quasi-smoothness of a
     generic member is equivalent to an isolated singularity at the origin
-    for m >= 3.  The singleton tests come first: they are pure modular
-    arithmetic and reject most systems before any counting happens.  If
-    w_i | d, the monomial z_i^{d/w_i} satisfies (a) for every I containing
-    i, so only the subsets of J = {i : w_i does not divide d} are tested
-    further (the pointer view of Kreuzer-Skarke).  A degree past the
-    bitset budget of `_reachable_degrees`, or a walk over more than
-    QUASI_SMOOTH_WALK_CELL_LIMIT cells (the 2^|J| - |J| - 1 subsets of J
-    with two or more indices, d + 1 cells each), raises ResourceBudgetError
-    before the walk starts.
+    for m >= 3.  The singleton tests come first: pure modular arithmetic
+    over the distinct weights.  An I holding an i with w_i | d passes by
+    z_i^{d/w_i} (the pointer view of Kreuzer-Skarke).  Of the other I with
+    the same set S of distinct weights, the one taking every such index
+    with a weight in S has the most indices and the fewest outside hits, so
+    the walk tests one I per S: depth first, closing the parent's bitset of
+    reachable degrees under one new weight, never extending a set that
+    reaches d.  Past COUNT_MONOMIALS_CELL_LIMIT bitset cells, a charge of
+    QUASI_SMOOTH_WALK_CELL_LIMIT (each set costs max(d + 1, 2^16) cells per
+    shift and per AND with popcount) or QUASI_SMOOTH_PATH_CELL_LIMIT cells
+    held on the walk's path, it raises ResourceBudgetError.
     """
-    w = ws.weights
     d = ws.degree
-    m = len(w)
-    # singletons: (a) w_i | d, or (b) some other variable j has w_i | d - w_j
-    for i in range(m):
-        if d % w[i] == 0:
-            continue
-        if any(j != i and d >= w[j] and (d - w[j]) % w[i] == 0 for j in range(m)):
-            continue
-        return False
-    non_pointing = [i for i in range(m) if d % w[i]]
-    subsets = 2 ** len(non_pointing) - len(non_pointing) - 1
-    if subsets * (d + 1) > QUASI_SMOOTH_WALK_CELL_LIMIT:
-        raise ResourceBudgetError(
-            f"the quasi-smoothness test of {ws} walks {subsets} index subsets of "
-            f"{d + 1} bitset cells each, more than the limit of "
-            f"{QUASI_SMOOTH_WALK_CELL_LIMIT} cells"
-        )
-    for size in range(2, len(non_pointing) + 1):
-        for subset in itertools.combinations(non_pointing, size):
-            wi = tuple(w[i] for i in subset)
-            if _has_monomial(wi, d):
-                continue
-            outside = [j for j in range(m) if j not in subset]
-            hits = sum(1 for j in outside if d >= w[j] and _has_monomial(wi, d - w[j]))
-            if hits >= size:
-                continue
+    distinct = set(ws.weights)
+    # singletons: (a) x | d, or (b) some weight y has x | d - y; y = x
+    # cannot serve, since x does not divide d - x when it does not divide d
+    for x in distinct:
+        if d % x and not any(d >= y and (d - y) % x == 0 for y in distinct):
             return False
+    counts = Counter(ws.weights)
+    xs = sorted(x for x in counts if d % x)
+    if sum(counts[x] for x in xs) < 2:
+        return True
+    if d + 1 > COUNT_MONOMIALS_CELL_LIMIT:
+        raise ResourceBudgetError(
+            f"tracing monomial degrees up to {d} needs {d + 1} bitset cells, "
+            f"more than the limit of {COUNT_MONOMIALS_CELL_LIMIT}"
+        )
+    mask = (1 << (d + 1)) - 1
+    # bit d - y of every weight y <= d, one mask per multiplicity: a set's
+    # outside hits are one AND and popcount per multiplicity
+    targets: dict[int, int] = {}
+    for y, c in counts.items():
+        if y <= d:
+            targets[c] = targets.get(c, 0) | 1 << (d - y)
+    unit = max(d + 1, 1 << 16)
+    spent = sets = 0
+    path = [(1, 0, 0)]  # per set on the path: reach bitset, |I|, next weight
+    while path:
+        bits, size, n = path.pop()
+        if n == len(xs):
+            continue
+        path.append((bits, size, n + 1))
+        x = xs[n]
+        shifts = (d // x).bit_length()  # by x, 2x, 4x, ... up to d
+        spent += (shifts + len(targets)) * unit
+        sets += 1
+        if spent > QUASI_SMOOTH_WALK_CELL_LIMIT:
+            raise ResourceBudgetError(
+                f"the quasi-smoothness test of {ws} charges more than the limit of "
+                f"{QUASI_SMOOTH_WALK_CELL_LIMIT} bitset cells by its set {sets} of "
+                "distinct weights"
+            )
+        for s in range(shifts):
+            bits |= bits << (x << s) & mask
+        if bits >> d & 1:
+            continue
+        size += counts[x]
+        if sum(c * (bits & t).bit_count() for c, t in targets.items()) < size:
+            return False
+        if len(path) * (d + 1) > QUASI_SMOOTH_PATH_CELL_LIMIT:
+            raise ResourceBudgetError(
+                f"the quasi-smoothness test of {ws} holds {len(path)} bitsets of "
+                f"{d + 1} cells on its path, more than the limit of "
+                f"{QUASI_SMOOTH_PATH_CELL_LIMIT} cells"
+            )
+        path.append((bits, size, n + 1))
     return True
 
 

@@ -54,13 +54,6 @@ CATALOG_RECORD_LIMIT = 50_000
 # is refused before any base is built (see README)
 SCAN_M_LIMIT = 32
 
-# the three Euclidean (|w| = d) classes in three variables
-_EUCLIDEAN_BASES = (
-    WeightSystem((1, 1, 1), 3),
-    WeightSystem((1, 1, 2), 4),
-    WeightSystem((1, 2, 3), 6),
-)
-
 
 @dataclass(frozen=True)
 class ScanConfig:
@@ -262,6 +255,11 @@ def _euclidean_systems(m: int, bound: int) -> list[WeightSystem]:
         if quasi_smooth_generic(ws):
             systems.append(ws)
     return systems
+
+
+# the three Euclidean (|w| = d) classes in three variables: every such class
+# has weights <= 3 (stable from weight bound 3 on), so bound 3 lists them all
+_EUCLIDEAN_BASES = tuple(_euclidean_systems(3, 3))
 
 
 def scan_euclidean_classification(cfg: ScanConfig) -> list[EuclideanRow]:

@@ -24,7 +24,6 @@ __all__ = [
     "betti_bp_oracle",
     "fermat_betti",
     "genus",
-    "genus_one_criterion",
     "torsion_order",
 ]
 
@@ -133,23 +132,6 @@ def genus(ws: WeightSystem) -> int:
             f"genus of {ws} evaluates to {g}, not a non-negative integer"
         )
     return int(g)
-
-
-def genus_one_criterion(ws: WeightSystem) -> bool:
-    """Sufficient (not necessary) test for genus 1 in three variables.
-
-    True iff |w| = d, every weight divides d, and the weights are pairwise
-    coprime.
-    """
-    if ws.m != 3:
-        raise UsageError(f"criterion needs exactly three weights, got {ws.m}")
-    if ws.norm != ws.degree:
-        return False
-    if any(ws.degree % w for w in ws.weights):
-        return False
-    return all(
-        math.gcd(wi, wj) == 1 for wi, wj in itertools.combinations(ws.weights, 2)
-    )
 
 
 def torsion_order(k: int, base: WeightSystem) -> FactoredPower:

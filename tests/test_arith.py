@@ -6,7 +6,8 @@ import sys
 import pytest
 
 from selinks import FactoredPower, ResourceBudgetError, UsageError, count_monomials
-from selinks.arith import COUNT_MONOMIALS_CELL_LIMIT
+from selinks import arith
+from selinks.arith import COUNT_MONOMIALS_CELL_LIMIT, COUNT_MONOMIALS_WORK_LIMIT
 
 
 def test_count_monomials_classified_degrees():
@@ -46,6 +47,22 @@ def test_count_monomials_refuses_a_table_past_the_cell_limit():
     # about 10^9 cells if it were allocated; refused before the table exists
     with pytest.raises(ResourceBudgetError, match="1000000001 table cells"):
         count_monomials((1, 1, 1), 10**9)
+
+
+def test_count_monomials_refuses_work_past_the_update_limit(monkeypatch):
+    assert COUNT_MONOMIALS_WORK_LIMIT == 2 * 10**7
+    # weights past the target leave their rows of the table untouched, so
+    # the largest count the limit allows runs here in milliseconds
+    assert count_monomials((1000,) * 20000, 999) == 0
+    with pytest.raises(ResourceBudgetError, match="in 20001 weights makes 20001000 table updates"):
+        count_monomials((1000,) * 20001, 999)
+    # eighty weights 1 in degree 999999 used to count for about 10 s
+    with pytest.raises(ResourceBudgetError, match="80000000 table updates"):
+        count_monomials((1,) * 80, 999999)
+    monkeypatch.setattr(arith, "COUNT_MONOMIALS_WORK_LIMIT", 3 * 101)
+    assert count_monomials((1, 1, 1), 100) == math.comb(102, 2)
+    with pytest.raises(ResourceBudgetError, match="306 table updates"):
+        count_monomials((1, 1, 1), 101)
 
 
 def test_factored_power():

@@ -325,10 +325,42 @@ def test_moduli_past_the_counting_budget_exits_4(capsys):
     assert "Traceback" not in captured.err
 
 
+def test_ingest_cli_reports_a_row_past_the_counting_work_budget(tmp_path, capsys):
+    # the moduli count of the k = 2 cover of (1^20;499999) counts in degree
+    # 999998 over 21 weights: within the table budget, past the update budget
+    src = tmp_path / "bases.txt"
+    src.write_text("1,1,1;3\n" + ",".join(["1"] * 20) + ";499999\n", encoding="utf-8")
+    code = main(["ingest", str(src), "--k-range", "2..2", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err.startswith(
+        "ingest: line 2: counting monomials of degree 999998 in 21 weights makes "
+    )
+    assert len(captured.err.splitlines()) == 1
+    meta, records = parse_catalog_json(captured.out)
+    assert {(r.base.weights, r.base.degree, r.k) for r in records} == {((1, 1, 1), 3, 2)}
+
+
 # the weights of a loop polynomial of degree 746495 in 16 variables, none of
-# which divides the degree: its subset walk has 2^16 - 17 subsets
+# which divides the degree: the walk decides it over 5,576 sets of them
 WIDE_LOOP = ("172633,228596,289303,167889,242828,260839,224817,296861,152773,288176,"
              "170143,236066,274363,197769,153188,286931")
+
+# 18 distinct weights 37..54 and 18 weights 73 at degree 73 (36 variables):
+# every one of the 2^18 - 1 sets of the distinct weights passes, so the walk
+# is refused past its cell limit
+WIDE_WALK = ",".join(map(str, [*range(37, 55), *[73] * 18]))
+
+
+@pytest.mark.parametrize(
+    "weights, degree",
+    [(WIDE_LOOP, "746495"), (",".join(["3,2"] * 16), "8")],
+    ids=["wide loop", "(3,2)x16"],
+)
+def test_invariants_decides_wide_quasi_smooth_systems(weights, degree, capsys):
+    code = main(["invariants", "--weights", weights, "--degree", degree, "--format", "json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["quasi_smooth"] is True
 
 
 @pytest.mark.parametrize(
@@ -336,8 +368,7 @@ WIDE_LOOP = ("172633,228596,289303,167889,242828,260839,224817,296861,152773,288
     [
         (["invariants", "--weights", "1,2,4", "--degree", "100000001"], "tracing monomial degrees"),
         (["scan", "fermat-cy", "--k-bound", "3000000", "--m", "3..3"], "a catalog of more than"),
-        (["invariants", "--weights", WIDE_LOOP, "--degree", "746495"],
-         "the quasi-smoothness test of "),
+        (["invariants", "--weights", WIDE_WALK, "--degree", "73"], "the quasi-smoothness test of "),
         (["scan", "fermat-cy", "--k-bound", "2", "--m", "3..1000000000"], "a scan of bases in "),
         (["scan", "hyperbolic", "--m", "3..300"], "a scan of bases in "),
     ],
@@ -467,7 +498,7 @@ def test_scan_and_ingest_defaults_are_the_scan_config_defaults(tmp_path, capsys)
 
 def test_ingest_cli_reports_a_row_past_the_walk_budget(tmp_path, capsys):
     src = tmp_path / "bases.txt"
-    src.write_text(f"1,1,1;3\n{WIDE_LOOP};746495\n", encoding="utf-8")
+    src.write_text(f"1,1,1;3\n{WIDE_WALK};73\n", encoding="utf-8")
     code = main(["ingest", str(src), "--k-range", "2..5", "--format", "json"])
     captured = capsys.readouterr()
     assert code == 0

@@ -1,15 +1,18 @@
-"""README's table of removed public names must match the package: every
-removed name is gone, and every selinks name it offers instead exists."""
+"""README must match the package: in its table of removed public names,
+every removed name is gone and every selinks name it offers instead
+exists; and every resource limit it quotes is the constant in the code."""
 
 import dataclasses
 import importlib
 import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import selinks
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(selinks.__file__).parent
 MODULES = ("arith", "cli", "errors", "ke_cert", "links", "moduli", "survey", "topology")
 
 
@@ -68,3 +71,26 @@ def test_names_to_use_instead_exist():
     assert "bp_sufficient_ke" in names
     for name in names:
         assert _resolve(name), name
+
+
+def _figure(text: str) -> int:
+    """The integer README writes as `50,000`, `10^6` or `1.5·10^10`."""
+    if "^" in text:
+        coefficient, _, power = text.rpartition("10^")
+        return int(Fraction(coefficient.rstrip("·") or 1) * 10 ** int(power))
+    return int(text.replace(",", ""))
+
+
+def test_readme_quotes_every_limit_as_it_is_in_the_code():
+    text = README.read_text(encoding="utf-8")
+    quoted = re.findall(r"`(\w+)\.(\w+_LIMIT)` = ((?:[\d.]+·)?10\^\d+|\d[\d,]*)", text)
+    assert ("links", "QUASI_SMOOTH_WALK_CELL_LIMIT", "1.5·10^10") in quoted
+    for module, name, figure in quoted:
+        assert getattr(importlib.import_module(f"selinks.{module}"), name) == _figure(figure), name
+    limits = {
+        (module, name)
+        for module in MODULES
+        for name in re.findall(r"^(\w+_LIMIT) = ", (SRC / f"{module}.py").read_text(), re.M)
+    }
+    assert ("arith", "COUNT_MONOMIALS_WORK_LIMIT") in limits
+    assert limits <= {(module, name) for module, name, _ in quoted}

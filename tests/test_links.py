@@ -245,29 +245,103 @@ def test_invertible_systems_are_quasi_smooth(ws):
     assert quasi_smooth_all_subsets(ws)
 
 
+@st.composite
+def repeated_block_systems(draw):
+    """One or two chain blocks z_1^{a_1} z_2 + ... + z_r^{a_r}, each repeated
+    one to three times (m <= 9), sometimes with one weight perturbed or one
+    weight added.
+
+    Repeated weights that do not divide d reach the walk over sets of
+    distinct weights, where the index set taking every index of a set's
+    weights is the one that decides.
+    """
+    qs = []  # weights as fractions of d
+    for _ in range(draw(st.integers(1, 2))):
+        exponents = draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
+        block = [Fraction(1, exponents[-1])]
+        for a in reversed(exponents[:-1]):
+            block.append((1 - block[-1]) / a)
+        qs += block * draw(st.integers(1, 3))
+    qs = qs[:9]
+    d = math.lcm(*(q.denominator for q in qs))
+    weights = [int(q * d) for q in qs]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(weights) - 1))
+        weights[i] = max(1, weights[i] + draw(st.integers(-2, 2)))
+    if len(weights) < 2 or (len(weights) < 9 and draw(st.booleans())):
+        weights.append(draw(st.integers(1, d)))
+    return WeightSystem(tuple(weights), d)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(repeated_block_systems())
+def test_the_distinct_weight_walk_equals_the_all_subsets_test(ws):
+    assert quasi_smooth_generic(ws) == quasi_smooth_all_subsets(ws)
+
+
 def test_quasi_smoothness_refuses_a_bitset_past_the_cell_limit():
-    # the pair of weights 2, 4 does not divide an odd d, so the subset test
-    # traces the degrees up to d in a bitset of d + 1 cells
+    # two weights 2 do not divide an odd d, so the walk traces the degrees up
+    # to d in a bitset of d + 1 cells; the weights 1 are its outside hits
     at_limit = COUNT_MONOMIALS_CELL_LIMIT - 1
-    bits = links._reachable_degrees((2, 4), at_limit)  # the even degrees
-    assert bits >> (at_limit - 1) == 1
-    with pytest.raises(ResourceBudgetError, match=f"{at_limit + 2} bitset cells"):
-        links._reachable_degrees((2, 4), at_limit + 1)
-    assert not quasi_smooth_generic(WeightSystem((1, 2, 4), at_limit))
+    assert quasi_smooth_generic(WeightSystem((1, 1, 2, 2), at_limit))
+    assert not quasi_smooth_generic(WeightSystem((1, 2, 2), at_limit))
     with pytest.raises(ResourceBudgetError, match="1000002 bitset cells"):
-        quasi_smooth_generic(WeightSystem((1, 2, 4), at_limit + 2))
+        quasi_smooth_generic(WeightSystem((1, 2, 2), at_limit + 2))
     # about 10^8 cells if it were allocated; refused before the bitset exists
     with pytest.raises(ResourceBudgetError, match="100000002 bitset cells"):
         quasi_smooth_generic(WeightSystem((1, 2, 4), 100000001))
 
 
+def _small_degree_family(n):
+    """n distinct weights 37, 38, ... above 73/2 and n weights 73, degree 73.
+
+    No two of the distinct weights fit in 73, and the weights 73 are hits
+    for every set of them, so the walk visits all 2^n - 1 sets and each
+    costs one shift and two AND-popcounts (multiplicities 1 and n) of a
+    74-cell bitset, charged at 2^16 cells each.
+    """
+    return WeightSystem(tuple(range(37, 37 + n)) + (73,) * n, 73)
+
+
+def _large_degree_family(k):
+    """k weights 1 and the even weights 2, 4, ..., 2k at the odd degree 997921.
+
+    No set of even weights reaches an odd d, and each reaches d - 1, so the
+    k weights 1 are hits for every set and the walk visits all 2^k - 1 sets.
+    """
+    return WeightSystem((1,) * k + tuple(range(2, 2 * k + 1, 2)), 997921)
+
+
+def test_the_walk_charges_each_bitset_step_as_it_goes(monkeypatch):
+    charge = 3 * 2**16 * (2**8 - 1)  # 255 sets of three steps each
+    monkeypatch.setattr(links, "QUASI_SMOOTH_WALK_CELL_LIMIT", charge)
+    assert quasi_smooth_generic(_small_degree_family(8))
+    monkeypatch.setattr(links, "QUASI_SMOOTH_WALK_CELL_LIMIT", charge - 1)
+    with pytest.raises(ResourceBudgetError, match="by its set 255 of distinct weights"):
+        quasi_smooth_generic(_small_degree_family(8))
+
+
 def test_the_subset_walk_is_refused_past_its_cell_limit():
-    # ten weights 2 do not divide an odd d, so the walk has 2^10 - 11 = 1013
-    # subsets of two or more of them, each traced in d + 1 bitset cells
-    assert links.QUASI_SMOOTH_WALK_CELL_LIMIT == 10**9
-    at_limit = 10**9 // 1013 - 1
-    assert at_limit % 2 == 1
-    assert 1013 * (at_limit + 1) <= 10**9 < 1013 * (at_limit + 3)
-    assert not quasi_smooth_generic(WeightSystem((1,) + (2,) * 10, at_limit))
-    with pytest.raises(ResourceBudgetError, match=f"walks 1013 index subsets of {at_limit + 3} "):
-        quasi_smooth_generic(WeightSystem((1,) + (2,) * 10, at_limit + 2))
+    # both families are quasi-smooth and exponential in the walk: the largest
+    # member within the limit is decided, the next one is refused
+    assert links.QUASI_SMOOTH_WALK_CELL_LIMIT == 15 * 10**9
+    assert 3 * 2**16 * (2**16 - 1) <= 15 * 10**9 < 3 * 2**16 * (2**17 - 1)
+    assert quasi_smooth_generic(_small_degree_family(16))
+    with pytest.raises(ResourceBudgetError, match="by its set 76294 of distinct weights"):
+        quasi_smooth_generic(_small_degree_family(17))
+    assert quasi_smooth_generic(_large_degree_family(9))
+    with pytest.raises(ResourceBudgetError, match=r"the quasi-smoothness test of \(1,"):
+        quasi_smooth_generic(_large_degree_family(10))
+
+
+def test_the_walk_refuses_a_path_past_its_cell_limit():
+    # n + 1 distinct weights above d/2 and n weights d: every set of at most
+    # n distinct weights passes on the n hits of the weights d, so the walk
+    # goes n + 1 sets deep and holds a bitset of 10^6 cells per level
+    def deep(n):
+        return WeightSystem(tuple(range(500000, 500001 + n)) + (999999,) * n, 999999)
+
+    assert links.QUASI_SMOOTH_PATH_CELL_LIMIT == 10**8
+    assert not quasi_smooth_generic(deep(100))
+    with pytest.raises(ResourceBudgetError, match="holds 101 bitsets of 1000000 cells"):
+        quasi_smooth_generic(deep(101))

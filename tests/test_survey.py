@@ -50,6 +50,7 @@ def test_euclidean_classification_rows():
 def test_euclidean_classification_small_bounds():
     rows = scan_euclidean_classification(ScanConfig(weight_bound=3))
     assert len(rows) == 3  # all classes already have weights <= 3
+    assert tuple(r.system for r in rows) == survey._EUCLIDEAN_BASES  # theorem2's bases
     rows = scan_euclidean_classification(ScanConfig(weight_bound=1))
     assert [(r.system.weights, r.monomials) for r in rows] == [((1, 1, 1), 10)]
 

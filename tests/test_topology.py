@@ -15,7 +15,6 @@ from selinks import (
     betti_bp_oracle,
     fermat_betti,
     genus,
-    genus_one_criterion,
     milnor_orlik_betti,
     quasi_smooth_generic,
     torsion_order,
@@ -128,6 +127,7 @@ def test_genus_values():
     assert genus(WeightSystem((1, 1, 1), 4)) == 3
     assert genus(WeightSystem((1, 1, 2), 4)) == 1
     assert genus(WeightSystem((1, 1, 3), 6)) == 2
+    assert genus(WeightSystem((1, 2, 4), 8)) == 1  # genus 1 with |w| != d
     for d in range(3, 8):
         assert genus(WeightSystem((1, 1, 1), d)) == (d - 1) * (d - 2) // 2
 
@@ -137,23 +137,6 @@ def test_genus_errors():
         genus(WeightSystem((1, 1, 1, 1), 4))
     with pytest.raises(IntegrityError):
         genus(WeightSystem((2, 3, 4), 9))
-
-
-def test_genus_one_criterion():
-    assert genus_one_criterion(WeightSystem((1, 2, 3), 6))
-    # hypotheses hold verbatim for (1,1,2;4): |w| = d, w_i | d, pairwise gcds 1
-    assert genus_one_criterion(WeightSystem((1, 1, 2), 4))
-    # sufficient but not necessary: (1,2,4;8) has genus 1 with |w| != d
-    ws = WeightSystem((1, 2, 4), 8)
-    assert not genus_one_criterion(ws)
-    assert genus(ws) == 1
-    assert not genus_one_criterion(WeightSystem((1, 1, 1), 4))
-
-
-def test_genus_one_criterion_implies_genus_one(qs_triple_corpus):
-    for ws in qs_triple_corpus:
-        if genus_one_criterion(ws):
-            assert genus(ws) == 1, str(ws)
 
 
 def test_betti_is_twice_genus_on_corpus(qs_triple_corpus):
