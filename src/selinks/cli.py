@@ -19,12 +19,12 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
-from typing import Any, Callable, NamedTuple, Optional, Sequence, get_args, get_type_hints
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from . import __version__
 from .arith import FactoredPower
 from .errors import IntegrityError, ResourceBudgetError, UsageError
-from .ke_cert import bp_sufficient_ke
+from .ke_cert import KeCertificate, bp_sufficient_ke
 from .links import (
     WeightSystem,
     branched_cover,
@@ -32,7 +32,7 @@ from .links import (
     quasi_smooth_generic,
     torsion_hypothesis,
 )
-from .moduli import moduli_count
+from .moduli import ModuliCount, moduli_count
 from .survey import (
     EuclideanRow,
     FamilyRecord,
@@ -180,16 +180,36 @@ def _frac_str(value: Fraction) -> str:
 class _Codec(NamedTuple):
     """How a field value is written to JSON and to CSV, and read from JSON."""
 
-    to_json: Callable[[Any, bool], Any]  # (value, expand_torsion)
-    from_json: Callable[[Any], Any]
-    to_text: Callable[[Any, bool], Any]
+    # (value, expand_torsion, indent): the value's JSON text, laid out as
+    # json.dumps(indent=2) lays it out when its key sits at `indent`
+    json_text: Callable[[Any, bool, str], str]
+    from_json: Callable[[Any], Any]  # TypeError when the value has the wrong type
+    to_text: Callable[[Any, bool], Any]  # (value, expand_torsion): the CSV cell
 
 
-def _torsion_json(value: FactoredPower, expand: bool) -> dict:
-    obj: dict = {"base": value.base, "exponent": value.exponent}
-    if expand:
-        obj["decimal"] = str(value.expand())
-    return obj
+def _scalar(expected: str, types: tuple[type, ...], text: Callable[[Any], str]) -> _Codec:
+    """The codec of a value written as it is, to JSON by `text` and to CSV
+    by the csv module (None as an empty cell), and read back only when its
+    type is exactly one of `types`: bool is a subclass of int, but a flag
+    is not a count."""
+
+    def from_json(value: Any) -> Any:
+        if type(value) not in types:
+            raise TypeError(f"expected {expected}")
+        return value
+
+    return _Codec(lambda value, _, __: text(value), from_json, lambda value, _: value)
+
+
+_INT = _scalar("int", (int,), int.__repr__)
+_OPTIONAL_INT = _scalar(
+    "int or null",
+    (int, type(None)),
+    lambda value: "null" if value is None else int.__repr__(value),
+)
+_BOOL = _scalar("bool", (bool,), lambda value: "true" if value else "false")
+# escaped as json.dumps escapes strings by default (ensure_ascii)
+_STR = _scalar("str", (str,), encode_basestring_ascii)
 
 
 def _ints(values) -> tuple[int, ...]:
@@ -201,20 +221,36 @@ def _ints(values) -> tuple[int, ...]:
     return values
 
 
-_FRACTION = _Codec(
-    lambda value, _: {"num": value.numerator, "den": value.denominator},
-    lambda obj: Fraction(*_ints((obj["num"], obj["den"]))),
-    lambda value, _: _frac_str(value),
-)
-_WEIGHTS = _Codec(
-    lambda value, _: list(value),
-    _ints,
-    lambda value, _: " ".join(map(str, value)),
-)
+def _weights_text(value: tuple[int, ...], _, indent: str) -> str:
+    # a WeightSystem has at least two weights, so the list is never empty
+    inner = indent + "  "
+    return f"[\n{inner}" + f",\n{inner}".join(map(str, value)) + f"\n{indent}]"
+
+
+def _torsion_text(value: FactoredPower, expand: bool, indent: str) -> str:
+    inner = indent + "  "
+    decimal = f',\n{inner}"decimal": "{value.expand()}"' if expand else ""
+    return (
+        f'{{\n{inner}"base": {value.base},\n{inner}"exponent": {value.exponent}'
+        f"{decimal}\n{indent}}}"
+    )
+
+
+def _fraction_text(value: Fraction, _, indent: str) -> str:
+    inner = indent + "  "
+    return f'{{\n{inner}"num": {value.numerator},\n{inner}"den": {value.denominator}\n{indent}}}'
+
+
+_WEIGHTS = _Codec(_weights_text, _ints, lambda value, _: " ".join(map(str, value)))
 _TORSION = _Codec(
-    _torsion_json,
+    _torsion_text,
     lambda obj: FactoredPower(*_ints((obj["base"], obj["exponent"]))),
     lambda value, expand: str(value.expand()) if expand else str(value),
+)
+_FRACTION = _Codec(
+    _fraction_text,
+    lambda obj: Fraction(*_ints((obj["num"], obj["den"]))),
+    lambda value, _: _frac_str(value),
 )
 
 
@@ -222,36 +258,40 @@ class _Field(NamedTuple):
     column: str  # CSV column
     json_path: str  # "a.b" is key b of the JSON object a
     attr_path: str  # "a.b" is attribute b of FamilyRecord.a
-    codec: Optional[_Codec] = None  # None: written as is (None is null / "")
+    codec: _Codec
 
 
 # every record field once, in JSON key order, which is also the CSV order;
 # JSON, CSV, the table view and JSON parsing are all driven from here
 _FIELDS = (
-    _Field("family", "family", "family_tag"),
-    _Field("m", "m", "m"),
-    _Field("k", "k", "k"),
-    _Field("l_or_d", "l_or_d", "l_or_d"),
+    _Field("family", "family", "family_tag", _STR),
+    _Field("m", "m", "m", _INT),
+    _Field("k", "k", "k", _INT),
+    _Field("l_or_d", "l_or_d", "l_or_d", _INT),
     _Field("weights", "base.weights", "base.weights", _WEIGHTS),
-    _Field("degree", "base.degree", "base.degree"),
-    _Field("link_dimension", "link_dimension", "link_dimension"),
+    _Field("degree", "base.degree", "base.degree", _INT),
+    _Field("link_dimension", "link_dimension", "link_dimension", _INT),
     _Field("torsion", "torsion", "torsion", _TORSION),
-    _Field("genus", "genus", "genus"),
-    _Field("moduli_complex", "moduli.complex", "moduli.complex_dim"),
-    _Field("moduli_real", "moduli.real", "moduli.real_dim"),
-    _Field("h0_degree", "moduli.h0_degree", "moduli.h0_degree"),
-    _Field("h0_weights_sum", "moduli.h0_weights_sum", "moduli.h0_weights_sum"),
-    _Field("fano", "certificate.fano", "certificate.fano"),
-    _Field("necessary_klt", "certificate.necessary_klt", "certificate.necessary_klt"),
-    _Field("bp_applicable", "certificate.bp_applicable", "certificate.bp_applicable"),
-    _Field("bp_sufficient", "certificate.bp_sufficient", "certificate.bp_sufficient"),
-    _Field("gc_assumed", "certificate.gc_assumed", "certificate.gc_assumed"),
+    _Field("genus", "genus", "genus", _OPTIONAL_INT),
+    _Field("moduli_complex", "moduli.complex", "moduli.complex_dim", _INT),
+    _Field("moduli_real", "moduli.real", "moduli.real_dim", _INT),
+    _Field("h0_degree", "moduli.h0_degree", "moduli.h0_degree", _INT),
+    _Field("h0_weights_sum", "moduli.h0_weights_sum", "moduli.h0_weights_sum", _INT),
+    _Field("fano", "certificate.fano", "certificate.fano", _BOOL),
+    _Field("necessary_klt", "certificate.necessary_klt", "certificate.necessary_klt", _BOOL),
+    _Field("bp_applicable", "certificate.bp_applicable", "certificate.bp_applicable", _BOOL),
+    _Field("bp_sufficient", "certificate.bp_sufficient", "certificate.bp_sufficient", _BOOL),
+    _Field("gc_assumed", "certificate.gc_assumed", "certificate.gc_assumed", _BOOL),
     _Field("left_value", "certificate.left_value", "certificate.left_value", _FRACTION),
     _Field("right_bound", "certificate.right_bound", "certificate.right_bound", _FRACTION),
-    _Field("limiting_witness", "certificate.limiting_witness", "certificate.limiting_witness"),
-    _Field("paper_min_k", "paper_min_k", "paper_min_k"),
-    _Field("literal_min_k", "literal_min_k", "literal_min_k"),
+    _Field(
+        "limiting_witness", "certificate.limiting_witness", "certificate.limiting_witness", _STR
+    ),
+    _Field("paper_min_k", "paper_min_k", "paper_min_k", _OPTIONAL_INT),
+    _Field("literal_min_k", "literal_min_k", "literal_min_k", _OPTIONAL_INT),
 )
+# the class of each FamilyRecord attribute assembled from several fields
+_PARTS = {"base": WeightSystem, "moduli": ModuliCount, "certificate": KeCertificate}
 
 # the table view's own layout: (header, width, alignment, cell), where a
 # cell names a CSV column and "base" is the system as (w1,...,wm;d)
@@ -280,65 +320,10 @@ def _split(path: str) -> tuple[Optional[str], str]:
     return group or None, key
 
 
-# record attributes assembled from several fields, with their types
-_record_types = get_type_hints(FamilyRecord)
-_PARTS = {
-    group: _record_types[group]
-    for group, _ in map(_split, (f.attr_path for f in _FIELDS))
-    if group is not None
-}
-# the type hints of the class that owns each attribute group
-_HINTS = {None: _record_types, **{group: get_type_hints(cls) for group, cls in _PARTS.items()}}
-
-
-def _plain_types(field: _Field) -> Optional[tuple[type, ...]]:
-    """The JSON value types a field without a codec accepts: its type hint
-    in the class that owns it (Optional[int] accepts int and None)."""
-    if field.codec is not None:
-        return None
-    group, name = _split(field.attr_path)
-    hint = _HINTS[group][name]
-    return get_args(hint) or (hint,)
-
-
 CSV_HEADER = tuple(field.column for field in _FIELDS)
 _values = attrgetter(*(field.attr_path for field in _FIELDS))
-_JSON_IN = tuple(
-    (*_split(f.json_path), *_split(f.attr_path), f.codec and f.codec.from_json, _plain_types(f))
-    for f in _FIELDS
-)
-_TEXT_OUT = tuple(f.codec and f.codec.to_text for f in _FIELDS)
-
-# the JSON text of a scalar, by exact type: bool is a subclass of int and
-# True == 1, so neither isinstance nor a lookup by value tells them apart;
-# strings are escaped as json.dumps escapes them by default (ensure_ascii)
-_SCALAR_JSON = {
-    int: int.__repr__,
-    bool: lambda value: "true" if value else "false",
-    type(None): lambda value: "null",
-    str: encode_basestring_ascii,
-}
-
-
-def _json_text(value: Any, indent: str) -> str:
-    """json.dumps(value, indent=2) for a value whose key sits at `indent`:
-    the scalars above and the lists and objects the codecs make of them."""
-    if isinstance(value, dict):
-        opening, closing = "{", "}"
-        inner = indent + "  "
-        items = [
-            f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
-            for key, item in value.items()
-        ]
-    elif isinstance(value, list):
-        opening, closing = "[", "]"
-        inner = indent + "  "
-        items = [_json_text(item, inner) for item in value]
-    else:
-        return _SCALAR_JSON.get(type(value), json.dumps)(value)
-    if not items:
-        return opening + closing
-    return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{closing}"
+_JSON_IN = tuple((*_split(f.json_path), *_split(f.attr_path), f.codec.from_json) for f in _FIELDS)
+_TEXT_OUT = tuple(f.codec.to_text for f in _FIELDS)
 
 
 def _json_layout() -> tuple[tuple, str]:
@@ -347,7 +332,7 @@ def _json_layout() -> tuple[tuple, str]:
 
     Per field: the text before its value (the comma, newline and
     indentation, a group's closing or opening, the quoted key), its codec's
-    `to_json` and the indentation of its key.  Then the text that closes
+    `json_text` and the indentation of its key.  Then the text that closes
     the record.  The first field's text starts with the comma that
     separates a record from the one before it.
     """
@@ -363,7 +348,7 @@ def _json_layout() -> tuple[tuple, str]:
             group_open = group
         indent = "      " if group is None else "        "
         text += f"\n{indent}{encode_basestring_ascii(key)}: "
-        layout.append((text, field.codec and field.codec.to_json, indent))
+        layout.append((text, field.codec.json_text, indent))
     closing = "\n    }" if group_open is None else "\n      }\n    }"
     return tuple(layout), closing
 
@@ -374,14 +359,12 @@ _JSON_FIELDS, _JSON_RECORD_CLOSE = _json_layout()
 def record_from_json(obj: dict) -> FamilyRecord:
     top: dict = {}
     parts: dict = {group: {} for group in _PARTS}
-    for json_group, json_key, group, name, decode, types in _JSON_IN:
-        value = (obj if json_group is None else obj[json_group])[json_key]
-        if decode is not None:
-            value = decode(value)
-        # bool is a subclass of int, but a flag is not a count
-        elif not isinstance(value, types) or (type(value) is bool and bool not in types):
-            expected = " or ".join("null" if t is type(None) else t.__name__ for t in types)
-            raise TypeError(f"{json_key} is {value!r}, expected {expected}")
+    for json_group, json_key, group, name, decode in _JSON_IN:
+        given = (obj if json_group is None else obj[json_group])[json_key]
+        try:
+            value = decode(given)
+        except TypeError as exc:
+            raise TypeError(f"{json_key} is {given!r}, {exc}") from None
         (top if group is None else parts[group])[name] = value
     for group, cls in _PARTS.items():
         top[group] = cls(**parts[group])
@@ -410,11 +393,7 @@ def _check_consistent(obj: dict, rec: FamilyRecord) -> None:
 
 
 def _csv_row(rec: FamilyRecord, expand_torsion: bool) -> list:
-    # csv writes None as an empty cell
-    return [
-        value if encode is None else encode(value, expand_torsion)
-        for encode, value in zip(_TEXT_OUT, _values(rec))
-    ]
+    return [encode(value, expand_torsion) for encode, value in zip(_TEXT_OUT, _values(rec))]
 
 
 def _table_text(value: Any) -> str:
@@ -453,15 +432,11 @@ def render_catalog(
         if not records:
             return head + "\n"
         parts = [head[: -len("]\n}")]]
-        # scalars, most of the values, skip _json_text's container tests
-        append, scalar, dumps = parts.append, _SCALAR_JSON.get, json.dumps
+        append = parts.append
         for rec in records:
             for (text, encode, indent), value in zip(_JSON_FIELDS, _values(rec)):
                 append(text)
-                if encode is None:
-                    append(scalar(type(value), dumps)(value))
-                else:
-                    append(_json_text(encode(value, expand_torsion), indent))
+                append(encode(value, expand_torsion, indent))
             append(_JSON_RECORD_CLOSE)
         parts[1] = parts[1][1:]  # no comma before the first record
         parts.append("\n  ]\n}\n")

@@ -190,9 +190,17 @@ def quasi_smooth_generic(ws: WeightSystem) -> bool:
     d = ws.degree
     distinct = set(ws.weights)
     # singletons: (a) x | d, or (b) some weight y has x | d - y; y = x
-    # cannot serve, since x does not divide d - x when it does not divide d
+    # cannot serve, since x does not divide d - x when it does not divide d.
+    # The candidates for y are d - j x, j = 0..d // x: look them up when
+    # there are fewer of them than weights, else scan the weights
     for x in distinct:
-        if d % x and not any(d >= y and (d - y) % x == 0 for y in distinct):
+        if d % x == 0:
+            continue
+        if d // x + 1 < len(distinct):
+            hit = any(d - j * x in distinct for j in range(d // x + 1))
+        else:
+            hit = any(d >= y and (d - y) % x == 0 for y in distinct)
+        if not hit:
             return False
     counts = Counter(ws.weights)
     xs = sorted(x for x in counts if d % x)

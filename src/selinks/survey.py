@@ -101,12 +101,14 @@ class FamilyRecord:
     literal_min_k: Optional[int] = None
 
     def sort_key(self):
+        # the base is sorted already: `_records` builds it so, and
+        # `parse_catalog_json` refuses any other
         return (
             self.family_tag,
             self.m,
             self.l_or_d,
             self.k,
-            self.base.canonical().weights,
+            self.base.weights,
             self.base.degree,
         )
 

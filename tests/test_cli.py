@@ -3,11 +3,22 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import pytest
 
-from selinks import ScanConfig, UsageError, WeightSystem, scan_all, scan_fermat_cy
+from selinks import (
+    FactoredPower,
+    FamilyRecord,
+    ScanConfig,
+    UsageError,
+    WeightSystem,
+    cli,
+    scan_all,
+    scan_fermat_cy,
+)
 from selinks.cli import (
     _TABLE,
     CSV_HEADER,
@@ -444,6 +455,7 @@ def test_parse_catalog_json_checks_the_schema():
         ("certificate", "bp_sufficient", 1, "bp_sufficient is 1, expected bool"),
         (None, "genus", 1.0, "genus is 1.0, expected int or null"),
         ("base", "weights", "111", "'1' is not an integer"),
+        ("base", "weights", "111", "weights is '111', '1' is not an integer"),
         ("torsion", "base", 5.0, "5.0 is not an integer"),
         ("torsion", "exponent", True, "True is not an integer"),
     ],
@@ -454,6 +466,34 @@ def test_parse_catalog_json_checks_value_types(group, key, value, message):
     with pytest.raises(UsageError, match="record 2: TypeError") as excinfo:
         parse_catalog_json(json.dumps(payload))
     assert message in str(excinfo.value)
+
+
+def test_each_codec_reads_exactly_the_type_of_its_attribute():
+    # the codec of a scalar field accepts a JSON value exactly when its type
+    # is in the type hint of the attribute the field fills
+    hints = {None: get_type_hints(FamilyRecord)}
+    assert {group: hints[None][group] for group in cli._PARTS} == cli._PARTS
+    hints.update((group, get_type_hints(part)) for group, part in cli._PARTS.items())
+    structured = {
+        cli._WEIGHTS: tuple[int, ...], cli._TORSION: FactoredPower, cli._FRACTION: Fraction
+    }
+    samples = {int: 3, type(None): None, bool: True, float: 3.0, str: "3"}
+    for field in cli._FIELDS:
+        group, name = cli._split(field.attr_path)
+        hint = hints[group][name]
+        if field.codec in structured:
+            assert structured[field.codec] == hint, field
+            continue
+        types = get_args(hint) or (hint,)
+        for kind, sample in samples.items():
+            if kind in types:
+                assert field.codec.from_json(sample) is sample, (field, sample)
+            else:
+                with pytest.raises(TypeError):
+                    field.codec.from_json(sample)
+    for refused in (True, 3.0, "3"):
+        with pytest.raises(TypeError, match="expected int or null"):
+            cli._OPTIONAL_INT.from_json(refused)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """README must match the package: in its table of removed public names,
 every removed name is gone and every selinks name it offers instead
-exists; and every resource limit it quotes is the constant in the code."""
+exists; every `module.name` it quotes elsewhere exists; and every resource
+limit it quotes is the constant in the code."""
 
 import dataclasses
 import importlib
@@ -37,10 +38,13 @@ def _has(owner, name: str) -> bool:
 
 
 def _resolve(path: str) -> bool:
-    """Whether the dotted name exists: in the standard library when its
-    root is a standard module, otherwise in selinks."""
+    """Whether the dotted name exists: in a selinks module when its root
+    names one, in the standard library when its root is a standard module,
+    otherwise in the selinks package."""
     root, *rest = path.split(".")
-    if root in sys.stdlib_module_names:
+    if root in MODULES:
+        owner = importlib.import_module(f"selinks.{root}")
+    elif root in sys.stdlib_module_names:
         owner, rest = importlib.import_module(root), rest
     elif _has(selinks, root):
         owner = getattr(selinks, root)
@@ -69,6 +73,18 @@ def test_removed_names_are_gone_from_selinks():
 def test_names_to_use_instead_exist():
     names = [name for _, instead in _removed_names_table() for name in instead]
     assert "bp_sufficient_ke" in names
+    for name in names:
+        assert _resolve(name), name
+
+
+def test_module_names_in_readme_exist():
+    # the removed-names table names what is gone on purpose
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| removed | use instead |")
+    end = next(i for i in range(start, len(lines)) if not lines[i].startswith("|"))
+    text = "\n".join(lines[:start] + lines[end:])
+    names = [path for path, root in re.findall(r"`((\w+)\.[\w.]+)`", text) if root in MODULES]
+    assert {"cli._FIELDS", "cli.render_euclidean_rows"} <= set(names)
     for name in names:
         assert _resolve(name), name
 

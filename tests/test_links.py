@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -345,3 +346,23 @@ def test_the_walk_refuses_a_path_past_its_cell_limit():
     assert not quasi_smooth_generic(deep(100))
     with pytest.raises(ResourceBudgetError, match="holds 101 bitsets of 1000000 cells"):
         quasi_smooth_generic(deep(101))
+
+
+def test_the_singleton_pass_looks_up_its_few_candidates():
+    # a weight x > d/2 has only the candidates y = d and y = d - x for
+    # x | d - y, fewer than there are weights, so it looks them up: beside
+    # 41, 60 finds 41; beside 61 and 62, none of 60, 61 and 62 finds one
+    assert quasi_smooth_generic(WeightSystem((1, 41, 60), 101))
+    assert not quasi_smooth_generic(WeightSystem((1, 60, 61, 62), 101))
+    for weights in ((1, 41, 60), (1, 60, 61, 62)):
+        ws = WeightSystem(weights, 101)
+        assert quasi_smooth_generic(ws) == quasi_smooth_all_subsets(ws)
+    # 8,000 distinct weights above d/2 and the weight d at the prime d: every
+    # singleton passes by y = d, and the walk's bitset is refused; scanning
+    # every weight for each weight took seconds before that
+    d = 1000003
+    ws = WeightSystem(tuple(range(d // 2 + 1, d // 2 + 8001)) + (d,), d)
+    start = time.perf_counter()
+    with pytest.raises(ResourceBudgetError, match="1000004 bitset cells"):
+        quasi_smooth_generic(ws)
+    assert time.perf_counter() - start < 2
