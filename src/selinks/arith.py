@@ -8,8 +8,7 @@ comparison.  No floating point appears anywhere on a computation path.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ResourceBudgetError, UsageError
 
@@ -26,23 +25,28 @@ COUNT_MONOMIALS_CELL_LIMIT = 10**6
 COUNT_MONOMIALS_WORK_LIMIT = 2 * 10**7
 
 
-@dataclass(frozen=True)
-class FactoredPower:
+class _Power(NamedTuple):
+    base: int
+    exponent: int
+
+
+class FactoredPower(_Power):
     """A power base**exponent kept factored until explicitly expanded.
 
     Torsion orders |H_{m-1}(L, Z)| = k^{b_{m-2}} have exponents in the
     hundreds and beyond, so the expansion is exact but only computed on
-    demand.
+    demand.  Validated on construction; `_replace` and `_make` would skip
+    the check, so nothing calls them.
     """
 
-    base: int
-    exponent: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.base < 2:
-            raise UsageError(f"base must be at least 2, got {self.base}")
-        if self.exponent < 0:
-            raise UsageError(f"exponent must be non-negative, got {self.exponent}")
+    def __new__(cls, base: int, exponent: int) -> "FactoredPower":
+        if base < 2:
+            raise UsageError(f"base must be at least 2, got {base}")
+        if exponent < 0:
+            raise UsageError(f"exponent must be non-negative, got {exponent}")
+        return super().__new__(cls, base, exponent)
 
     def expand(self) -> int:
         """The exact power, refused when its decimal form would pass the

@@ -15,7 +15,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
@@ -62,8 +61,8 @@ _SCAN_FAMILIES = ("euclidean", "theorem2", "fermat-cy", "hyperbolic", "mixed-can
 # the scan and ingest defaults are the ScanConfig field defaults
 _SCAN_DEFAULTS = ScanConfig()
 
-@dataclass(frozen=True)
-class Invocation:
+
+class Invocation(NamedTuple):
     """One validated command line invocation."""
 
     subcommand: str
@@ -412,7 +411,7 @@ def _catalog_meta(cfg: Optional[ScanConfig], expand_torsion: bool, count: int) -
         "count": count,
     }
     if cfg is not None:
-        meta["bounds"] = asdict(cfg)
+        meta["bounds"] = cfg._asdict()
     return meta
 
 
@@ -638,7 +637,9 @@ def _run_ingest(inv: Invocation) -> str:
     # a row diagnostic; splitlines ends a line at \n, \r\n or \r, as text mode does
     with open(options["file"], "rb") as fh:
         lines = fh.read().splitlines()
-    result: IngestResult = ingest_weight_list(lines, cfg)
+    result: IngestResult = ingest_weight_list(
+        lines, cfg, expand_torsion=options["expand_torsion"]
+    )
     for message in result.errors:
         print(f"ingest: {message}", file=sys.stderr)
     return render_catalog(result.records, options["format"], cfg, options["expand_torsion"])

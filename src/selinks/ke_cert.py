@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
@@ -85,8 +84,7 @@ def euclidean_k_threshold(base: WeightSystem) -> int:
     return (m - 1) * base.degree // (m * min(base.weights)) + 1
 
 
-@dataclass(frozen=True)
-class BpVerdict:
+class BpVerdict(NamedTuple):
     """The sufficiency test on an exponent vector (a_0, ..., a_m), with its
     exact decisive quantities.
 
@@ -240,8 +238,7 @@ def hyperbolic_k_window(m: int, l: int) -> HyperbolicWindow:
     return HyperbolicWindow(rule.lower, rule.upper, solutions)
 
 
-@dataclass(frozen=True)
-class KeCertificate:
+class KeCertificate(NamedTuple):
     """Joint verdict record for one cover.
 
     The necessary test and the sufficiency test live on different
@@ -261,21 +258,32 @@ class KeCertificate:
     limiting_witness: str
 
 
-def certify_cover(k: int, base: WeightSystem) -> KeCertificate:
+# `certify_cover`'s default: no rule given, so the call solves it
+_UNSOLVED = object()
+
+
+def certify_cover(
+    k: int, base: WeightSystem, *, rule: Optional[_KRule] | object = _UNSOLVED
+) -> KeCertificate:
     """Evaluate every certificate test for the k-fold cover of `base`.
 
     The klt sides give both the Fano sign (left > 0) and the necessary klt
     inequality ((m-1) left < m least).  A Brieskorn-Pham cover (every w_i
     a proper divisor of d, gcd(k, d) = 1) is decided by the sufficiency
-    inequality solved in k (`_sufficiency_in_k`), which equals the literal
-    `bp_sufficient_ke` on the cover exponents.
+    inequality solved in k, which equals the literal `bp_sufficient_ke` on
+    the cover exponents.  `rule` is `_sufficiency_in_k(base)` when the
+    caller has solved it once for many k; without it the call solves it.
+    A rule is ignored when gcd(k, d) > 1.
     """
     if k < 2:
         raise UsageError(f"branch order k must be at least 2, got {k}")
     m = base.m
     left, least, witness = _klt_sides(k, base)
     fano, nklt = left > 0, (m - 1) * left < m * least
-    rule = _sufficiency_in_k(base) if torsion_hypothesis(k, base) else None
+    if not torsion_hypothesis(k, base):
+        rule = None
+    elif rule is _UNSOLVED:
+        rule = _sufficiency_in_k(base)
     if rule is None:
         sufficient, left_value, right = False, Fraction(left), Fraction(m * least, m - 1)
     else:

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .arith import COUNT_MONOMIALS_CELL_LIMIT
 from .errors import ResourceBudgetError, UsageError
@@ -43,21 +42,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WeightSystem:
+class _System(NamedTuple):
+    weights: tuple[int, ...]
+    degree: int
+
+
+class WeightSystem(_System):
     """A weight vector together with a weighted-homogeneous degree.
 
     Systems are reduced on construction: g = gcd(d, w_1, ..., w_m) is
     divided out, so (2,2,2;6) *is* (1,1,1;3).  Both present the same
     polynomials and the same link, and each class has one representative.
+    `_replace` and `_make` would skip the reduction, so nothing calls them.
     """
 
-    weights: tuple[int, ...]
-    degree: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        ws = tuple(self.weights)
-        d = self.degree
+    def __new__(cls, weights: tuple[int, ...], degree: int) -> "WeightSystem":
+        ws = tuple(weights)
+        d = degree
         if len(ws) < 2:
             raise UsageError(f"a weight system needs at least two weights, got {ws}")
         try:
@@ -70,8 +73,8 @@ class WeightSystem:
             raise UsageError(f"degree must be positive, got {d}")
         if g > 1:
             ws = tuple(w // g for w in ws)
-            object.__setattr__(self, "degree", d // g)
-        object.__setattr__(self, "weights", ws)
+            d //= g
+        return super().__new__(cls, ws, d)
 
     @property
     def m(self) -> int:
@@ -129,8 +132,7 @@ def classify_case(ws: WeightSystem) -> CaseClass:
     return CaseClass.HYPERBOLIC
 
 
-@dataclass(frozen=True)
-class CoverData:
+class CoverData(NamedTuple):
     """A k-fold branched cover of the sphere over the link of `base`.
 
     `cover` is the weight system of z_0^k + f.  When every base weight is

@@ -15,7 +15,7 @@ h^0_cover(O(d)) = 1.  Catalogs therefore count once per base.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import count_monomials
 from .errors import UsageError
@@ -29,8 +29,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ModuliCount:
+class ModuliCount(NamedTuple):
     """mu = h0_degree - h0_weights_sum; real_dim = 2 max(mu, 0)."""
 
     complex_dim: int

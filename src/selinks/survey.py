@@ -13,13 +13,13 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
-from typing import ClassVar, Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .arith import COUNT_MONOMIALS_CELL_LIMIT, FactoredPower, count_monomials
 from .errors import IntegrityError, ResourceBudgetError, UsageError
 from .ke_cert import (
     KeCertificate,
+    _sufficiency_in_k,
     bp_sufficient_ke,
     certify_cover,
     euclidean_k_threshold,
@@ -55,18 +55,23 @@ CATALOG_RECORD_LIMIT = 50_000
 SCAN_M_LIMIT = 32
 
 
-@dataclass(frozen=True)
-class ScanConfig:
-    """Bounds for the generators."""
-
+class _Bounds(NamedTuple):
     weight_bound: int = 60
     k_bound: int = 60
     m_range: tuple[int, int] = (3, 8)
     k_min: int = 2
-    # generation is serial; a constant because perfbench/trace.py reads it
-    thread_budget: ClassVar[int] = 1
 
-    def __post_init__(self) -> None:
+
+class ScanConfig(_Bounds):
+    """Bounds for the generators, validated on construction (`_replace` and
+    `_make` would skip the check, so nothing calls them)."""
+
+    __slots__ = ()
+    # generation is serial; a constant because perfbench/trace.py reads it
+    thread_budget = 1
+
+    def __new__(cls, *args, **kwargs) -> "ScanConfig":
+        self = super().__new__(cls, *args, **kwargs)
         if self.weight_bound < 1 or self.k_bound < 1:
             raise UsageError("bounds must be positive")
         if self.k_min < 2:
@@ -74,6 +79,7 @@ class ScanConfig:
         lo, hi = self.m_range
         if lo < 3 or hi < lo:
             raise UsageError(f"m range must satisfy 3 <= lo <= hi, got {self.m_range}")
+        return self
 
 
 class EuclideanRow(NamedTuple):
@@ -83,8 +89,7 @@ class EuclideanRow(NamedTuple):
     monomials: int
 
 
-@dataclass(frozen=True)
-class FamilyRecord:
+class FamilyRecord(NamedTuple):
     """One catalog row: a certified candidate rational homology sphere."""
 
     family_tag: str
@@ -113,8 +118,7 @@ class FamilyRecord:
         )
 
 
-@dataclass
-class IngestResult:
+class IngestResult(NamedTuple):
     """Records produced from a user-supplied weight list, plus row diagnostics."""
 
     records: list[FamilyRecord]
@@ -152,11 +156,12 @@ def _records(
     """Records of the k-fold covers of `base` for the k in `ks`, each coprime
     to d (`_branch_orders`).
 
-    A base with no k costs nothing.  The Betti number, the genus and the
-    moduli count are computed once per base, exactly: a cover monomial
-    z_0^a z^beta of degree k t forces k | a, so h0_cover(O(k t)) =
-    sum_{j >= 0} h0_base(O(t - j d)) and h0_cover(O(d)) = 1, neither
-    depending on k.  The least k gives the smallest counting tables.
+    A base with no k costs nothing.  The Betti number, the genus, the
+    moduli count and the sufficiency inequality solved in k are computed
+    once per base, exactly: a cover monomial z_0^a z^beta of degree k t
+    forces k | a, so h0_cover(O(k t)) = sum_{j >= 0} h0_base(O(t - j d))
+    and h0_cover(O(d)) = 1, neither depending on k.  The least k gives the
+    smallest counting tables.
     """
     if not ks:
         return []
@@ -166,6 +171,7 @@ def _records(
     betti = torsion_order(k0, base).exponent
     curve_genus = genus(base) if base.m == 3 else None
     moduli = moduli_count(branched_cover(k0, base).cover)
+    rule = _sufficiency_in_k(base)
     return [
         FamilyRecord(
             family_tag=tag,
@@ -177,7 +183,7 @@ def _records(
             torsion=FactoredPower(k, betti),
             genus=curve_genus,
             moduli=moduli,
-            certificate=certify_cover(k, base),
+            certificate=certify_cover(k, base, rule=rule),
             paper_min_k=paper_min_k,
             literal_min_k=literal_min_k,
         )
@@ -369,7 +375,9 @@ def _strip_comment(line: str) -> str:
     return line.split("#", 1)[0].strip()
 
 
-def ingest_weight_list(lines: Iterable[str | bytes], cfg: ScanConfig) -> IngestResult:
+def ingest_weight_list(
+    lines: Iterable[str | bytes], cfg: ScanConfig, *, expand_torsion: bool = False
+) -> IngestResult:
     """Run the full pipeline on user-supplied base systems.
 
     Input is one system per line in the form ``w1,...,wm;d`` with ``#``
@@ -380,8 +388,11 @@ def ingest_weight_list(lines: Iterable[str | bytes], cfg: ScanConfig) -> IngestR
     whose invariants come out impossible (IntegrityError) and rows past a
     resource budget (ResourceBudgetError) are reported with their line
     numbers and skipped; they never abort the batch or cost another row its
-    records.  Only the run's record budget (CATALOG_RECORD_LIMIT, counted
-    over all rows) ends the run, with ResourceBudgetError.
+    records.  With `expand_torsion`, a row whose torsion orders would be
+    written in decimal past the interpreter's int-to-str limit is such a
+    row: k^b grows with k, so the largest k decides.  Only the run's record
+    budget (CATALOG_RECORD_LIMIT, counted over all rows) ends the run, with
+    ResourceBudgetError.
     """
     records: list[FamilyRecord] = []
     errors: list[str] = []
@@ -413,7 +424,10 @@ def ingest_weight_list(lines: Iterable[str | bytes], cfg: ScanConfig) -> IngestR
         # the record budget is the run's, not the row's: passing it ends the run
         orders = _branch_orders(ws, ks, len(records))
         try:
-            records += _records("ingested", ws, orders)
+            rows = _records("ingested", ws, orders)
+            if expand_torsion and rows:
+                rows[-1].torsion.expand()  # the orders ascend
+            records += rows
         except (IntegrityError, ResourceBudgetError) as exc:
             errors.append(f"line {lineno}: {exc}")
     records.sort(key=FamilyRecord.sort_key)

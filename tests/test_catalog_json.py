@@ -6,7 +6,6 @@ from the `FamilyRecord` attributes and not from `_FIELDS`, and lets
 `json.dumps(indent=2)` write it; the two must give the same text.
 """
 
-import dataclasses
 import itertools
 import json
 import sys
@@ -146,7 +145,7 @@ def test_every_combination_of_the_certificate_flags():
     rec = scan_fermat_cy(ScanConfig(k_bound=5, m_range=(3, 3)))[0]
     sides = (Fraction(1, 3), Fraction(-7, 2), "k*w[1]")
     records = [
-        dataclasses.replace(rec, certificate=KeCertificate(*flags, *sides))
+        rec._replace(certificate=KeCertificate(*flags, *sides))
         for flags in itertools.product((False, True), repeat=5)
     ]
     assert_writer_is_the_oracle(records, None)

@@ -316,6 +316,21 @@ def test_ingest_cli_keeps_a_linear_variable_row(tmp_path, capsys):
     } | {((1, 1, 4), k) for k in (3, 5, 7)}
 
 
+def test_ingest_cli_reports_a_row_past_the_digit_limit_under_expand_torsion(tmp_path, capsys):
+    # (1,...,1;7) in seven variables has b = 39990: 2^39990 already passes the limit
+    src = tmp_path / "bases.txt"
+    src.write_text("1,1,1;3\n1,1,1,1,1,1,1;7\n", encoding="utf-8")
+    code = main(["ingest", str(src), "--expand-torsion", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err.startswith("ingest: line 2: 60^39990 has more than ")
+    assert len(captured.err.splitlines()) == 1
+    meta, records = parse_catalog_json(captured.out)
+    assert meta["expand_torsion"]
+    assert {(r.base.weights, r.base.degree) for r in records} == {((1, 1, 1), 3)}
+    assert [r.k for r in records] == [k for k in range(2, 61) if k % 3]
+
+
 def test_expand_torsion_past_the_digit_limit_exits_4(capsys):
     # 11^13421 (m = 6) has about 13,976 decimal digits
     code = main(["scan", "mixed-canonical", "--m", "3..8", "--expand-torsion"])
@@ -419,6 +434,24 @@ def test_python_dash_m_selinks_runs_the_command_line():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("selinks ")
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # every CLI child pays for its imports: dataclasses, and the inspect it
+    # pulls in, cost each one about 20 ms
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    probe = "import sys; print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+
+    def loaded(code: str) -> set[str]:
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            cwd=root, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        return set(done.stdout.split())
+
+    assert loaded(f"import selinks.cli; {probe}") <= loaded(probe)
 
 
 def _catalog_text() -> str:

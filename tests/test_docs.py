@@ -3,7 +3,6 @@ every removed name is gone and every selinks name it offers instead
 exists; every `module.name` it quotes elsewhere exists; and every resource
 limit it quotes is the constant in the code."""
 
-import dataclasses
 import importlib
 import re
 import sys
@@ -32,11 +31,6 @@ def _removed_names_table() -> list[tuple[list[str], list[str]]]:
     return rows
 
 
-def _has(owner, name: str) -> bool:
-    fields = {f.name for f in dataclasses.fields(owner)} if dataclasses.is_dataclass(owner) else ()
-    return hasattr(owner, name) or name in fields
-
-
 def _resolve(path: str) -> bool:
     """Whether the dotted name exists: in a selinks module when its root
     names one, in the standard library when its root is a standard module,
@@ -46,12 +40,12 @@ def _resolve(path: str) -> bool:
         owner = importlib.import_module(f"selinks.{root}")
     elif root in sys.stdlib_module_names:
         owner, rest = importlib.import_module(root), rest
-    elif _has(selinks, root):
+    elif hasattr(selinks, root):
         owner = getattr(selinks, root)
     else:
         return False
     for name in rest:
-        if not _has(owner, name):
+        if not hasattr(owner, name):
             return False
         owner = getattr(owner, name, None)
     return True

@@ -242,6 +242,33 @@ def test_certify_cover_equals_the_literal_recipe(base, k, literal_certificate):
     assert certify_cover(k, base) == literal_certificate(k, base)
 
 
+@st.composite
+def any_bases(draw):
+    """Bases with arbitrary weights, mostly not Brieskorn-Pham."""
+    d = draw(st.integers(2, 120))
+    weights = draw(st.lists(st.integers(1, d), min_size=2, max_size=7))
+    return WeightSystem(tuple(weights), d)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(base=divisor_bases() | any_bases(), k=st.integers(2, 400))
+@example(base=WeightSystem((1, 1, 2), 5), k=3)  # not Brieskorn-Pham: the rule is None
+@example(base=WeightSystem((1, 1, 4), 4), k=3)  # a weight equal to d: the rule is None
+@example(base=WeightSystem((1, 1, 1), 3), k=6)  # k shares a factor with d: the rule is ignored
+@example(base=WeightSystem((3, 4, 6), 12), k=9)  # likewise, on a base whose rule admits k
+def test_a_rule_solved_once_per_base_gives_the_per_record_certificate(
+    base, k, literal_certificate
+):
+    rule = _sufficiency_in_k(base)
+    assert (rule is None) == (base.bp_exponents is None)
+    cert = certify_cover(k, base, rule=rule)
+    assert cert == certify_cover(k, base) == literal_certificate(k, base)
+    exponents = branched_cover(k, base).bp_exponents
+    assert cert.bp_applicable == (exponents is not None)
+    if exponents is not None:
+        assert cert.bp_sufficient == bp_sufficient_ke(exponents).verdict
+
+
 def test_certify_cover_refuses_k_below_2():
     base = WeightSystem((1, 1, 1), 3)
     for k in (1, 0, -2):

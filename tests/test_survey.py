@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -217,7 +216,7 @@ def test_ingest_matches_generator_up_to_tag():
     }
     assert set(generated) == set(ingested)
     for k, rec in ingested.items():
-        assert dataclasses.replace(rec, family_tag="fermat_cy") == generated[k]
+        assert rec._replace(family_tag="fermat_cy") == generated[k]
 
 
 def test_ingest_row_with_a_linear_variable_is_kept():
@@ -240,8 +239,7 @@ def _per_pair_recipe(rec, base, literal_certificate):
     this (base, k) alone and the certificate the literal way."""
     k = rec.k
     assert math.gcd(k, base.degree) == 1
-    return dataclasses.replace(
-        rec,
+    return rec._replace(
         m=base.m,
         l_or_d=base.degree,
         base=base.canonical(),
