@@ -73,7 +73,10 @@ class ScanConfig(_Bounds):
     def __new__(cls, *args, **kwargs) -> "ScanConfig":
         self = super().__new__(cls, *args, **kwargs)
         if self.weight_bound < 1 or self.k_bound < 1:
-            raise UsageError("bounds must be positive")
+            raise UsageError(
+                f"bounds must be positive, got weight_bound {self.weight_bound} "
+                f"and k_bound {self.k_bound}"
+            )
         if self.k_min < 2:
             raise UsageError(f"k_min must be at least 2, got {self.k_min}")
         lo, hi = self.m_range

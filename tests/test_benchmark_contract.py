@@ -28,3 +28,18 @@ def test_traced_names_are_plain_functions_of_their_modules():
         fn = getattr(module, attr, None)
         assert inspect.isfunction(fn), qualified
         assert fn.__module__ == module.__name__, qualified
+
+
+def test_scan_calls_each_generator_through_its_name_in_cli(monkeypatch, capsys):
+    # a traced run rebinds the generators' names in each module, so a
+    # generator that `scan` reached through a reference taken at import
+    # would record no calls
+    trace = _trace_module()
+    cli = importlib.import_module("selinks.cli")
+    called = []
+    for name in trace.GENERATORS & set(vars(cli)):
+        monkeypatch.setattr(cli, name, lambda cfg, name=name: called.append(name) or [])
+    for family in cli._SCANS:
+        assert cli.main(["scan", family, "--format", "json"]) == 0
+    capsys.readouterr()
+    assert sorted(called) == sorted(trace.GENERATORS - {"scan_all", "ingest_weight_list"})

@@ -22,49 +22,56 @@ from selinks import (
 from selinks.cli import (
     _TABLE,
     CSV_HEADER,
-    Invocation,
     main,
     parse_catalog_json,
-    parse_invocation,
     render_catalog,
-    run,
 )
 
 
 def test_parse_invocation_invariants():
-    inv = parse_invocation(["invariants", "--weights", "1,2,3", "--degree", "6"])
-    assert inv.subcommand == "invariants"
-    assert inv.options["weights"] == (1, 2, 3)
-    assert inv.options["degree"] == 6
-    assert inv.options["format"] == "table"
-    assert inv.options["out"] is None
+    ns = cli._build_parser().parse_args(["invariants", "--weights", "1,2,3", "--degree", "6"])
+    assert ns.command == "invariants"
+    assert ns.handler is cli._run_invariants
+    assert ns.weights == (1, 2, 3)
+    assert ns.degree == 6
+    assert ns.format == "table"
+    assert ns.out is None
 
 
 def test_parse_invocation_scan():
-    inv = parse_invocation(["scan", "hyperbolic", "--m", "3..8", "--format", "json"])
-    assert inv.subcommand == "scan"
-    assert inv.options["family"] == "hyperbolic"
-    assert inv.options["m"] == (3, 8)
-    assert inv.options["format"] == "json"
+    ns = cli._build_parser().parse_args(["scan", "hyperbolic", "--m", "3..8", "--format", "json"])
+    assert ns.command == "scan"
+    assert ns.handler is cli._run_scan
+    assert ns.family == "hyperbolic"
+    assert ns.m == (3, 8)
+    assert ns.format == "json"
 
 
-def test_parse_invocation_usage_errors():
-    with pytest.raises(UsageError):
-        parse_invocation(["cover", "--k", "0", "--weights", "1,1,1", "--degree", "3"])
-    with pytest.raises(UsageError):
-        parse_invocation(["invariants", "--weights", "1,2,3"])  # missing --degree
-    with pytest.raises(UsageError):
-        parse_invocation(["invariants", "--weights", "1,2,3", "--degree", "6", "--bogus"])
-    with pytest.raises(UsageError):
-        parse_invocation(["scan", "everything"])
-    with pytest.raises(UsageError):
-        parse_invocation(["scan", "fermat-cy", "--m", "8..3"])
-    with pytest.raises(UsageError):
-        parse_invocation(["invariants", "--weights", "1,x", "--degree", "6"])
+def test_parse_invocation_usage_errors(capsys):
+    for argv, message in [
+        (["cover", "--k", "0", "--weights", "1,1,1", "--degree", "3"], "branch order k"),
+        # k is refused before the quasi-smoothness gate (exit 2) is reached
+        (["cover", "--k", "1", "--weights", "1,2,2", "--degree", "5"], "branch order k"),
+        (["invariants", "--weights", "1,2,3"], "required: --degree"),
+        (["invariants", "--weights", "1,2,3", "--degree", "6", "--bogus"], "--bogus"),
+        (["scan", "everything"], "invalid choice"),
+        (["scan", "fermat-cy", "--m", "8..3"], "ascending"),
+        (["invariants", "--weights", "1,x", "--degree", "6"], "comma-separated"),
+        # values below 1 are refused by WeightSystem and ScanConfig
+        (["invariants", "--weights", "1,2,3", "--degree", "0"], "degree must be positive"),
+        (["moduli", "--weights", "1,2,3", "--degree", "-6"], "degree must be positive"),
+        (["scan", "fermat-cy", "--weight-bound", "0"], "got weight_bound 0 and k_bound 60"),
+        (["scan", "theorem2", "--k-bound", "-5"], "got weight_bound 60 and k_bound -5"),
+        (["scan", "theorem2", "--k-bound", "x"], "invalid int value"),
+    ]:
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ") and message in captured.err, argv
 
 
 def test_run_invariants(capsys):
-    code = run(parse_invocation(["invariants", "--weights", "1,1,1,1", "--degree", "4"]))
+    code = main(["invariants", "--weights", "1,1,1,1", "--degree", "4"])
     out = capsys.readouterr().out
     assert code == 0
     assert "21" in out
@@ -72,8 +79,7 @@ def test_run_invariants(capsys):
 
 
 def test_run_invariants_includes_genus(capsys):
-    run(parse_invocation(["invariants", "--weights", "1,2,3", "--degree", "6",
-                          "--format", "json"]))
+    main(["invariants", "--weights", "1,2,3", "--degree", "6", "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert payload["betti"] == 2
     assert payload["genus"] == 1
@@ -96,7 +102,7 @@ def test_main_exit_codes(capsys, tmp_path):
 
 
 def test_run_certify(capsys):
-    run(parse_invocation(["certify", "--exponents", "3,4,4,4", "--format", "json"]))
+    main(["certify", "--exponents", "3,4,4,4", "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert payload["reciprocal_sum"] == "13/12"
     assert payload["bound"] == "35/32"
@@ -104,8 +110,7 @@ def test_run_certify(capsys):
 
 
 def test_run_cover(capsys):
-    run(parse_invocation(["cover", "--k", "5", "--weights", "1,2,3", "--degree", "6",
-                          "--format", "json"]))
+    main(["cover", "--k", "5", "--weights", "1,2,3", "--degree", "6", "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert payload["cover"] == "(6,5,10,15;30)"
     assert payload["bp_exponents"] == "5,6,3,2"
@@ -143,8 +148,7 @@ def test_cover_refuses_a_class_without_quasi_smooth_member(capsys):
 
 
 def test_run_moduli(capsys):
-    run(parse_invocation(["moduli", "--weights", "4,3,3,3", "--degree", "12",
-                          "--format", "json"]))
+    main(["moduli", "--weights", "4,3,3,3", "--degree", "12", "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert payload["complex_dim"] == 6
     assert payload["real_dim"] == 12
@@ -168,6 +172,24 @@ def test_scan_euclidean_cli(capsys):
         ((1, 1, 2), 4, 9),
         ((1, 2, 3), 6, 7),
     ]
+
+
+@pytest.mark.parametrize(
+    "fmt, text",
+    [
+        ("csv", "weights,degree,monomials\n1 1 1,3,10\n1 1 2,4,9\n1 2 3,6,7\n"),
+        (
+            "table",
+            "weights        d   n\n"
+            "1,1,1          3  10\n"
+            "1,1,2          4   9\n"
+            "1,2,3          6   7\n",
+        ),
+    ],
+)
+def test_scan_euclidean_cli_bytes(fmt, text, capsys):
+    assert main(["scan", "euclidean", "--weight-bound", "10", "--format", fmt]) == 0
+    assert capsys.readouterr().out == text
 
 
 def test_catalog_json_round_trip():
@@ -203,6 +225,8 @@ def test_catalog_table_renders():
     text = render_catalog(scan_all(cfg), "table", cfg)
     assert "euclidean5" in text
     assert "3^6" in text or "hyperbolic" in text
+    with pytest.raises(UsageError, match="unknown catalog format 'xml'"):
+        render_catalog([], "xml", cfg)
 
 
 def test_catalog_table_keeps_every_cell_apart():
@@ -465,6 +489,13 @@ def test_parse_catalog_json_rejects_truncated_text():
         parse_catalog_json(text[: len(text) // 2])
 
 
+@pytest.mark.parametrize("text", ["[" * 100000, '{"meta":' * 50000], ids=["array", "object"])
+def test_parse_catalog_json_refuses_deep_nesting(text):
+    # json.loads gives up with RecursionError, which ends in a UsageError too
+    with pytest.raises(UsageError, match="malformed catalog: RecursionError"):
+        parse_catalog_json(text)
+
+
 def test_parse_catalog_json_names_the_bad_record():
     payload = json.loads(_catalog_text())
     del payload["records"][1]["certificate"]
@@ -476,6 +507,10 @@ def test_parse_catalog_json_checks_the_schema():
     payload = json.loads(_catalog_text())
     payload["meta"]["schema"] = "selinks.catalog/2"
     with pytest.raises(UsageError, match="selinks.catalog/2"):
+        parse_catalog_json(json.dumps(payload))
+    payload["meta"]["schema"] = cli.CATALOG_SCHEMA
+    payload["records"] = {"0": payload["records"][0]}
+    with pytest.raises(UsageError, match="malformed catalog: records is not a list"):
         parse_catalog_json(json.dumps(payload))
 
 
@@ -538,6 +573,13 @@ def test_each_codec_reads_exactly_the_type_of_its_attribute():
         ({"m": 7}, "m is 7, expected 3"),
         ({"link_dimension": 9}, "link_dimension is 9, expected 5"),
         ({"torsion": {"base": 11, "exponent": 2}}, "torsion base is 11, expected 5"),
+        # a torsion order outside the torsion hypothesis
+        ({"k": 3, "torsion": {"base": 3, "exponent": 2}}, "k = 3 is not coprime to the degree"),
+        ({"genus": None}, "genus is None, expected an integer for m = 3"),
+        (
+            {"base": {"weights": [1, 1, 1, 1], "degree": 3}, "m": 4, "link_dimension": 7},
+            "genus is 1, expected null for m = 4",
+        ),
     ],
 )
 def test_parse_catalog_json_refuses_an_inconsistent_record(edit, message):
@@ -550,11 +592,6 @@ def test_parse_catalog_json_refuses_an_inconsistent_record(edit, message):
     with pytest.raises(UsageError, match="record 2: ValueError") as excinfo:
         parse_catalog_json(json.dumps(payload))
     assert message in str(excinfo.value)
-
-
-def test_invocation_is_plain_data():
-    inv = Invocation("certify", {"exponents": (3, 4, 4, 4), "format": "table", "out": None})
-    assert run(inv) == 0
 
 
 def test_scan_and_ingest_defaults_are_the_scan_config_defaults(tmp_path, capsys):

@@ -1,15 +1,18 @@
 """README must match the package: in its table of removed public names,
 every removed name is gone and every selinks name it offers instead
-exists; every `module.name` it quotes elsewhere exists; and every resource
-limit it quotes is the constant in the code."""
+exists; every `module.name` it quotes elsewhere exists; every resource
+limit it quotes is the constant in the code; and every command of its
+"Command line" block succeeds."""
 
 import importlib
 import re
+import shlex
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import selinks
+from selinks.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = Path(selinks.__file__).parent
@@ -104,3 +107,27 @@ def test_readme_quotes_every_limit_as_it_is_in_the_code():
     }
     assert ("arith", "COUNT_MONOMIALS_WORK_LIMIT") in limits
     assert limits <= {(module, name) for module, name, _ in quoted}
+
+
+def _command_line_block() -> list[list[str]]:
+    """The argument lists of the `selinks ...` lines in the first code block
+    under "## Command line", comments dropped."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index("```sh", lines.index("## Command line")) + 1
+    end = lines.index("```", start)
+    return [shlex.split(line, comments=True)[1:] for line in lines[start:end]
+            if line.startswith("selinks ")]
+
+
+def test_every_command_line_example_exits_0(tmp_path, monkeypatch, capsys):
+    # bases.txt and catalog.json, the files the examples name, live in tmp_path
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bases.txt").write_text("# bases\n1,1,1;3\n1,2,3;6\n", encoding="utf-8")
+    commands = _command_line_block()
+    assert {argv[0] for argv in commands} == {
+        "invariants", "cover", "certify", "moduli", "scan", "ingest"
+    }
+    for argv in commands:
+        assert main(argv) == 0, (argv, capsys.readouterr().err)
+        capsys.readouterr()
+    assert (tmp_path / "catalog.json").is_file()

@@ -19,7 +19,6 @@ from selinks import (
     moduli_count,
     scan_fermat_cy,
 )
-from selinks.cli import Invocation
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "selinks"
 
@@ -34,10 +33,9 @@ VALUES = {
     "ScanConfig": lambda: ScanConfig(k_bound=5),
     "FamilyRecord": lambda: scan_fermat_cy(ScanConfig(k_bound=5, m_range=(3, 3)))[0],
     "IngestResult": lambda: ingest_weight_list(["1,1,1;3", "foo"], ScanConfig(k_bound=5)),
-    "Invocation": lambda: Invocation("certify", {"exponents": (3, 4, 4, 4)}),
 }
-# these hold a list or a dict, so they have no hash
-UNHASHABLE = {"IngestResult", "Invocation"}
+# it holds lists, so it has no hash
+UNHASHABLE = {"IngestResult"}
 
 
 @pytest.mark.parametrize("name", sorted(VALUES))
