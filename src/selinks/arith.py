@@ -8,7 +8,7 @@ comparison.  No floating point appears anywhere on a computation path.
 from __future__ import annotations
 
 import sys
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import ResourceBudgetError, UsageError
 
@@ -50,27 +50,42 @@ class FactoredPower(_Power):
 
     def expand(self) -> int:
         """The exact power, refused when its decimal form would pass the
-        interpreter's int-to-str digit limit (`sys.get_int_max_str_digits`).
+        interpreter's int-to-str digit limit (`check_digits`).
 
         The check runs before the power is computed: past the limit the
         power can be gigabytes long, and it could not be printed anyway.
         """
-        limit = sys.get_int_max_str_digits()
-        if not limit:
-            return self.base**self.exponent
-        cap = 10**limit  # the least integer with limit + 1 digits
-        # base >= 2**(bits - 1): past this bound the power reaches the cap
-        if (self.base.bit_length() - 1) * self.exponent < cap.bit_length():
-            value = self.base**self.exponent
-            if value < cap:
-                return value
-        raise ResourceBudgetError(
-            f"{self} has more than {limit} decimal digits, the interpreter's "
-            "int-to-str limit"
-        )
+        # base >= 2**(bits - 1), so the power has more than (bits - 1) * exponent bits
+        least_bits = (self.base.bit_length() - 1) * self.exponent
+        return _digit_checked(self, least_bits, lambda: self.base**self.exponent)
 
     def __str__(self) -> str:
         return f"{self.base}^{self.exponent}"
+
+
+def check_digits(value: int, what: object) -> int:
+    """`value`, refused with ResourceBudgetError when its decimal form would
+    pass the interpreter's int-to-str digit limit (`sys.get_int_max_str_digits`),
+    where writing it would raise ValueError; `what` names it in the message."""
+    return _digit_checked(what, value.bit_length() - 1, lambda: value)
+
+
+def _digit_checked(what: object, least_bits: int, value: Callable[[], int]) -> int:
+    """value(), whose bit length passes `least_bits`, refused as in
+    `check_digits`; when `least_bits` alone shows it past the limit, value()
+    is not called."""
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        return value()
+    # 2**(3 limit) < 10**limit < 2**(4 limit): only a number between the two
+    # powers of 2 is compared with 10**limit, which takes tens of microseconds
+    if least_bits < 4 * limit:
+        number = value()
+        if number.bit_length() <= 3 * limit or abs(number) < 10**limit:
+            return number
+    raise ResourceBudgetError(
+        f"{what} has more than {limit} decimal digits, the interpreter's int-to-str limit"
+    )
 
 
 def _check_positive(xs: Sequence[int], what: str) -> None:
@@ -97,6 +112,7 @@ def count_monomials(weights: Iterable[int], target: int) -> int:
     if target < 0:
         raise UsageError(f"target must be non-negative, got {target}")
     if target + 1 > COUNT_MONOMIALS_CELL_LIMIT:
+        check_digits(target + 1, "the cell count of a monomial table")  # the message writes it
         raise ResourceBudgetError(
             f"counting monomials of degree {target} needs {target + 1} table cells, "
             f"more than the limit of {COUNT_MONOMIALS_CELL_LIMIT}"

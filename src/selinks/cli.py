@@ -21,7 +21,7 @@ from operator import attrgetter
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from . import __version__
-from .arith import FactoredPower
+from .arith import FactoredPower, check_digits
 from .errors import IntegrityError, ResourceBudgetError, UsageError
 from .ke_cert import KeCertificate, bp_sufficient_ke
 from .links import (
@@ -507,7 +507,23 @@ def render_euclidean_rows(rows: Sequence[EuclideanRow], fmt: str) -> str:
 # subcommand handlers
 
 
+def _written(key: str, value: Any) -> Any:
+    """A scalar payload value as it is written: an int as itself, a fraction
+    as n/d, a plain tuple joined by commas, a system or a power by its str.
+    Each integer in it is first checked against the int-to-str limit
+    (`check_digits`), so a value too long to write is a budget error."""
+    if type(value) is int:
+        return check_digits(value, key)
+    if isinstance(value, Fraction):
+        return f"{_written(key, value.numerator)}/{_written(key, value.denominator)}"
+    if isinstance(value, tuple):
+        parts = [_written(key, part) for part in value]
+        return ",".join(map(str, parts)) if type(value) is tuple else str(value)
+    return value
+
+
 def _render_scalar(payload: dict, fmt: str) -> str:
+    payload = {key: _written(key, value) for key, value in payload.items()}
     if fmt == "json":
         return json.dumps(payload, indent=2) + "\n"
     width = max(len(key) for key in payload)
@@ -535,7 +551,7 @@ def _quasi_smooth(ws: WeightSystem) -> WeightSystem:
 def _run_invariants(ns: argparse.Namespace) -> str:
     ws = _quasi_smooth(WeightSystem(ns.weights, ns.degree))
     payload = {
-        "system": str(ws),
+        "system": ws,
         "case": classify_case(ws).value,
         "quasi_smooth": True,
         "betti": milnor_orlik_betti(ws),
@@ -552,27 +568,25 @@ def _run_cover(ns: argparse.Namespace) -> str:
     cov = branched_cover(k, WeightSystem(ns.weights, ns.degree))
     base = _quasi_smooth(cov.base)
     payload = {
-        "base": str(base),
+        "base": base,
         "k": k,
-        "cover": str(cov.cover),
-        "bp_exponents": (
-            None if cov.bp_exponents is None else ",".join(map(str, cov.bp_exponents))
-        ),
+        "cover": cov.cover,
+        "bp_exponents": cov.bp_exponents,
         "torsion_hypothesis": torsion_hypothesis(k, base),
     }
     if payload["torsion_hypothesis"]:
-        payload["torsion"] = str(torsion_order(k, base))
+        payload["torsion"] = torsion_order(k, base)
     return _render_scalar(payload, ns.format)
 
 
 def _run_certify(ns: argparse.Namespace) -> str:
     result = bp_sufficient_ke(ns.exponents)
     payload = {
-        "exponents": ",".join(map(str, result.exponents)),
-        "reciprocal_sum": _frac_str(result.reciprocal_sum),
-        "bound": _frac_str(result.bound),
-        "cofactor_lcms": ",".join(map(str, result.cofactor_lcms)),
-        "gcds": ",".join(map(str, result.gcds)),
+        "exponents": result.exponents,
+        "reciprocal_sum": result.reciprocal_sum,
+        "bound": result.bound,
+        "cofactor_lcms": result.cofactor_lcms,
+        "gcds": result.gcds,
         "limiting_witness": result.limiting_witness,
         "verdict": result.verdict,
     }
@@ -583,7 +597,7 @@ def _run_moduli(ns: argparse.Namespace) -> str:
     ws = _quasi_smooth(WeightSystem(ns.weights, ns.degree))
     mc = moduli_count(ws)
     payload = {
-        "system": str(ws),
+        "system": ws,
         "h0_degree": mc.h0_degree,
         "h0_weights_sum": mc.h0_weights_sum,
         "complex_dim": mc.complex_dim,

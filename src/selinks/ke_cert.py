@@ -102,23 +102,22 @@ class BpVerdict(NamedTuple):
     verdict: bool
 
 
-def _cofactor_gcds(a: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(C, b) with C^j = lcm(a_i : i != j) and b_j = gcd(a_j, C^j)."""
-    cofactors = tuple(math.lcm(*a[:j], *a[j + 1:]) for j in range(len(a)))
-    return cofactors, tuple(map(math.gcd, a, cofactors))
-
-
-def _greatest_term(a: tuple[int, ...], b: tuple[int, ...], shift: int = 0) -> tuple[int, str]:
-    """The greatest a_i or b_i b_j (i < j) and the first term attaining it,
-    the a_i before the pairs, named with every index raised by `shift`."""
-    pairs = list(itertools.combinations(range(len(a)), 2))
-    values = list(a) + [b[i] * b[j] for i, j in pairs]
-    top = max(values)
-    at = values.index(top)
-    if at < len(a):
-        return top, f"1/a[{at + shift}]"
-    i, j = pairs[at - len(a)]
-    return top, f"1/(b[{i + shift}]*b[{j + shift}])"
+def _bp_terms(a: tuple[int, ...], shift: int = 0) -> tuple[tuple, tuple, int, str]:
+    """(C, b, top, witness): C^j = lcm(a_i : i != j) from the lcms before and
+    after j, b_j = gcd(a_j, C^j), and the greatest a_i or b_i b_j (i < j) with
+    the first term attaining it, the a_i first, indices raised by `shift`.
+    The greatest b_i b_j is b_p b_q, p the first index of the greatest b and
+    q the first other index of the greatest remaining b; the first pair in
+    (i, j) order attaining it is (min(p, q), max(p, q))."""
+    after = [*itertools.accumulate(reversed(a), math.lcm, initial=1)][-2::-1]
+    cofactors = tuple(map(math.lcm, itertools.accumulate(a, math.lcm, initial=1), after))
+    b = tuple(map(math.gcd, a, cofactors))
+    p = max(range(len(b)), key=b.__getitem__)
+    q = max((i for i in range(len(b)) if i != p), key=b.__getitem__)
+    top = max(a)
+    if top >= b[p] * b[q]:
+        return cofactors, b, top, f"1/a[{a.index(top) + shift}]"
+    return cofactors, b, b[p] * b[q], f"1/(b[{min(p, q) + shift}]*b[{max(p, q) + shift}])"
 
 
 def bp_sufficient_ke(a: Iterable[int]) -> BpVerdict:
@@ -141,10 +140,9 @@ def bp_sufficient_ke(a: Iterable[int]) -> BpVerdict:
     if any(ai < 2 for ai in a):
         raise UsageError(f"exponents must be at least 2, got {a}")
     m = len(a) - 1
-    cofactors, gcds = _cofactor_gcds(a)
+    cofactors, gcds, top, witness = _bp_terms(a)
     total = sum(Fraction(1, ai) for ai in a)
     # the least of the 1/x is 1/(the greatest x)
-    top, witness = _greatest_term(a, gcds)
     bound = 1 + Fraction(m, (m - 1) * top)
     return BpVerdict(a, cofactors, gcds, total, bound, witness, 1 < total < bound)
 
@@ -190,7 +188,7 @@ def _sufficiency_in_k(base: WeightSystem) -> Optional[_KRule]:
     if a is None:
         return None
     m = base.m
-    top, witness = _greatest_term(a, _cofactor_gcds(a)[1], shift=1)
+    _, _, top, witness = _bp_terms(a, shift=1)
     s = Fraction(base.norm, base.degree)
     if s < 1:
         upper = 1 / (1 - s)

@@ -15,6 +15,7 @@ h^0_cover(O(d)) = 1.  Catalogs therefore count once per base.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import NamedTuple
 
 from .arith import count_monomials
@@ -43,9 +44,10 @@ def moduli_count(ws: WeightSystem) -> ModuliCount:
 
     No correction is applied for extra automorphisms among repeated
     weights; the closed forms below come from the same literal count.
+    h0(O(w)) depends only on the value w: one count per distinct weight.
     """
     h0_d = count_monomials(ws.weights, ws.degree)
-    h0_w = sum(count_monomials(ws.weights, w) for w in ws.weights)
+    h0_w = sum(n * count_monomials(ws.weights, w) for w, n in Counter(ws.weights).items())
     mu = h0_d - h0_w
     return ModuliCount(
         complex_dim=mu,

@@ -15,7 +15,7 @@ import itertools
 import math
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .arith import COUNT_MONOMIALS_CELL_LIMIT, FactoredPower, count_monomials
+from .arith import COUNT_MONOMIALS_CELL_LIMIT, FactoredPower, check_digits, count_monomials
 from .errors import IntegrityError, ResourceBudgetError, UsageError
 from .ke_cert import (
     KeCertificate,
@@ -171,9 +171,13 @@ def _records(
     # records name the sorted base, so the certificate's witness indexes it
     base = base.canonical()
     k0 = min(ks)
-    betti = torsion_order(k0, base).exponent
+    # an integer past the int-to-str limit could not be written: the base is
+    # refused here, once, so that no catalog fails to render
+    betti = check_digits(torsion_order(k0, base).exponent, f"b_{base.m - 2}")
     curve_genus = genus(base) if base.m == 3 else None
     moduli = moduli_count(branched_cover(k0, base).cover)
+    for name, value in zip(("genus", *ModuliCount._fields), (curve_genus or 0, *moduli)):
+        check_digits(value, name)
     rule = _sufficiency_in_k(base)
     return [
         FamilyRecord(

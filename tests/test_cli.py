@@ -401,6 +401,13 @@ WIDE_LOOP = ("172633,228596,289303,167889,242828,260839,224817,296861,152773,288
 # is refused past its cell limit
 WIDE_WALK = ",".join(map(str, [*range(37, 55), *[73] * 18]))
 
+# integers the CLI computes from small inputs but could not write in decimal
+# (more digits than the interpreter's int-to-str limit, 4,300 by default)
+ONES_2000 = ",".join(["1"] * 2000)
+FIRST_1500_PRIMES = ",".join(
+    map(str, [p for p in range(2, 12554) if all(p % q for q in range(2, math.isqrt(p) + 1))])
+)
+
 
 @pytest.mark.parametrize(
     "weights, degree",
@@ -421,6 +428,11 @@ def test_invariants_decides_wide_quasi_smooth_systems(weights, degree, capsys):
         (["invariants", "--weights", WIDE_WALK, "--degree", "73"], "the quasi-smoothness test of "),
         (["scan", "fermat-cy", "--k-bound", "2", "--m", "3..1000000000"], "a scan of bases in "),
         (["scan", "hyperbolic", "--m", "3..300"], "a scan of bases in "),
+        (["invariants", "--weights", ONES_2000, "--degree", "2000"], "betti has more than "),
+        (["cover", "--k", "2", "--weights", ONES_2000, "--degree", "2001"], "torsion has more "),
+        (["invariants", "--weights", "2,3,5", "--degree", str(30**2000)], "betti has more "),
+        (["certify", "--exponents", FIRST_1500_PRIMES], "reciprocal_sum has more than "),
+        (["moduli", "--weights", "1,1", "--degree", "9" * 4300], "the cell count of a "),
     ],
 )
 def test_bitset_and_record_budgets_exit_4(argv, message, capsys):
@@ -447,6 +459,25 @@ def test_ingest_cli_reports_a_row_past_the_counting_budget(tmp_path, capsys):
     assert {(r.base.weights, r.base.degree, r.k) for r in records} == {
         ((1, 1, 1), 3, k) for k in (2, 4, 5, 7)
     }
+
+
+def test_ingest_gives_a_row_too_long_to_write_a_diagnostic_in_its_own_process(tmp_path):
+    # the middle row's Betti number has about 6,000 digits, past the
+    # int-to-str limit: the row gets a diagnostic before any of its records
+    # is built, and the rows around it keep theirs
+    src = tmp_path / "bases.txt"
+    src.write_text("1,2,3;6\n" + ",".join(["1"] * 20000) + ";3\n1,1,1;3\n", encoding="utf-8")
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "selinks", "ingest", str(src), "--format", "json"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.startswith("ingest: line 2: b_19998 has more than ")
+    assert len(done.stderr.splitlines()) == 1
+    meta, records = parse_catalog_json(done.stdout)
+    assert {(r.base.weights, r.base.degree) for r in records} == {((1, 2, 3), 6), ((1, 1, 1), 3)}
 
 
 def test_python_dash_m_selinks_runs_the_command_line():

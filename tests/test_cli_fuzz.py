@@ -26,14 +26,28 @@ PREFIXES = {
 }
 
 
+# long lists and numbers of thousands of digits, chosen so that each command
+# line they make ends within about 0.4 s: the longest write megabytes (the
+# cover of 2,000 ones at k = HUGE), or hold a Betti number past the
+# int-to-str limit (2,000 ones at degree 1000000000).  No degree has
+# thousands of digits: with 1,000 ones the Betti sum would run for most of a
+# minute before its digits were checked
+ONES = (",".join(["1"] * 1000), ",".join(["1"] * 2000), ",".join(["1"] * 1000 + ["2"] * 500))
+HUGE = "9" * 2000
+LONG_ROWS = (ONES[0] + ";3", ",".join(["1"] * 20000) + ";3")
+EXPONENTS = (",".join(["2"] * 1000), ",".join(str(2 + i % 7) for i in range(1000)))
+
+
 @pytest.fixture(scope="module")
 def paths(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     (root / "good.txt").write_text("# rows\n1,1,1;3\n1,2,3;6\nfoo\n1,2,2;5\n", encoding="utf-8")
     (root / "bytes.txt").write_bytes(b"\xef\xbb\xbf1,1,1;3\r\n\xff\xfe\n1,1,2;4\r\n")
+    (root / "long.txt").write_text("\n".join(["1,2,3;6", *LONG_ROWS]) + "\n", encoding="utf-8")
     return {
         "good": str(root / "good.txt"),
         "bytes": str(root / "bytes.txt"),
+        "long": str(root / "long.txt"),
         "absent": str(root / "absent.txt"),
         "directory": str(root),
         "out": str(root / "out.txt"),
@@ -46,19 +60,22 @@ def flag_values(paths):
     refuses), then values it refuses."""
     return {
         "--weights": (["1,1,1", "1,2,3", "1,1,1,1", "1,2,4", "2,2,2", "1,2,2", "1,1,4",
-                       "1000000000,1", "1,1,1,1,1,1"], ["0,1,2", "1", "1,x", "", "1;2"]),
+                       "1000000000,1", "1,1,1,1,1,1", *ONES, f"1,2,{HUGE}"],
+                      ["0,1,2", "1", "1,x", "", "1;2"]),
         "--degree": (["1", "3", "4", "5", "6", "12", "1000000000", "100000001"],
                      ["0", "-3", "x"]),
-        "--k": (["2", "5", "7", "1000000000"], ["0", "1", "-1", "x", ""]),
-        "--exponents": (["3,4,4,4", "2,3,3,3", "2,3,7", "2,2", "1000000000,2,2"],
-                        ["1,1", "0,2", "2", "", "x"]),
+        "--k": (["2", "5", "7", "1000000000", HUGE], ["0", "1", "-1", "x", ""]),
+        "--exponents": (["3,4,4,4", "2,3,3,3", "2,3,7", "2,2", "1000000000,2,2", *EXPONENTS,
+                         f"3,4,{HUGE}"], ["1,1", "0,2", "2", "", "x"]),
         "--format": (["table", "json", "csv"], ["xml"]),
         "--out": ([paths["out"], paths["no-dir"], paths["directory"], ""], []),
-        "--weight-bound": (["1", "7", "60", "1000000", "1000000000000"], ["0", "x"]),
-        "--k-bound": (["1", "2", "7", "60", "3000000", "1000000000000"], ["0", "-5", "x"]),
+        "--weight-bound": (["1", "7", "60", "1000000", "1000000000000", HUGE], ["0", "x"]),
+        "--k-bound": (["1", "2", "7", "60", "3000000", "1000000000000", HUGE],
+                      ["0", "-5", "x"]),
         "--m": (["3..3", "3..5", "3..12", "4..4", "2..4", "3..33", "3..1000000000",
-                 "1000000000..1000000000"], ["8..3", "3..", "x", "3..x"]),
-        "--k-range": (["2..7", "2..60", "5..5", "1..5", "2..3000000"], ["7..2", "x"]),
+                 "1000000000..1000000000", f"3..{HUGE}"], ["8..3", "3..", "x", "3..x"]),
+        "--k-range": (["2..7", "2..60", "5..5", "1..5", "2..3000000", f"2..{HUGE}"],
+                      ["7..2", "x"]),
     }
 
 
@@ -90,7 +107,7 @@ def command_lines(draw, paths):
     if command == "scan":
         argv.append(draw(st.sampled_from(FAMILIES)))
     elif command == "ingest":
-        argv.append(paths[draw(st.sampled_from(["good", "bytes", "absent", "directory"]))])
+        argv.append(paths[draw(st.sampled_from(["good", "bytes", "long", "absent", "directory"]))])
     required, optional = FLAGS.get(command, ((), ()))
     for name in required:
         if draw(st.integers(0, 9)):

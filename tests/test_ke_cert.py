@@ -137,6 +137,53 @@ def test_bp_verdict_permutation_invariant():
         assert len(verdicts) == 1
 
 
+def _cofactor_gcds(a):
+    """The oracle of the cofactor lcms: each C^j is the lcm of a with a_j
+    sliced out, and b_j = gcd(a_j, C^j)."""
+    cofactors = tuple(math.lcm(*a[:j], *a[j + 1:]) for j in range(len(a)))
+    return cofactors, tuple(map(math.gcd, a, cofactors))
+
+
+def _greatest_term(a, b, shift=0):
+    """The oracle of the greatest term: every a_i, then every b_i b_j over
+    the pairs i < j in order, listed, and the first greatest one named."""
+    pairs = list(itertools.combinations(range(len(a)), 2))
+    values = list(a) + [b[i] * b[j] for i, j in pairs]
+    top = max(values)
+    at = values.index(top)
+    if at < len(a):
+        return top, f"1/a[{at + shift}]"
+    i, j = pairs[at - len(a)]
+    return top, f"1/(b[{i + shift}]*b[{j + shift}])"
+
+
+@st.composite
+def tied_exponents(draw):
+    """Exponent vectors drawn from a few values, so that the a_i, the b_i
+    and the pair products b_i b_j tie often."""
+    pool = draw(st.lists(st.integers(2, 60), min_size=1, max_size=4))
+    return tuple(draw(st.lists(st.sampled_from(pool), min_size=3, max_size=12)))
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(a=tied_exponents())
+@example(a=(3, 4, 4, 4))  # b = (1, 4, 4, 4): the pair (1, 2) ties (1, 3) and (2, 3)
+@example(a=(12, 4, 6, 12))  # b = a: the greatest b at index 0 and again at index 3
+@example(a=(3, 6, 2))  # b = a: the greatest b at index 1, the next one before it
+@example(a=(4, 2, 2))  # b = (2, 2, 2): a_0 = 4 ties b_0 b_1, and the a_i win ties
+def test_the_linear_terms_equal_the_list_oracles(a):
+    cofactors, gcds = _cofactor_gcds(a)
+    m = len(a) - 1
+    top, witness = _greatest_term(a, gcds)
+    bound = 1 + Fraction(m, (m - 1) * top)
+    total = sum(Fraction(1, ai) for ai in a)
+    assert bp_sufficient_ke(a) == (a, cofactors, gcds, total, bound, witness, 1 < total < bound)
+    # a base whose Brieskorn-Pham exponents are a: w_i = d/a_i with d = lcm(a)
+    d = math.lcm(*a)
+    rule = _sufficiency_in_k(WeightSystem(tuple(d // ai for ai in a), d))
+    assert (rule.top, rule.witness) == _greatest_term(a, gcds, shift=1)
+
+
 def test_hyperbolic_k_window_examples():
     win = hyperbolic_k_window(3, 4)
     assert (win.lower, win.upper) == (Fraction(32, 11), Fraction(4))

@@ -46,6 +46,21 @@ def test_moduli_count_negative_raw_value():
     assert mc.real_dim == 0
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    pool=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+    picks=st.lists(st.integers(0, 2), min_size=2, max_size=12),
+    degree=st.integers(1, 30),
+)
+def test_moduli_count_sums_h0_over_every_index(pool, picks, degree):
+    # one count per distinct weight, times its multiplicity, is the sum over indices
+    weights = tuple(pool[i % len(pool)] for i in picks)
+    ws = WeightSystem(weights, degree)
+    mc = moduli_count(ws)
+    assert mc.h0_weights_sum == sum(count_monomials(ws.weights, w) for w in ws.weights)
+    assert mc.h0_degree == count_monomials(ws.weights, ws.degree)
+
+
 def test_fermat_cy_moduli_closed_form():
     assert fermat_cy_moduli(3) == 1
     assert fermat_cy_moduli(4) == 19
