@@ -49,15 +49,13 @@ def is_fano(k: int, base: WeightSystem) -> bool:
 
 def _klt_sides(k: int, base: WeightSystem) -> tuple[int, int, str]:
     """(left, least, witness): left = k(|w| - d) + d, least = min{d, k w_i}
-    and the first term attaining it.  The klt inequality is left <
-    m/(m-1) least."""
-    d = base.degree
+    = min{d, k min(w)} and the first term attaining it, d before the first
+    index of min(w).  The klt inequality is left < m/(m-1) least."""
+    d, w = base.degree, min(base.weights)
     left = k * (base.norm - d) + d
-    kw = [k * w for w in base.weights]
-    least = min(kw)
-    if d <= least:
+    if d <= k * w:
         return left, d, "d"
-    return left, least, f"k*w[{kw.index(least) + 1}]"
+    return left, k * w, f"k*w[{base.weights.index(w) + 1}]"
 
 
 def necessary_klt(k: int, base: WeightSystem) -> bool:
@@ -243,17 +241,17 @@ class KeCertificate(NamedTuple):
     presentations and neither implies the other; both are recorded.  When
     the cover carries Brieskorn-Pham exponents, left_value/right_bound are
     the two sides of the sufficiency inequality; otherwise they are the
-    sides of the necessary klt inequality.
-    """
+    sides of the necessary klt inequality.  Every certificate assumes the
+    genericity condition (`gc_assumed`)."""
 
     fano: bool
     necessary_klt: bool
     bp_applicable: bool
     bp_sufficient: bool
-    gc_assumed: bool
     left_value: Fraction
     right_bound: Fraction
     limiting_witness: str
+    gc_assumed = True  # a class constant, not a field
 
 
 # `certify_cover`'s default: no rule given, so the call solves it
@@ -292,7 +290,6 @@ def certify_cover(
         necessary_klt=nklt,
         bp_applicable=rule is not None,
         bp_sufficient=sufficient,
-        gc_assumed=True,
         left_value=left_value,
         right_bound=right,
         limiting_witness=witness,

@@ -16,7 +16,7 @@ from collections import Counter
 from enum import Enum
 from typing import NamedTuple, Optional
 
-from .arith import COUNT_MONOMIALS_CELL_LIMIT
+from .arith import COUNT_MONOMIALS_CELL_LIMIT, check_digits
 from .errors import ResourceBudgetError, UsageError
 
 # the most bitset cells the walk of `quasi_smooth_generic` may charge: each
@@ -209,6 +209,7 @@ def quasi_smooth_generic(ws: WeightSystem) -> bool:
     if sum(counts[x] for x in xs) < 2:
         return True
     if d + 1 > COUNT_MONOMIALS_CELL_LIMIT:
+        check_digits(d + 1, "the cell count of a degree bitset")  # the message writes it
         raise ResourceBudgetError(
             f"tracing monomial degrees up to {d} needs {d + 1} bitset cells, "
             f"more than the limit of {COUNT_MONOMIALS_CELL_LIMIT}"

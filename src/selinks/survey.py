@@ -93,32 +93,41 @@ class EuclideanRow(NamedTuple):
 
 
 class FamilyRecord(NamedTuple):
-    """One catalog row: a certified candidate rational homology sphere."""
+    """One catalog row: a certified candidate rational homology sphere.  Its k,
+    m, l_or_d, link_dimension and genus are read off the base and k^b."""
 
     family_tag: str
-    m: int
-    k: int
-    l_or_d: int
     base: WeightSystem
-    link_dimension: int
     torsion: FactoredPower
-    genus: Optional[int]
     moduli: ModuliCount
     certificate: KeCertificate
     paper_min_k: Optional[int] = None
     literal_min_k: Optional[int] = None
 
+    @property
+    def k(self) -> int:
+        return self.torsion.base
+
+    @property
+    def m(self) -> int:
+        return len(self.base.weights)
+
+    @property
+    def l_or_d(self) -> int:
+        return self.base.degree
+
+    @property
+    def link_dimension(self) -> int:
+        return 2 * len(self.base.weights) - 1
+
+    @property
+    def genus(self) -> Optional[int]:  # of the orbit curve, where b_1 = 2g
+        return self.torsion.exponent // 2 if len(self.base.weights) == 3 else None
+
     def sort_key(self):
         # the base is sorted already: `_records` builds it so, and
         # `parse_catalog_json` refuses any other
-        return (
-            self.family_tag,
-            self.m,
-            self.l_or_d,
-            self.k,
-            self.base.weights,
-            self.base.degree,
-        )
+        return (self.family_tag, self.m, self.l_or_d, self.k, self.base.weights)
 
 
 class IngestResult(NamedTuple):
@@ -174,21 +183,18 @@ def _records(
     # an integer past the int-to-str limit could not be written: the base is
     # refused here, once, so that no catalog fails to render
     betti = check_digits(torsion_order(k0, base).exponent, f"b_{base.m - 2}")
-    curve_genus = genus(base) if base.m == 3 else None
+    # records read the genus off b_1 = 2g; the Orlik-Wagreich genus checks it
+    if base.m == 3 and 2 * (g := genus(base)) != betti:
+        raise IntegrityError(f"the orbit curve of {base} has genus {g}, but b_1 = {betti}")
     moduli = moduli_count(branched_cover(k0, base).cover)
-    for name, value in zip(("genus", *ModuliCount._fields), (curve_genus or 0, *moduli)):
+    for name, value in zip(ModuliCount._fields, moduli):
         check_digits(value, name)
     rule = _sufficiency_in_k(base)
     return [
         FamilyRecord(
             family_tag=tag,
-            m=base.m,
-            k=k,
-            l_or_d=base.degree,
             base=base,
-            link_dimension=2 * base.m - 1,
             torsion=FactoredPower(k, betti),
-            genus=curve_genus,
             moduli=moduli,
             certificate=certify_cover(k, base, rule=rule),
             paper_min_k=paper_min_k,
@@ -378,10 +384,6 @@ def scan_all(cfg: ScanConfig) -> list[FamilyRecord]:
     return records
 
 
-def _strip_comment(line: str) -> str:
-    return line.split("#", 1)[0].strip()
-
-
 def ingest_weight_list(
     lines: Iterable[str | bytes], cfg: ScanConfig, *, expand_torsion: bool = False
 ) -> IngestResult:
@@ -413,7 +415,7 @@ def ingest_weight_list(
                 continue
         if lineno == 1:
             raw = raw.removeprefix("\ufeff")
-        text = _strip_comment(raw)
+        text = raw.split("#", 1)[0].strip()
         if not text:
             continue
         try:

@@ -19,6 +19,12 @@ from .arith import FactoredPower
 from .errors import IntegrityError, ResourceBudgetError, UsageError
 from .links import WeightSystem, torsion_hypothesis
 
+# the most bit operations the Milnor-Orlik pass may charge: before each index,
+# per entry its lcm table may then hold (twice those it holds), the bits of a
+# running sum times those of u_i + v_i, at least 2^14 for the interpreter's
+# work; at the limit the pass takes about 0.4 s, and past it it is refused
+MILNOR_ORLIK_WORK_LIMIT = 10**10
+
 __all__ = [
     "milnor_orlik_betti",
     "betti_bp_oracle",
@@ -38,18 +44,28 @@ def milnor_orlik_betti(ws: WeightSystem) -> int:
     pass over the indices carries, for each such lcm L, the signed sum of
     the products so far, scaled by prod v_i to stay integral: leaving an
     index out multiplies by -v_i, taking it multiplies by u_i and moves the
-    entry to lcm(L, u_i).  The cost is O(m tau(d)) instead of 2^m.  For a
-    system with an isolated singularity the total is a non-negative
-    integer; anything else raises IntegrityError rather than being rounded,
-    so integrality doubles as an input-validity check.
+    entry to lcm(L, u_i).  The cost is O(m tau(d)) instead of 2^m, refused
+    past MILNOR_ORLIK_WORK_LIMIT.  For a system with an isolated singularity
+    the total is a non-negative integer; anything else raises IntegrityError
+    rather than being rounded, so integrality doubles as an input check.
     """
     d = ws.degree
     sums = {1: 1}
     scale = 1
+    # |sum| < the product of the u_i + v_i so far; d's bits stand for the lcm
+    bits, spent = d.bit_length(), 0
     for w in ws.weights:
         g = math.gcd(d, w)
         u, v = d // g, w // g
         scale *= v
+        factor_bits = (u + v).bit_length()
+        bits += factor_bits
+        spent += 2 * len(sums) * max(bits * factor_bits, 2**14)
+        if spent > MILNOR_ORLIK_WORK_LIMIT:
+            raise ResourceBudgetError(
+                f"the Milnor-Orlik sum of {ws} charges more than the limit of "
+                f"{MILNOR_ORLIK_WORK_LIMIT} bit operations"
+            )
         step: dict[int, int] = {}
         for lcm_u, value in sums.items():
             step[lcm_u] = step.get(lcm_u, 0) - v * value

@@ -71,10 +71,10 @@ def _literal_certificate(k: int, base: WeightSystem) -> KeCertificate:
     exponents = branched_cover(k, base).bp_exponents
     if exponents is None:
         right = Fraction(m * least, m - 1)
-        return KeCertificate(fano, nklt, False, False, True, Fraction(left), right, witness)
+        return KeCertificate(fano, nklt, False, False, Fraction(left), right, witness)
     bp = bp_sufficient_ke(exponents)
     return KeCertificate(
-        fano, nklt, True, bp.verdict, True, bp.reciprocal_sum, bp.bound, bp.limiting_witness
+        fano, nklt, True, bp.verdict, bp.reciprocal_sum, bp.bound, bp.limiting_witness
     )
 
 

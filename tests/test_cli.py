@@ -404,9 +404,16 @@ WIDE_WALK = ",".join(map(str, [*range(37, 55), *[73] * 18]))
 # integers the CLI computes from small inputs but could not write in decimal
 # (more digits than the interpreter's int-to-str limit, 4,300 by default)
 ONES_2000 = ",".join(["1"] * 2000)
-FIRST_1500_PRIMES = ",".join(
-    map(str, [p for p in range(2, 12554) if all(p % q for q in range(2, math.isqrt(p) + 1))])
-)
+PRIMES = [p for p in range(2, 12554) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+FIRST_1500_PRIMES = ",".join(map(str, PRIMES))
+
+# two systems past the Milnor-Orlik budget: 1,000 weights 1 in a degree of
+# 3,001 digits, whose running sums grow to about m log2(d) bits, and the
+# weights d/p_i with d the product of the first 20 primes p_i, a
+# Brieskorn-Pham system whose lcm table would hold 2^20 entries
+ONES_1000_DEGREE = (",".join(["1"] * 1000), str(10**3000 + 1))
+PRIMORIAL_20 = math.prod(PRIMES[:20])
+PRIMORIAL_SYSTEM = (",".join(str(PRIMORIAL_20 // p) for p in PRIMES[:20]), str(PRIMORIAL_20))
 
 
 @pytest.mark.parametrize(
@@ -433,6 +440,11 @@ def test_invariants_decides_wide_quasi_smooth_systems(weights, degree, capsys):
         (["invariants", "--weights", "2,3,5", "--degree", str(30**2000)], "betti has more "),
         (["certify", "--exponents", FIRST_1500_PRIMES], "reciprocal_sum has more than "),
         (["moduli", "--weights", "1,1", "--degree", "9" * 4300], "the cell count of a "),
+        (["invariants", "--weights", "2,3,4", "--degree", "9" * 4300], "the cell count of a "),
+        (["invariants", "--weights", ONES_1000_DEGREE[0], "--degree", ONES_1000_DEGREE[1]],
+         "the Milnor-Orlik sum of "),
+        (["invariants", "--weights", PRIMORIAL_SYSTEM[0], "--degree", PRIMORIAL_SYSTEM[1]],
+         "the Milnor-Orlik sum of "),
     ],
 )
 def test_bitset_and_record_budgets_exit_4(argv, message, capsys):
@@ -478,6 +490,23 @@ def test_ingest_gives_a_row_too_long_to_write_a_diagnostic_in_its_own_process(tm
     assert len(done.stderr.splitlines()) == 1
     meta, records = parse_catalog_json(done.stdout)
     assert {(r.base.weights, r.base.degree) for r in records} == {((1, 2, 3), 6), ((1, 1, 1), 3)}
+
+
+def test_ingest_gives_rows_past_the_milnor_orlik_budget_a_diagnostic(tmp_path, capsys):
+    # k = 73 and 79 are coprime to both degrees, so both Betti sums are taken
+    rows = ["1,1,1;3", ";".join(PRIMORIAL_SYSTEM), "1,2,3;6", ";".join(ONES_1000_DEGREE), "1,1,2;4"]
+    src = tmp_path / "bases.txt"
+    src.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    code = main(["ingest", str(src), "--k-range", "73..79", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 0
+    diagnostics = captured.err.splitlines()
+    assert [line.split(": ")[1] for line in diagnostics] == ["line 2", "line 4"]
+    assert all(": the Milnor-Orlik sum of (" in line for line in diagnostics)
+    meta, records = parse_catalog_json(captured.out)
+    assert {(r.base.weights, r.base.degree) for r in records} == {
+        ((1, 1, 1), 3), ((1, 2, 3), 6), ((1, 1, 2), 4)
+    }
 
 
 def test_python_dash_m_selinks_runs_the_command_line():
@@ -569,17 +598,24 @@ def test_parse_catalog_json_checks_value_types(group, key, value, message):
 
 def test_each_codec_reads_exactly_the_type_of_its_attribute():
     # the codec of a scalar field accepts a JSON value exactly when its type
-    # is in the type hint of the attribute the field fills
-    hints = {None: get_type_hints(FamilyRecord)}
-    assert {group: hints[None][group] for group in cli._PARTS} == cli._PARTS
-    hints.update((group, get_type_hints(part)) for group, part in cli._PARTS.items())
+    # is in the type hint of the attribute the field fills: a stored field's
+    # annotation, a property's return annotation or a class constant's type
+    assert {group: get_type_hints(FamilyRecord)[group] for group in cli._PARTS} == cli._PARTS
+    classes = {None: FamilyRecord, **cli._PARTS}
+
+    def type_hint(cls, name):
+        if name in cls._fields:
+            return get_type_hints(cls)[name]
+        attr = getattr(cls, name)
+        return get_type_hints(attr.fget)["return"] if isinstance(attr, property) else type(attr)
+
     structured = {
         cli._WEIGHTS: tuple[int, ...], cli._TORSION: FactoredPower, cli._FRACTION: Fraction
     }
     samples = {int: 3, type(None): None, bool: True, float: 3.0, str: "3"}
     for field in cli._FIELDS:
         group, name = cli._split(field.attr_path)
-        hint = hints[group][name]
+        hint = type_hint(classes[group], name)
         if field.codec in structured:
             assert structured[field.codec] == hint, field
             continue
@@ -599,17 +635,37 @@ def test_each_codec_reads_exactly_the_type_of_its_attribute():
     "edit, message",
     [
         ({"base": {"weights": [1, 1, 1], "degree": 5}}, "l_or_d is 3, expected 5"),
-        ({"base": {"weights": [2, 2, 2], "degree": 6}}, "not reduced with sorted weights"),
-        ({"base": {"weights": [2, 1, 1], "degree": 3}}, "not reduced with sorted weights"),
+        # the record reads the base back reduced with sorted weights
+        pytest.param(
+            {"base": {"weights": [2, 2, 2], "degree": 6}},
+            "weights is (2, 2, 2), expected (1, 1, 1)",
+            id="edit1-not reduced with sorted weights",
+        ),
+        pytest.param(
+            {"base": {"weights": [2, 1, 1], "degree": 3}},
+            "weights is (2, 1, 1), expected (1, 1, 2)",
+            id="edit2-not reduced with sorted weights",
+        ),
         ({"m": 7}, "m is 7, expected 3"),
         ({"link_dimension": 9}, "link_dimension is 9, expected 5"),
-        ({"torsion": {"base": 11, "exponent": 2}}, "torsion base is 11, expected 5"),
+        # the record reads k off the torsion base
+        pytest.param(
+            {"torsion": {"base": 11, "exponent": 2}},
+            "k is 5, expected 11",
+            id="edit5-torsion base is 11, expected 5",
+        ),
         # a torsion order outside the torsion hypothesis
         ({"k": 3, "torsion": {"base": 3, "exponent": 2}}, "k = 3 is not coprime to the degree"),
-        ({"genus": None}, "genus is None, expected an integer for m = 3"),
-        (
+        # the record reads the genus off b_1 = 2g at m = 3, and null otherwise
+        pytest.param(
+            {"genus": None},
+            "genus is None, expected 1",
+            id="edit7-genus is None, expected an integer for m = 3",
+        ),
+        pytest.param(
             {"base": {"weights": [1, 1, 1, 1], "degree": 3}, "m": 4, "link_dimension": 7},
-            "genus is 1, expected null for m = 4",
+            "genus is 1, expected None",
+            id="edit8-genus is 1, expected null for m = 4",
         ),
     ],
 )
@@ -620,6 +676,34 @@ def test_parse_catalog_json_refuses_an_inconsistent_record(edit, message):
         {"weights": [1, 1, 1], "degree": 3}, 5, 3
     )
     record.update(edit)
+    with pytest.raises(UsageError, match="record 2: ValueError") as excinfo:
+        parse_catalog_json(json.dumps(payload))
+    assert message in str(excinfo.value)
+
+
+@pytest.mark.parametrize(
+    "group, key, value, message",
+    [
+        (None, "k", 11, "k is 11, expected 5"),
+        (None, "m", 4, "m is 4, expected 3"),
+        (None, "l_or_d", 4, "l_or_d is 4, expected 3"),
+        (None, "link_dimension", 7, "link_dimension is 7, expected 5"),
+        (None, "genus", 2, "genus is 2, expected 1"),
+        ("certificate", "gc_assumed", False, "gc_assumed is False, expected True"),
+    ],
+)
+def test_parse_catalog_json_refuses_an_edited_derived_field(group, key, value, message):
+    # the record stores none of these: it reads them off the base, the
+    # torsion order and the certificate's constant, so each must read back
+    derived = [
+        field.json_path
+        for field in cli._FIELDS
+        for attr_group, name in [cli._split(field.attr_path)]
+        if name not in (FamilyRecord if attr_group is None else cli._PARTS[attr_group])._fields
+    ]
+    assert derived == ["m", "k", "l_or_d", "link_dimension", "genus", "certificate.gc_assumed"]
+    payload = json.loads(_catalog_text())
+    (payload["records"][2] if group is None else payload["records"][2][group])[key] = value
     with pytest.raises(UsageError, match="record 2: ValueError") as excinfo:
         parse_catalog_json(json.dumps(payload))
     assert message in str(excinfo.value)

@@ -8,6 +8,7 @@ from is checked against the parser, so no flag goes unfuzzed.
 """
 
 import argparse
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -29,12 +30,22 @@ PREFIXES = {
 # long lists and numbers of thousands of digits, chosen so that each command
 # line they make ends within about 0.4 s: the longest write megabytes (the
 # cover of 2,000 ones at k = HUGE), or hold a Betti number past the
-# int-to-str limit (2,000 ones at degree 1000000000).  No degree has
-# thousands of digits: with 1,000 ones the Betti sum would run for most of a
-# minute before its digits were checked
+# int-to-str limit (2,000 ones at degree 1000000000).  The degrees of
+# thousands of digits, and the weights d/p_i of the product d of the first
+# 20 primes p_i, are refused by the Milnor-Orlik budget or the bitset budget
 ONES = (",".join(["1"] * 1000), ",".join(["1"] * 2000), ",".join(["1"] * 1000 + ["2"] * 500))
 HUGE = "9" * 2000
-LONG_ROWS = (ONES[0] + ";3", ",".join(["1"] * 20000) + ";3")
+LONG_DEGREES = (str(10**3000 + 1), "9" * 4300)
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
+PRIMORIAL = math.prod(PRIMES)
+PRIMORIAL_WEIGHTS = ",".join(str(PRIMORIAL // p) for p in PRIMES)
+LONG_ROWS = (
+    ONES[0] + ";3",
+    ",".join(["1"] * 20000) + ";3",
+    f"{ONES[0]};{LONG_DEGREES[0]}",
+    f"{PRIMORIAL_WEIGHTS};{PRIMORIAL}",
+    f"2,3,4;{LONG_DEGREES[1]}",
+)
 EXPONENTS = (",".join(["2"] * 1000), ",".join(str(2 + i % 7) for i in range(1000)))
 
 
@@ -60,9 +71,10 @@ def flag_values(paths):
     refuses), then values it refuses."""
     return {
         "--weights": (["1,1,1", "1,2,3", "1,1,1,1", "1,2,4", "2,2,2", "1,2,2", "1,1,4",
-                       "1000000000,1", "1,1,1,1,1,1", *ONES, f"1,2,{HUGE}"],
+                       "1000000000,1", "1,1,1,1,1,1", *ONES, f"1,2,{HUGE}", PRIMORIAL_WEIGHTS],
                       ["0,1,2", "1", "1,x", "", "1;2"]),
-        "--degree": (["1", "3", "4", "5", "6", "12", "1000000000", "100000001"],
+        "--degree": (["1", "3", "4", "5", "6", "12", "1000000000", "100000001", *LONG_DEGREES,
+                      str(PRIMORIAL)],
                      ["0", "-3", "x"]),
         "--k": (["2", "5", "7", "1000000000", HUGE], ["0", "1", "-1", "x", ""]),
         "--exponents": (["3,4,4,4", "2,3,3,3", "2,3,7", "2,2", "1000000000,2,2", *EXPONENTS,
@@ -74,7 +86,7 @@ def flag_values(paths):
                       ["0", "-5", "x"]),
         "--m": (["3..3", "3..5", "3..12", "4..4", "2..4", "3..33", "3..1000000000",
                  "1000000000..1000000000", f"3..{HUGE}"], ["8..3", "3..", "x", "3..x"]),
-        "--k-range": (["2..7", "2..60", "5..5", "1..5", "2..3000000", f"2..{HUGE}"],
+        "--k-range": (["2..7", "2..60", "5..5", "1..5", "73..79", "2..3000000", f"2..{HUGE}"],
                       ["7..2", "x"]),
     }
 

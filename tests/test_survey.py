@@ -199,6 +199,23 @@ def test_ingest_row_with_impossible_genus_is_isolated(genus_raises_on):
     assert result.records == sorted(cubic + cubic, key=FamilyRecord.sort_key)
 
 
+def test_ingest_row_whose_genus_is_not_half_its_betti_number_is_isolated(monkeypatch):
+    # records read the genus off b_1 = 2g, and the Orlik-Wagreich genus checks
+    # it: a genus one too large on (1,2,3;6), where b_1 = 2, costs that row
+    # its records and no other row any of theirs
+    real_genus = survey.genus
+    monkeypatch.setattr(
+        survey, "genus", lambda ws: real_genus(ws) + (ws == WeightSystem((1, 2, 3), 6))
+    )
+    lines = ["1,1,1;3", "3,2,1;6", "1,1,2;4"]
+    cfg = ScanConfig(k_bound=7)
+    result = ingest_weight_list(lines, cfg)
+    assert result.errors == ["line 2: the orbit curve of (1,2,3;6) has genus 2, but b_1 = 2"]
+    kept = ingest_weight_list(lines[:1], cfg).records + ingest_weight_list(lines[2:], cfg).records
+    assert result.records == sorted(kept, key=FamilyRecord.sort_key)
+    assert {str(r.base) for r in result.records} == {"(1,1,1;3)", "(1,1,2;4)"}
+
+
 def test_ingest_labels_a_scaled_row_with_its_reduced_base():
     cfg = ScanConfig(k_bound=7)
     result = ingest_weight_list(["1,1,1,1;4", "2,2,2,2;8"], cfg)
@@ -239,16 +256,17 @@ def _per_pair_recipe(rec, base, literal_certificate):
     this (base, k) alone and the certificate the literal way."""
     k = rec.k
     assert math.gcd(k, base.degree) == 1
-    return rec._replace(
-        m=base.m,
-        l_or_d=base.degree,
+    recipe = rec._replace(
         base=base.canonical(),
-        link_dimension=2 * base.m - 1,
         torsion=torsion_order(k, base),
-        genus=genus(base) if base.m == 3 else None,
         moduli=moduli_count(branched_cover(k, base).cover),
         certificate=literal_certificate(k, base),
     )
+    assert (recipe.m, recipe.l_or_d, recipe.link_dimension) == (
+        base.m, base.degree, 2 * base.m - 1
+    )
+    assert recipe.genus == (genus(base) if base.m == 3 else None)
+    return recipe
 
 
 def _read_back(records, cfg):
