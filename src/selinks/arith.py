@@ -66,7 +66,8 @@ class FactoredPower(_Power):
 def check_digits(value: int, what: object) -> int:
     """`value`, refused with ResourceBudgetError when its decimal form would
     pass the interpreter's int-to-str digit limit (`sys.get_int_max_str_digits`),
-    where writing it would raise ValueError; `what` names it in the message."""
+    where writing it would raise ValueError, or the default limit while that
+    one is 0 (off); `what` names it in the message."""
     return _digit_checked(what, value.bit_length() - 1, lambda: value)
 
 
@@ -74,18 +75,16 @@ def _digit_checked(what: object, least_bits: int, value: Callable[[], int]) -> i
     """value(), whose bit length passes `least_bits`, refused as in
     `check_digits`; when `least_bits` alone shows it past the limit, value()
     is not called."""
-    limit = sys.get_int_max_str_digits()
-    if not limit:
-        return value()
+    limit, which = sys.get_int_max_str_digits(), "the interpreter's int-to-str limit"
+    if not limit:  # off: the default still bounds what is built and written
+        limit, which = sys.int_info.default_max_str_digits, "the default int-to-str limit"
     # 2**(3 limit) < 10**limit < 2**(4 limit): only a number between the two
     # powers of 2 is compared with 10**limit, which takes tens of microseconds
     if least_bits < 4 * limit:
         number = value()
         if number.bit_length() <= 3 * limit or abs(number) < 10**limit:
             return number
-    raise ResourceBudgetError(
-        f"{what} has more than {limit} decimal digits, the interpreter's int-to-str limit"
-    )
+    raise ResourceBudgetError(f"{what} has more than {limit} decimal digits, {which}")
 
 
 def _check_positive(xs: Sequence[int], what: str) -> None:

@@ -328,11 +328,12 @@ def _json_layout() -> tuple[tuple, str]:
 _JSON_FIELDS, _JSON_RECORD_CLOSE = _json_layout()
 
 
-def record_from_json(obj: dict) -> FamilyRecord:
+def record_from_json(obj: dict, expand_torsion: bool) -> FamilyRecord:
     """The record a catalog object stores, its base made canonical.  Every
-    field, derived ones included, must read back from it as written, and k
-    must be coprime to d (the torsion hypothesis); otherwise ValueError names
-    the first field that differs.  Nothing is recomputed."""
+    field, derived ones included, must read back from it as written, k must
+    be coprime to d (the torsion hypothesis), and the torsion's "decimal" is
+    written exactly when `expand_torsion` is, as the power expanded under the
+    digit budget; otherwise ValueError names the first field that differs."""
     values, top = [], {}
     parts: dict = {group: {} for group in _PARTS}
     for json_group, json_key, group, name, decode in _JSON_IN:
@@ -352,6 +353,11 @@ def record_from_json(obj: dict) -> FamilyRecord:
             raise ValueError(f"{column} is {value}, expected {expected}")
     if not torsion_hypothesis(rec.k, rec.base):
         raise ValueError(f"k = {rec.k} is not coprime to the degree of {rec.base}")
+    torsion = obj["torsion"]
+    if not expand_torsion and "decimal" in torsion:
+        raise ValueError("decimal is written, but meta.expand_torsion is false")
+    if expand_torsion and torsion["decimal"] != (decimal := str(rec.torsion.expand())):
+        raise ValueError(f"decimal is {torsion['decimal']!r}, expected {decimal!r}")
     return rec
 
 
@@ -430,8 +436,10 @@ def render_catalog(
 def parse_catalog_json(text: str) -> tuple[dict, list[FamilyRecord]]:
     """Inverse of the JSON rendering: (meta, records), exact.
 
-    Malformed text, a catalog of another schema and a malformed or
-    inconsistent record (named by its index) all raise UsageError.
+    Malformed text, a catalog of another schema, a meta count that is not
+    the number of records and a malformed or inconsistent record (named by
+    its index) all raise UsageError; a decimal past the digit budget raises
+    ResourceBudgetError.
     """
     try:
         payload = json.loads(text)
@@ -443,10 +451,15 @@ def parse_catalog_json(text: str) -> tuple[dict, list[FamilyRecord]]:
         raise UsageError(f"catalog schema is {schema!r}, expected {CATALOG_SCHEMA!r}")
     if not isinstance(objs, list):
         raise UsageError("malformed catalog: records is not a list")
+    count, expand_torsion = meta.get("count"), meta.get("expand_torsion")
+    if type(count) is not int or count != len(objs):
+        raise UsageError(f"catalog count is {count!r}, expected {len(objs)}")
+    if type(expand_torsion) is not bool:
+        raise UsageError(f"catalog expand_torsion is {expand_torsion!r}, expected bool")
     records = []
     for index, obj in enumerate(objs):
         try:
-            rec = record_from_json(obj)
+            rec = record_from_json(obj, expand_torsion)
         except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise UsageError(f"malformed catalog record {index}: {exc!r}") from None
         records.append(rec)

@@ -241,17 +241,25 @@ class KeCertificate(NamedTuple):
     presentations and neither implies the other; both are recorded.  When
     the cover carries Brieskorn-Pham exponents, left_value/right_bound are
     the two sides of the sufficiency inequality; otherwise they are the
-    sides of the necessary klt inequality.  Every certificate assumes the
-    genericity condition (`gc_assumed`)."""
+    sides of the necessary klt inequality.  The Fano sign and the
+    sufficiency verdict are read off the two sides.  Every certificate
+    assumes the genericity condition (`gc_assumed`)."""
 
-    fano: bool
     necessary_klt: bool
     bp_applicable: bool
-    bp_sufficient: bool
     left_value: Fraction
     right_bound: Fraction
     limiting_witness: str
     gc_assumed = True  # a class constant, not a field
+
+    @property
+    def fano(self) -> bool:
+        # k(|w| - d) + d > 0 iff |w|/d + 1/k > 1 (divide by kd): the left side on a BP cover
+        return self.left_value > (1 if self.bp_applicable else 0)
+
+    @property
+    def bp_sufficient(self) -> bool:
+        return self.bp_applicable and 1 < self.left_value < self.right_bound
 
 
 # `certify_cover`'s default: no rule given, so the call solves it
@@ -263,34 +271,25 @@ def certify_cover(
 ) -> KeCertificate:
     """Evaluate every certificate test for the k-fold cover of `base`.
 
-    The klt sides give both the Fano sign (left > 0) and the necessary klt
-    inequality ((m-1) left < m least).  A Brieskorn-Pham cover (every w_i
-    a proper divisor of d, gcd(k, d) = 1) is decided by the sufficiency
-    inequality solved in k, which equals the literal `bp_sufficient_ke` on
-    the cover exponents.  `rule` is `_sufficiency_in_k(base)` when the
-    caller has solved it once for many k; without it the call solves it.
-    A rule is ignored when gcd(k, d) > 1.
+    The klt sides give the necessary klt inequality ((m-1) left < m least).
+    A Brieskorn-Pham cover (every w_i a proper divisor of d, gcd(k, d) = 1)
+    records the sides of the sufficiency inequality solved in k, equal to
+    those of the literal `bp_sufficient_ke` on the cover exponents; any
+    other cover records the klt sides.  `rule` is `_sufficiency_in_k(base)`
+    when the caller has solved it once for many k; without it the call
+    solves it.  A rule is ignored when gcd(k, d) > 1.
     """
     if k < 2:
         raise UsageError(f"branch order k must be at least 2, got {k}")
     m = base.m
     left, least, witness = _klt_sides(k, base)
-    fano, nklt = left > 0, (m - 1) * left < m * least
+    nklt = (m - 1) * left < m * least
     if not torsion_hypothesis(k, base):
         rule = None
     elif rule is _UNSOLVED:
         rule = _sufficiency_in_k(base)
     if rule is None:
-        sufficient, left_value, right = False, Fraction(left), Fraction(m * least, m - 1)
+        left_value, right = Fraction(left), Fraction(m * least, m - 1)
     else:
-        sufficient = rule.admits(k)
         left_value, right, witness = rule.sides(k)
-    return KeCertificate(
-        fano=fano,
-        necessary_klt=nklt,
-        bp_applicable=rule is not None,
-        bp_sufficient=sufficient,
-        left_value=left_value,
-        right_bound=right,
-        limiting_witness=witness,
-    )
+    return KeCertificate(nklt, rule is not None, left_value, right, witness)

@@ -33,10 +33,16 @@ __all__ = [
 class ModuliCount(NamedTuple):
     """mu = h0_degree - h0_weights_sum; real_dim = 2 max(mu, 0)."""
 
-    complex_dim: int
-    real_dim: int
     h0_degree: int
     h0_weights_sum: int
+
+    @property
+    def complex_dim(self) -> int:
+        return self.h0_degree - self.h0_weights_sum
+
+    @property
+    def real_dim(self) -> int:
+        return 2 * max(self.complex_dim, 0)
 
 
 def moduli_count(ws: WeightSystem) -> ModuliCount:
@@ -48,13 +54,7 @@ def moduli_count(ws: WeightSystem) -> ModuliCount:
     """
     h0_d = count_monomials(ws.weights, ws.degree)
     h0_w = sum(n * count_monomials(ws.weights, w) for w, n in Counter(ws.weights).items())
-    mu = h0_d - h0_w
-    return ModuliCount(
-        complex_dim=mu,
-        real_dim=2 * max(mu, 0),
-        h0_degree=h0_d,
-        h0_weights_sum=h0_w,
-    )
+    return ModuliCount(h0_d, h0_w)
 
 
 def fermat_cy_moduli(m: int) -> int:

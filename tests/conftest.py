@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -37,6 +38,18 @@ def qs_triple_corpus() -> list[WeightSystem]:
 
 
 @pytest.fixture
+def digit_limit_off():
+    """The interpreter's int-to-str limit switched off, as PYTHONINTMAXSTRDIGITS=0
+    switches it off, and restored afterwards."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@pytest.fixture
 def genus_raises_on(monkeypatch):
     """Make the catalog's genus raise IntegrityError on one given system.
 
@@ -62,7 +75,8 @@ def _literal_certificate(k: int, base: WeightSystem) -> KeCertificate:
     way: the sufficiency test on the cover's own exponents when it has
     them, otherwise the two sides of the necessary klt inequality,
     k(|w| - d) + d < m/(m-1) min{d, k w_i}, with d winning ties and then
-    the first index."""
+    the first index.  The Fano sign k(|w| - d) + d > 0 and the literal
+    verdict must be what the certificate reads off its sides."""
     m, d = base.m, base.degree
     left = k * (base.norm - d) + d
     terms = [(d, "d")] + [(k * w, f"k*w[{i}]") for i, w in enumerate(base.weights, start=1)]
@@ -71,11 +85,13 @@ def _literal_certificate(k: int, base: WeightSystem) -> KeCertificate:
     exponents = branched_cover(k, base).bp_exponents
     if exponents is None:
         right = Fraction(m * least, m - 1)
-        return KeCertificate(fano, nklt, False, False, Fraction(left), right, witness)
-    bp = bp_sufficient_ke(exponents)
-    return KeCertificate(
-        fano, nklt, True, bp.verdict, bp.reciprocal_sum, bp.bound, bp.limiting_witness
-    )
+        cert, verdict = KeCertificate(nklt, False, Fraction(left), right, witness), False
+    else:
+        bp = bp_sufficient_ke(exponents)
+        cert = KeCertificate(nklt, True, bp.reciprocal_sum, bp.bound, bp.limiting_witness)
+        verdict = bp.verdict
+    assert (cert.fano, cert.bp_sufficient) == (fano, verdict), (k, base)
+    return cert
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,7 @@ import pytest
 
 from selinks import FactoredPower, ResourceBudgetError, UsageError, count_monomials
 from selinks import arith
-from selinks.arith import COUNT_MONOMIALS_CELL_LIMIT, COUNT_MONOMIALS_WORK_LIMIT
+from selinks.arith import COUNT_MONOMIALS_CELL_LIMIT, COUNT_MONOMIALS_WORK_LIMIT, check_digits
 
 
 def test_count_monomials_classified_degrees():
@@ -24,6 +24,12 @@ def test_count_monomials_zero_target_and_ones():
     for m in range(1, 6):
         for t in range(0, 12):
             assert count_monomials((1,) * m, t) == math.comb(t + m - 1, m - 1)
+    with pytest.raises(UsageError, match="at least one weight"):
+        count_monomials((), 3)
+    with pytest.raises(UsageError, match="weights must be positive integers, got 0"):
+        count_monomials((1, 0, 2), 3)
+    with pytest.raises(UsageError, match="target must be non-negative, got -1"):
+        count_monomials((1, 2), -1)
 
 
 def test_count_monomials_against_direct_enumeration():
@@ -78,12 +84,34 @@ def test_factored_power():
         FactoredPower(1, 5)
 
 
-@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no int-to-str digit limit")
 def test_factored_power_expansion_stops_at_the_digit_limit():
-    limit = sys.get_int_max_str_digits()
+    # the default limit applies while the interpreter's is off (0)
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    which = "interpreter's" if sys.get_int_max_str_digits() else "default"
     assert len(str(FactoredPower(10, limit - 1).expand())) == limit
-    with pytest.raises(ResourceBudgetError, match=f"more than {limit} decimal digits"):
+    with pytest.raises(
+        ResourceBudgetError, match=f"more than {limit} decimal digits, the {which} int-to-str limit$"
+    ):
         FactoredPower(10, limit).expand()
     # about 8.5 GB if it were computed; refused from the bit-length bound
     with pytest.raises(ResourceBudgetError):
+        FactoredPower(19, 16134384889).expand()
+
+
+def test_the_default_digit_limit_applies_while_the_interpreter_limit_is_off(digit_limit_off):
+    assert sys.get_int_max_str_digits() == 0
+    limit = sys.int_info.default_max_str_digits
+    assert limit == 4300
+    assert len(str(FactoredPower(10, limit - 1).expand())) == limit
+    assert check_digits(-(10**limit - 1), "n") == -(10**limit - 1)
+    message = f"more than {limit} decimal digits, the default int-to-str limit"
+    with pytest.raises(ResourceBudgetError, match=f"^10\\^{limit} has {message}$"):
+        FactoredPower(10, limit).expand()
+    with pytest.raises(ResourceBudgetError, match=f"^n has {message}$"):
+        check_digits(10**limit, "n")
+    # 3^348678441, the torsion order of the 3-fold cover of (1^10; 10), would
+    # take about 69 MB; refused from the bit-length bound, at once
+    with pytest.raises(ResourceBudgetError, match=message):
+        FactoredPower(3, 348678441).expand()
+    with pytest.raises(ResourceBudgetError, match=message):
         FactoredPower(19, 16134384889).expand()

@@ -143,11 +143,30 @@ def test_an_empty_catalog(cfg, expand_torsion):
 
 def test_every_combination_of_the_certificate_flags():
     rec = scan_fermat_cy(ScanConfig(k_bound=5, m_range=(3, 3)))[0]
-    sides = (Fraction(1, 3), Fraction(-7, 2), "k*w[1]")
-    records = [
-        rec._replace(certificate=KeCertificate(*flags, *sides))
-        for flags in itertools.product((False, True), repeat=4)
+    # (bp_applicable, left_value, right_bound): the certificate reads its
+    # Fano sign and verdict off the sides, so these reach every pair of them
+    sides = [
+        (False, Fraction(-7, 2), Fraction(3)),
+        (False, Fraction(1, 3), Fraction(3)),
+        (True, Fraction(1), Fraction(2)),
+        (True, Fraction(3, 2), Fraction(5, 4)),
+        (True, Fraction(3, 2), Fraction(2)),
     ]
+    records = [
+        rec._replace(certificate=KeCertificate(nklt, bp, left, right, "k*w[1]"))
+        for nklt, (bp, left, right) in itertools.product((False, True), sides)
+    ]
+    flags = {
+        (cert.fano, cert.necessary_klt, cert.bp_applicable, cert.bp_sufficient)
+        for cert in (r.certificate for r in records)
+    }
+    # a verdict holds only on a Brieskorn-Pham cover that is Fano
+    assert flags == {
+        (fano, nklt, bp, sufficient)
+        for fano, nklt, bp, sufficient in itertools.product((False, True), repeat=4)
+        if not sufficient or (fano and bp)
+    }
+    assert len(flags) == 10
     assert_writer_is_the_oracle(records, None)
 
 
@@ -159,11 +178,9 @@ records = st.builds(
     family_tag=st.sampled_from(FAMILY_TAGS),
     base=st.builds(WeightSystem, st.lists(positive, min_size=2, max_size=12), positive),
     torsion=st.builds(FactoredPower, st.integers(2, 2**70), st.integers(0, 40)),
-    moduli=st.builds(ModuliCount, big_ints, big_ints, big_ints, big_ints),
+    moduli=st.builds(ModuliCount, big_ints, big_ints),
     certificate=st.builds(
         KeCertificate,
-        st.booleans(),
-        st.booleans(),
         st.booleans(),
         st.booleans(),
         fractions,

@@ -12,6 +12,7 @@ import pytest
 from selinks import (
     FactoredPower,
     FamilyRecord,
+    ResourceBudgetError,
     ScanConfig,
     UsageError,
     WeightSystem,
@@ -227,6 +228,8 @@ def test_catalog_table_renders():
     assert "3^6" in text or "hyperbolic" in text
     with pytest.raises(UsageError, match="unknown catalog format 'xml'"):
         render_catalog([], "xml", cfg)
+    with pytest.raises(UsageError, match="unknown format 'xml'"):
+        cli.render_euclidean_rows([], "xml")
 
 
 def test_catalog_table_keeps_every_cell_apart():
@@ -363,6 +366,31 @@ def test_expand_torsion_past_the_digit_limit_exits_4(capsys):
     assert captured.out == ""
     assert captured.err.startswith("resource budget error: 11^13421 ")
     assert "Traceback" not in captured.err
+
+
+def test_the_default_digit_limit_applies_while_the_interpreter_limit_is_off(
+    digit_limit_off, tmp_path, capsys
+):
+    # with no limit, 3^348678441 used to be computed for minutes
+    code = main(["scan", "fermat-cy", "--k-bound", "4", "--m", "10..10", "--expand-torsion"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == (
+        "resource budget error: 3^348678441 has more than 4300 decimal digits, "
+        "the default int-to-str limit\n"
+    )
+    src = tmp_path / "bases.txt"
+    src.write_text("1,1,1;3\n" + ",".join(["1"] * 10) + ";10\n", encoding="utf-8")
+    code = main(["ingest", str(src), "--expand-torsion", "--k-range", "2..5", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == (
+        "ingest: line 2: 3^348678441 has more than 4300 decimal digits, "
+        "the default int-to-str limit\n"
+    )
+    meta, records = parse_catalog_json(captured.out)
+    assert {(r.base.weights, r.k) for r in records} == {((1, 1, 1), k) for k in (2, 4, 5)}
 
 
 def test_moduli_past_the_counting_budget_exits_4(capsys):
@@ -689,24 +717,84 @@ def test_parse_catalog_json_refuses_an_inconsistent_record(edit, message):
         (None, "l_or_d", 4, "l_or_d is 4, expected 3"),
         (None, "link_dimension", 7, "link_dimension is 7, expected 5"),
         (None, "genus", 2, "genus is 2, expected 1"),
+        ("moduli", "complex", 999, "moduli_complex is 999, expected 1"),
+        ("moduli", "real", 5, "moduli_real is 5, expected 2"),
+        ("certificate", "fano", False, "fano is False, expected True"),
+        ("certificate", "bp_sufficient", True, "bp_sufficient is True, expected False"),
         ("certificate", "gc_assumed", False, "gc_assumed is False, expected True"),
     ],
 )
 def test_parse_catalog_json_refuses_an_edited_derived_field(group, key, value, message):
     # the record stores none of these: it reads them off the base, the
-    # torsion order and the certificate's constant, so each must read back
+    # torsion order, the two h0 counts, the certificate's two sides and its
+    # constant, so each must read back
     derived = [
         field.json_path
         for field in cli._FIELDS
         for attr_group, name in [cli._split(field.attr_path)]
         if name not in (FamilyRecord if attr_group is None else cli._PARTS[attr_group])._fields
     ]
-    assert derived == ["m", "k", "l_or_d", "link_dimension", "genus", "certificate.gc_assumed"]
+    assert derived == [
+        "m",
+        "k",
+        "l_or_d",
+        "link_dimension",
+        "genus",
+        "moduli.complex",
+        "moduli.real",
+        "certificate.fano",
+        "certificate.bp_sufficient",
+        "certificate.gc_assumed",
+    ]
     payload = json.loads(_catalog_text())
     (payload["records"][2] if group is None else payload["records"][2][group])[key] = value
     with pytest.raises(UsageError, match="record 2: ValueError") as excinfo:
         parse_catalog_json(json.dumps(payload))
     assert message in str(excinfo.value)
+
+
+def _expanded_catalog() -> dict:
+    # the torsion orders of these 8 records are k^2, k = 2, 4, ..., 13
+    cfg = ScanConfig(k_bound=13, m_range=(3, 3))
+    return json.loads(render_catalog(scan_fermat_cy(cfg), "json", cfg, expand_torsion=True))
+
+
+@pytest.mark.parametrize(
+    "where, edit, message",
+    [
+        (
+            7,
+            {"torsion": {"base": 13, "exponent": 2, "decimal": "170"}},
+            "record 7: ValueError(\"decimal is '170', expected '169'\")",
+        ),
+        (3, {"torsion": {"base": 7, "exponent": 2}}, "record 3: KeyError('decimal')"),
+        (
+            "meta",
+            {"expand_torsion": False},
+            "record 0: ValueError('decimal is written, but meta.expand_torsion is false')",
+        ),
+        ("meta", {"expand_torsion": "yes"}, "catalog expand_torsion is 'yes', expected bool"),
+        ("meta", {"count": 99}, "catalog count is 99, expected 8"),
+        ("meta", {"count": None}, "catalog count is None, expected 8"),
+        ("meta", {"count": 8.0}, "catalog count is 8.0, expected 8"),
+    ],
+)
+def test_parse_catalog_json_reads_back_the_decimal_and_the_count(where, edit, message):
+    payload = _expanded_catalog()
+    (payload["meta"] if where == "meta" else payload["records"][where]).update(edit)
+    with pytest.raises(UsageError) as excinfo:
+        parse_catalog_json(json.dumps(payload))
+    assert message in str(excinfo.value)
+
+
+def test_parse_catalog_json_expands_a_decimal_under_the_digit_budget():
+    # a power past the int-to-str limit could not have been written
+    payload = _expanded_catalog()
+    record = payload["records"][0]
+    record["torsion"] = {"base": 2, "exponent": 10**5, "decimal": "2"}
+    record["genus"] = 5 * 10**4
+    with pytest.raises(ResourceBudgetError, match="^2\\^100000 has more than "):
+        parse_catalog_json(json.dumps(payload))
 
 
 def test_scan_and_ingest_defaults_are_the_scan_config_defaults(tmp_path, capsys):

@@ -40,6 +40,8 @@ def test_necessary_klt_examples():
     assert necessary_klt(13, WeightSystem((1, 1, 1, 1), 4))
     assert not necessary_klt(2, WeightSystem((1, 1, 1), 2))  # left 4, right 3
     assert not necessary_klt(1, WeightSystem((1, 2, 3), 6))  # left 6, right 3/2
+    with pytest.raises(UsageError, match="k must be positive, got 0"):
+        necessary_klt(0, WeightSystem((1, 2, 3), 6))
 
 
 def test_necessary_klt_matches_euclidean_threshold():
@@ -196,6 +198,8 @@ def test_hyperbolic_k_window_examples():
         hyperbolic_k_window(3, 7)
     with pytest.raises(UsageError):
         hyperbolic_k_window(3, 2)
+    with pytest.raises(UsageError, match="m must be at least 3, got 2"):
+        hyperbolic_k_window(2, 3)
 
 
 def test_window_matches_literal_verdicts():

@@ -90,6 +90,8 @@ def test_hyperbolic_moduli():
         assert hyperbolic_moduli(m, m + 1) == math.comb(2 * m, m + 1) - m * m
     with pytest.raises(UsageError):
         hyperbolic_moduli(3, 7)
+    with pytest.raises(UsageError, match="m must be at least 3, got 2"):
+        hyperbolic_moduli(2, 3)
 
 
 def test_hyperbolic_moduli_matches_literal_count():

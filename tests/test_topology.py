@@ -1,15 +1,20 @@
 import itertools
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from milnor_algebra import milnor_algebra_betti, poincare_series
+from test_links import invertible_systems, repeated_block_systems
 
 from selinks import (
     FactoredPower,
     IntegrityError,
     ResourceBudgetError,
+    ScanConfig,
     UsageError,
     WeightSystem,
     betti_bp_oracle,
@@ -17,8 +22,11 @@ from selinks import (
     genus,
     milnor_orlik_betti,
     quasi_smooth_generic,
+    scan_all,
     torsion_order,
 )
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def bp_weight_system(a):
@@ -120,6 +128,8 @@ def test_fermat_betti():
             assert fermat_betti(m, l) == milnor_orlik_betti(WeightSystem((1,) * m, l))
     for l in range(2, 10):
         assert fermat_betti(3, l) == (l - 2) * (l - 1)
+    with pytest.raises(UsageError, match="l must be at least 2, got 1"):
+        fermat_betti(3, 1)
 
 
 def test_genus_values():
@@ -201,3 +211,46 @@ def test_fermat_24_is_quasi_smooth_with_its_closed_form_betti():
     ws = WeightSystem((1,) * 24, 24)
     assert milnor_orlik_betti(ws) == fermat_betti(24, 24)
     assert quasi_smooth_generic(ws)
+
+
+# the Milnor algebra is the second route to b_{m-2} on every base, not only
+# the Brieskorn-Pham ones `betti_bp_oracle` covers
+
+
+def test_the_poincare_series_by_hand():
+    # (1,1,1;3): (1 + t)^3, Milnor number 8; the eigenvalue 1 sits at t^0, t^3
+    assert poincare_series((1, 1, 1), 3) == [1, 3, 3, 1]
+    assert milnor_algebra_betti((1, 1, 1), 3) == 2
+    # (1,2,3;6): P = (1 + t + ... + t^4)(1 + t + t^2 + t^3)(1 + t + t^2)
+    assert sum(poincare_series((1, 2, 3), 6)) == 5 * 2 * 1
+    assert poincare_series((2, 3), 6) == [1, 0, 1]  # x^3 + y^2: 1, x
+    # a weight equal to d: a linear term, so the Milnor algebra is 0
+    assert poincare_series((1, 4), 4) == [0, 0, 0]
+
+
+def test_milnor_algebra_betti_on_every_catalog_base(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import ingest_rows
+
+    try:
+        ingested = {(w, d) for w, d, _ in ingest_rows(0).keys}
+    finally:
+        sys.modules.pop("workloads", None)
+        sys.modules.pop("oracles", None)
+    families = {rec.base for rec in scan_all(ScanConfig(k_bound=400, m_range=(3, 10)))}
+    bases = {WeightSystem(w, d) for w, d in ingested} | families
+    assert (len(ingested), len(families), len(bases)) == (177, 26, 203)
+    for ws in bases:
+        assert milnor_algebra_betti(ws.weights, ws.degree) == milnor_orlik_betti(ws), ws
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(invertible_systems() | repeated_block_systems())
+def test_milnor_algebra_betti_equals_milnor_orlik(ws):
+    if quasi_smooth_generic(ws):
+        assert milnor_algebra_betti(ws.weights, ws.degree) == milnor_orlik_betti(ws)
+
+
+def test_milnor_algebra_betti_on_the_triple_corpus(qs_triple_corpus):
+    for ws in qs_triple_corpus:
+        assert milnor_algebra_betti(ws.weights, ws.degree) == milnor_orlik_betti(ws), ws
