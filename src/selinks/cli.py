@@ -369,8 +369,8 @@ def _table_text(value: Any) -> str:
     return "-" if value is None else str(value)
 
 
-def _catalog_meta(cfg: Optional[ScanConfig], expand_torsion: bool, count: int) -> dict:
-    meta = {
+def _catalog_meta(cfg: ScanConfig, expand_torsion: bool, count: int) -> dict:
+    return {
         "schema": CATALOG_SCHEMA,
         "tool": {"name": "selinks", "version": __version__},
         "assumptions": [
@@ -379,16 +379,22 @@ def _catalog_meta(cfg: Optional[ScanConfig], expand_torsion: bool, count: int) -
         ],
         "expand_torsion": expand_torsion,
         "count": count,
+        "bounds": cfg._asdict(),
     }
-    if cfg is not None:
-        meta["bounds"] = cfg._asdict()
-    return meta
+
+
+def _csv_text(header: Sequence[str], rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def render_catalog(
     records: Sequence[FamilyRecord],
-    fmt: str = "json",
-    cfg: Optional[ScanConfig] = None,
+    fmt: str,
+    cfg: ScanConfig,
     expand_torsion: bool = False,
 ) -> str:
     """Serialize records (already in canonical order) to table, csv or json."""
@@ -411,11 +417,7 @@ def render_catalog(
         parts.append("\n  ]\n}\n")
         return "".join(parts)
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        writer.writerows(_csv_row(rec, expand_torsion) for rec in records)
-        return buf.getvalue()
+        return _csv_text(CSV_HEADER, (_csv_row(rec, expand_torsion) for rec in records))
     if fmt == "table":
         # a space between cells keeps a cell wider than its column apart
         # from the next one
@@ -436,30 +438,39 @@ def render_catalog(
 def parse_catalog_json(text: str) -> tuple[dict, list[FamilyRecord]]:
     """Inverse of the JSON rendering: (meta, records), exact.
 
-    Malformed text, a catalog of another schema, a meta count that is not
-    the number of records and a malformed or inconsistent record (named by
-    its index) all raise UsageError; a decimal past the digit budget raises
-    ResourceBudgetError.
+    `meta` must be, as JSON text, what `_catalog_meta` writes for the
+    ScanConfig its bounds make, and each record must read back with its k
+    inside the bounds; otherwise UsageError names the meta key or the index
+    of the record.  A decimal past the digit budget raises ResourceBudgetError.
     """
     try:
         payload = json.loads(text)
         meta, objs = payload["meta"], payload["records"]
-        schema = meta["schema"]
+        bounds = meta["bounds"]
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise UsageError(f"malformed catalog: {exc!r}") from None
-    if schema != CATALOG_SCHEMA:
-        raise UsageError(f"catalog schema is {schema!r}, expected {CATALOG_SCHEMA!r}")
     if not isinstance(objs, list):
         raise UsageError("malformed catalog: records is not a list")
-    count, expand_torsion = meta.get("count"), meta.get("expand_torsion")
-    if type(count) is not int or count != len(objs):
-        raise UsageError(f"catalog count is {count!r}, expected {len(objs)}")
+    expand_torsion = meta.get("expand_torsion")
     if type(expand_torsion) is not bool:
         raise UsageError(f"catalog expand_torsion is {expand_torsion!r}, expected bool")
+    try:
+        cfg = ScanConfig(**bounds)
+        _ints((cfg.weight_bound, cfg.k_bound, *cfg.m_range, cfg.k_min))
+    except (TypeError, ValueError) as exc:  # a UsageError is a ValueError
+        raise UsageError(f"catalog bounds {bounds!r} are refused: {exc!r}") from None
+    expected = _catalog_meta(cfg, expand_torsion, len(objs))
+    for key, value in expected.items():
+        if json.dumps(meta.get(key), sort_keys=True) != json.dumps(value, sort_keys=True):
+            raise UsageError(f"catalog {key} is {meta.get(key)!r}, expected {value!r}")
+    if meta.keys() != expected.keys():
+        raise UsageError(f"catalog meta keys are {sorted(meta)}, expected {sorted(expected)}")
     records = []
     for index, obj in enumerate(objs):
         try:
             rec = record_from_json(obj, expand_torsion)
+            if not cfg.k_min <= rec.k <= cfg.k_bound:
+                raise ValueError(f"k is {rec.k}, not in k_min..k_bound {cfg.k_min}..{cfg.k_bound}")
         except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise UsageError(f"malformed catalog record {index}: {exc!r}") from None
         records.append(rec)
@@ -481,14 +492,13 @@ def render_euclidean_rows(rows: Sequence[EuclideanRow], fmt: str) -> str:
         }
         return json.dumps(payload, indent=2) + "\n"
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(("weights", "degree", "monomials"))
-        for row in rows:
-            writer.writerow(
+        return _csv_text(
+            ("weights", "degree", "monomials"),
+            (
                 (" ".join(str(w) for w in row.system.weights), row.system.degree, row.monomials)
-            )
-        return buf.getvalue()
+                for row in rows
+            ),
+        )
     if fmt == "table":
         lines = [f"{'weights':<12}{'d':>4}{'n':>4}"]
         for row in rows:

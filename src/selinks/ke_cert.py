@@ -161,9 +161,6 @@ class _KRule(NamedTuple):
     lower: Fraction  # equal to upper when no k passes
     upper: Optional[Fraction]  # None: no upper bound
 
-    def admits(self, k: int) -> bool:
-        return self.lower < k and (self.upper is None or k < self.upper)
-
     def sides(self, k: int) -> tuple[Fraction, Fraction, str]:
         """S + 1/k, the right bound and the term attaining it; k is index 0,
         so it is the witness whenever k >= T."""
@@ -228,8 +225,8 @@ def hyperbolic_k_window(m: int, l: int) -> HyperbolicWindow:
     rule = _sufficiency_in_k(base)
     solutions = tuple(
         k
-        for k in range(2, math.ceil(rule.upper))
-        if rule.admits(k) and torsion_hypothesis(k, base)
+        for k in range(2, math.ceil(rule.upper))  # every k < upper
+        if rule.lower < k and torsion_hypothesis(k, base)
     )
     return HyperbolicWindow(rule.lower, rule.upper, solutions)
 
@@ -279,12 +276,11 @@ def certify_cover(
     when the caller has solved it once for many k; without it the call
     solves it.  A rule is ignored when gcd(k, d) > 1.
     """
-    if k < 2:
-        raise UsageError(f"branch order k must be at least 2, got {k}")
+    coprime = torsion_hypothesis(k, base)  # refuses k < 2
     m = base.m
     left, least, witness = _klt_sides(k, base)
     nklt = (m - 1) * left < m * least
-    if not torsion_hypothesis(k, base):
+    if not coprime:
         rule = None
     elif rule is _UNSOLVED:
         rule = _sufficiency_in_k(base)

@@ -156,14 +156,13 @@ def branched_cover(k: int, base: WeightSystem) -> CoverData:
     g = gcd(k, d).  The linear case k = 1 is a hyperplane section, not a
     cover, and is rejected.
     """
-    if k < 2:
-        raise UsageError(f"branch order k must be at least 2, got {k}")
+    coprime = torsion_hypothesis(k, base)  # refuses k < 2
     d = base.degree
     g = math.gcd(k, d)
     cover = WeightSystem(
         (d // g,) + tuple(k // g * w for w in base.weights), math.lcm(k, d)
     )
-    bp = base.bp_exponents if g == 1 else None
+    bp = base.bp_exponents if coprime else None
     if bp is not None:
         bp = (k,) + bp
     return CoverData(k=k, base=base, cover=cover, bp_exponents=bp)

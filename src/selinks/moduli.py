@@ -20,6 +20,7 @@ from typing import NamedTuple
 
 from .arith import count_monomials
 from .errors import UsageError
+from .ke_cert import hyperbolic_k_window
 from .links import WeightSystem
 
 __all__ = [
@@ -70,11 +71,5 @@ def fermat_cy_moduli(m: int) -> int:
 
 def hyperbolic_moduli(m: int, l: int) -> int:
     """Closed form C(m+l-1, l) - m^2 for covers of the degree-l Fermat base."""
-    if m < 3:
-        raise UsageError(f"m must be at least 3, got {m}")
-    if not m + 1 <= l <= 2 * m - 1:
-        raise UsageError(
-            f"l must satisfy m+1 <= l <= 2m-1, got l={l} for m={m} "
-            f"(admissible range {m + 1}..{2 * m - 1})"
-        )
+    hyperbolic_k_window(m, l)  # refuses an m and l whose covers have no window
     return math.comb(m + l - 1, l) - m * m

@@ -304,11 +304,11 @@ def scan_euclidean_classification(cfg: ScanConfig) -> list[EuclideanRow]:
 def _least_certifying_k(base: WeightSystem, k_bound: int) -> Optional[int]:
     """Smallest admissible k whose cover passes the sufficiency inequality,
     found by sweeping the literal inequality (`bp_sufficient_ke`) over k."""
+    exponents = base.bp_exponents
+    if exponents is None:
+        return None
     for k in range(2, k_bound + 1):
-        if not torsion_hypothesis(k, base):
-            continue
-        exponents = branched_cover(k, base).bp_exponents
-        if exponents is not None and bp_sufficient_ke(exponents).verdict:
+        if torsion_hypothesis(k, base) and bp_sufficient_ke((k,) + exponents).verdict:
             return k
     return None
 

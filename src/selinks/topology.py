@@ -116,10 +116,8 @@ def fermat_betti(m: int, l: int) -> int:
     num = (1 - l) ** m - 1
     # (1-l) = 1 mod l, so num is always divisible by l
     assert num % l == 0
-    value = (-1) ** m * (1 + num // l)
-    if value < 0:
-        raise IntegrityError(f"closed form gave negative Betti number {value}")
-    return value
+    # never negative: 1 + ((l-1)^m - 1)/l for even m, ((l-1)^m + 1)/l - 1 for odd m
+    return (-1) ** m * (1 + num // l)
 
 
 def genus(ws: WeightSystem) -> int:

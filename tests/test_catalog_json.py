@@ -3,9 +3,11 @@
 `render_catalog(..., "json", ...)` writes each record field by field from
 `_FIELDS`.  The oracle spells each record out by hand as nested dicts,
 from the `FamilyRecord` attributes and not from `_FIELDS`, and lets
-`json.dumps(indent=2)` write it; the two must give the same text.
+`json.dumps(indent=2)` write it; the two must give the same text.  The
+catalogs the benchmark writes must also keep the sha256 it pins.
 """
 
+import hashlib
 import itertools
 import json
 import sys
@@ -28,7 +30,7 @@ from selinks import (
     scan_fermat_cy,
     scan_hyperbolic,
 )
-from selinks.cli import _catalog_meta, render_catalog
+from selinks.cli import _catalog_meta, main, render_catalog
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 FAMILY_TAGS = ("euclidean5", "fermat_cy", "hyperbolic", "mixed_canonical", "ingested")
@@ -119,6 +121,31 @@ def test_the_benchmark_ingest_rows(monkeypatch):
     assert_writer_is_the_oracle(records, cfg)
 
 
+def test_the_benchmark_catalogs_keep_their_pinned_sha256(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import ingest_rows
+
+    try:
+        lines = ingest_rows(0).lines
+    finally:
+        sys.modules.pop("workloads", None)
+        sys.modules.pop("oracles", None)
+    rows = tmp_path / "ingest-rows.txt"
+    rows.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    runs = {
+        f"families/{family}": ["scan", family, "--k-bound", "400", "--m", "3..10"]
+        for family in ("fermat-cy", "theorem2", "hyperbolic", "mixed-canonical")
+    }
+    runs["euclidean/euclidean"] = ["scan", "euclidean", "--weight-bound", "150"]
+    runs["ingest/ingest/seed=0"] = ["ingest", str(rows)]
+    pinned = json.loads((PERFBENCH / "baseline_sha256.json").read_text(encoding="utf-8"))
+    out = tmp_path / "catalog.json"
+    for key, args in runs.items():
+        assert main([*args, "--format", "json", "--out", str(out)]) == 0, key
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == pinned["catalogs"][key], key
+
+
 @pytest.mark.parametrize(
     "scan, cfg",
     [
@@ -133,7 +160,9 @@ def test_expanded_torsion(scan, cfg):
     assert_writer_is_the_oracle(records, cfg, expand_torsion=True)
 
 
-@pytest.mark.parametrize("cfg", [None, ScanConfig()])
+@pytest.mark.parametrize(
+    "cfg", [ScanConfig(weight_bound=1, k_bound=1, m_range=(3, 3)), ScanConfig()]
+)
 @pytest.mark.parametrize("expand_torsion", [False, True])
 def test_an_empty_catalog(cfg, expand_torsion):
     text = render_catalog([], "json", cfg, expand_torsion)
@@ -142,7 +171,8 @@ def test_an_empty_catalog(cfg, expand_torsion):
 
 
 def test_every_combination_of_the_certificate_flags():
-    rec = scan_fermat_cy(ScanConfig(k_bound=5, m_range=(3, 3)))[0]
+    cfg = ScanConfig(k_bound=5, m_range=(3, 3))
+    rec = scan_fermat_cy(cfg)[0]
     # (bp_applicable, left_value, right_bound): the certificate reads its
     # Fano sign and verdict off the sides, so these reach every pair of them
     sides = [
@@ -167,7 +197,7 @@ def test_every_combination_of_the_certificate_flags():
         if not sufficient or (fano and bp)
     }
     assert len(flags) == 10
-    assert_writer_is_the_oracle(records, None)
+    assert_writer_is_the_oracle(records, cfg)
 
 
 big_ints = st.integers(-(2**70), 2**70) | st.sampled_from([2**64, 2**64 + 1, -(2**64), 10**30])
@@ -190,7 +220,7 @@ records = st.builds(
     paper_min_k=st.none() | big_ints,
     literal_min_k=st.none() | big_ints,
 )
-configs = st.none() | st.builds(
+configs = st.builds(
     ScanConfig,
     weight_bound=positive,
     k_bound=positive,

@@ -797,6 +797,83 @@ def test_parse_catalog_json_expands_a_decimal_under_the_digit_budget():
         parse_catalog_json(json.dumps(payload))
 
 
+def test_the_meta_of_a_scan_catalog_by_hand(capsys):
+    # spelled out here, not taken from cli._catalog_meta, which both the
+    # writer and the reader use
+    meta = {
+        "schema": "selinks.catalog/1",
+        "tool": {"name": "selinks", "version": "0.1.0"},
+        "assumptions": [
+            "genericity condition on perturbations assumed, not verified",
+            "sufficiency verdicts follow the literal displayed inequality",
+        ],
+        "expand_torsion": False,
+        "count": 8,
+        "bounds": {"weight_bound": 60, "k_bound": 13, "m_range": [3, 3], "k_min": 2},
+    }
+    assert main(["scan", "fermat-cy", "--k-bound", "13", "--m", "3..3", "--format", "json"]) == 0
+    text = capsys.readouterr().out
+    assert json.loads(text)["meta"] == meta
+    assert parse_catalog_json(text)[0] == meta
+
+
+@pytest.mark.parametrize(
+    "group, key, value, message",
+    [
+        (
+            "bounds",
+            "k_bound",
+            -5,
+            "catalog bounds {'weight_bound': 60, 'k_bound': -5, 'm_range': [3, 3], 'k_min': 2} are "
+            "refused: UsageError('bounds must be positive, got weight_bound 60 and k_bound -5')",
+        ),
+        (
+            "bounds",
+            "m_range",
+            [9, 3],
+            "'m_range': [9, 3], 'k_min': 2} are refused: "
+            "UsageError('m range must satisfy 3 <= lo <= hi, got [9, 3]')",
+        ),
+        # the records reach k = 13
+        ("bounds", "k_bound", 5, "record 3: ValueError('k is 7, not in k_min..k_bound 2..5')"),
+        # 8.0 is not 8, and true is not 1
+        (
+            "bounds",
+            "k_bound",
+            13.0,
+            "'k_bound': 13.0, 'm_range': [3, 3], 'k_min': 2} are refused: "
+            "TypeError('13.0 is not an integer')",
+        ),
+        ("bounds", "k_bound", True, "are refused: TypeError('True is not an integer')"),
+        ("bounds", "thread_budget", 1, "unexpected keyword argument 'thread_budget'"),
+        (None, "tool", {"name": "x"}, "catalog tool is {'name': 'x'}, expected {'name': 'sel"),
+        ("tool", "version", "0.0.9", "catalog tool is {'name': 'selinks', 'version': '0.0.9'}"),
+        (None, "assumptions", [], "catalog assumptions is [], expected ['genericity condition"),
+        (None, "schema", None, "catalog schema is None, expected 'selinks.catalog/1'"),
+        (
+            None,
+            "extra",
+            None,
+            "catalog meta keys are ['assumptions', 'bounds', 'count', 'expand_torsion', "
+            "'extra', 'schema', 'tool'], expected ['assumptions', 'bounds', 'count', ",
+        ),
+    ],
+)
+def test_parse_catalog_json_reads_back_every_meta_key(group, key, value, message):
+    payload = _expanded_catalog()
+    (payload["meta"] if group is None else payload["meta"][group])[key] = value
+    with pytest.raises(UsageError) as excinfo:
+        parse_catalog_json(json.dumps(payload))
+    assert message in str(excinfo.value)
+
+
+def test_parse_catalog_json_refuses_a_catalog_without_bounds():
+    payload = _expanded_catalog()
+    del payload["meta"]["bounds"]
+    with pytest.raises(UsageError, match=r"malformed catalog: KeyError\('bounds'\)"):
+        parse_catalog_json(json.dumps(payload))
+
+
 def test_scan_and_ingest_defaults_are_the_scan_config_defaults(tmp_path, capsys):
     cfg = ScanConfig()
     assert (cfg.weight_bound, cfg.k_bound, cfg.m_range, cfg.k_min) == (60, 60, (3, 8), 2)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from milnor_algebra import milnor_algebra_betti, poincare_series
+from milnor_algebra import milnor_algebra_betti, milnor_algebra_torsion, poincare_series
 from test_links import invertible_systems, repeated_block_systems
 
 from selinks import (
@@ -18,8 +18,11 @@ from selinks import (
     UsageError,
     WeightSystem,
     betti_bp_oracle,
+    branched_cover,
+    count_monomials,
     fermat_betti,
     genus,
+    ingest_weight_list,
     milnor_orlik_betti,
     quasi_smooth_generic,
     scan_all,
@@ -254,3 +257,48 @@ def test_milnor_algebra_betti_equals_milnor_orlik(ws):
 def test_milnor_algebra_betti_on_the_triple_corpus(qs_triple_corpus):
     for ws in qs_triple_corpus:
         assert milnor_algebra_betti(ws.weights, ws.degree) == milnor_orlik_betti(ws), ws
+
+
+@pytest.fixture(scope="module")
+def catalog_records():
+    """Every record of the four family scans at k-bound 60, m 3..6, and of the
+    benchmark's seed-0 ingest rows at k-bound 13."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(PERFBENCH))
+        from workloads import ingest_rows
+
+        try:
+            lines = ingest_rows(0).lines
+        finally:
+            sys.modules.pop("workloads", None)
+            sys.modules.pop("oracles", None)
+    ingested = ingest_weight_list(lines, ScanConfig(k_bound=13)).records
+    return scan_all(ScanConfig(k_bound=60, m_range=(3, 6))) + ingested
+
+
+def test_the_torsion_order_by_hand():
+    # z_0^5 + x^3 + y^3 + z^3: 8 eigenvalues of order 5 give 5^(8/4), and
+    # the 24 of order 15 give 1
+    assert milnor_algebra_torsion((3, 5, 5, 5), 15) == 25
+    # (1,1,1;3) itself has the eigenvalue 1 twice (b_1 = 2)
+    assert milnor_algebra_torsion((1, 1, 1), 3) == 0
+
+
+def test_every_catalog_cover_is_a_rational_homology_sphere_with_its_torsion(catalog_records):
+    # 1,329 records: the ingest rows repeat three bases
+    torsions = {(rec.base, rec.k): rec.torsion for rec in catalog_records}
+    assert (len(catalog_records), len(torsions)) == (1329, 1276)
+    for (base, k), torsion in torsions.items():
+        cover = branched_cover(k, base).cover
+        assert milnor_orlik_betti(cover) == 0, cover
+        # the oracle is 0 exactly when 1 is an eigenvalue, and k^b >= 1; the
+        # power is built by hand, since some pass the digit budget of `expand`
+        assert milnor_algebra_torsion(cover.weights, cover.degree) == k**torsion.exponent, cover
+
+
+def test_the_adjunction_genus_on_every_catalog_triple(catalog_records, qs_triple_corpus):
+    # g = h^0(K_C) and K_C = O(d - |w|) on the orbit curve C of (w; d)
+    bases = {rec.base for rec in catalog_records if rec.m == 3} | set(qs_triple_corpus)
+    for ws in bases:
+        canonical = ws.degree - ws.norm
+        assert (count_monomials(ws.weights, canonical) if canonical >= 0 else 0) == genus(ws), ws
