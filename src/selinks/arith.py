@@ -8,7 +8,7 @@ comparison.  No floating point appears anywhere on a computation path.
 from __future__ import annotations
 
 import sys
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import ResourceBudgetError, UsageError
 
@@ -42,6 +42,8 @@ class FactoredPower(_Power):
     __slots__ = ()
 
     def __new__(cls, base: int, exponent: int) -> "FactoredPower":
+        if type(base) is not int or type(exponent) is not int:
+            _ints((base, exponent))
         if base < 2:
             raise UsageError(f"base must be at least 2, got {base}")
         if exponent < 0:
@@ -87,10 +89,13 @@ def _digit_checked(what: object, least_bits: int, value: Callable[[], int]) -> i
     raise ResourceBudgetError(f"{what} has more than {limit} decimal digits, {which}")
 
 
-def _check_positive(xs: Sequence[int], what: str) -> None:
-    for x in xs:
-        if x < 1:
-            raise UsageError(f"{what} must be positive integers, got {x}")
+def _ints(values: Iterable) -> tuple[int, ...]:
+    """The values, refused (TypeError) unless each is an int, not a bool, float or str."""
+    values = tuple(values)
+    for value in values:
+        if type(value) is not int:
+            raise TypeError(f"{value!r} is not an integer")
+    return values
 
 
 def count_monomials(weights: Iterable[int], target: int) -> int:
@@ -107,7 +112,9 @@ def count_monomials(weights: Iterable[int], target: int) -> int:
     weights = tuple(weights)
     if not weights:
         raise UsageError("count_monomials needs at least one weight")
-    _check_positive(weights, "weights")
+    for w in weights:
+        if w < 1:
+            raise UsageError(f"weights must be positive integers, got {w}")
     if target < 0:
         raise UsageError(f"target must be non-negative, got {target}")
     if target + 1 > COUNT_MONOMIALS_CELL_LIMIT:

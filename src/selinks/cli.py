@@ -18,19 +18,13 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
-from typing import Any, Callable, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Collection, NamedTuple, Optional, Sequence
 
 from . import __version__
-from .arith import FactoredPower, check_digits
+from .arith import FactoredPower, _ints, check_digits
 from .errors import IntegrityError, ResourceBudgetError, UsageError
 from .ke_cert import KeCertificate, bp_sufficient_ke
-from .links import (
-    WeightSystem,
-    branched_cover,
-    classify_case,
-    quasi_smooth_generic,
-    torsion_hypothesis,
-)
+from .links import WeightSystem, _quasi_smooth, branched_cover, classify_case, torsion_hypothesis
 from .moduli import ModuliCount, moduli_count
 from .survey import (
     EuclideanRow,
@@ -145,17 +139,13 @@ def _build_parser() -> _Parser:
 # serialization
 
 
-def _frac_str(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
-
-
 class _Codec(NamedTuple):
     """How a field value is written to JSON and to CSV, and read from JSON."""
 
     # (value, expand_torsion, indent): the value's JSON text, laid out as
     # json.dumps(indent=2) lays it out when its key sits at `indent`
     json_text: Callable[[Any, bool, str], str]
-    from_json: Callable[[Any], Any]  # TypeError when the value has the wrong type
+    from_json: Callable[[Any], Any]  # TypeError: a wrong type, or a key never written
     to_text: Callable[[Any, bool], Any]  # (value, expand_torsion): the CSV cell
 
 
@@ -184,15 +174,6 @@ _BOOL = _scalar("bool", (bool,), lambda value: "true" if value else "false")
 _STR = _scalar("str", (str,), encode_basestring_ascii)
 
 
-def _ints(values) -> tuple[int, ...]:
-    """The values, refused unless each is an int (not a bool, float or str)."""
-    values = tuple(values)
-    for value in values:
-        if type(value) is not int:
-            raise TypeError(f"{value!r} is not an integer")
-    return values
-
-
 def _weights_text(value: tuple[int, ...], _, indent: str) -> str:
     # a WeightSystem has at least two weights, so the list is never empty
     inner = indent + "  "
@@ -213,16 +194,25 @@ def _fraction_text(value: Fraction, _, indent: str) -> str:
     return f'{{\n{inner}"num": {value.numerator},\n{inner}"den": {value.denominator}\n{indent}}}'
 
 
+def _members(obj: Any, keys: Collection[str], what: str, *optional: str) -> list:
+    """obj[key] for each of `keys`; TypeError when `obj` holds other keys but `optional`."""
+    values = [obj[key] for key in keys]  # TypeError unless obj is a JSON object
+    extra = obj.keys() - {*keys, *optional}
+    if extra:
+        raise TypeError(f"{what} holds {sorted(extra)}, keys the writer never writes")
+    return values
+
+
 _WEIGHTS = _Codec(_weights_text, _ints, lambda value, _: " ".join(map(str, value)))
 _TORSION = _Codec(
     _torsion_text,
-    lambda obj: FactoredPower(*_ints((obj["base"], obj["exponent"]))),
+    lambda obj: FactoredPower(*_members(obj, ("base", "exponent"), "a torsion", "decimal")),
     lambda value, expand: str(value.expand()) if expand else str(value),
 )
 _FRACTION = _Codec(
     _fraction_text,
-    lambda obj: Fraction(*_ints((obj["num"], obj["den"]))),
-    lambda value, _: _frac_str(value),
+    lambda obj: Fraction(*_ints(_members(obj, ("num", "den"), "a fraction"))),
+    lambda value, _: f"{value.numerator}/{value.denominator}",
 )
 
 
@@ -296,6 +286,9 @@ CSV_HEADER = tuple(field.column for field in _FIELDS)
 _values = attrgetter(*(field.attr_path for field in _FIELDS))
 _JSON_IN = tuple((*_split(f.json_path), *_split(f.attr_path), f.codec.from_json) for f in _FIELDS)
 _TEXT_OUT = tuple(f.codec.to_text for f in _FIELDS)
+# the keys the writer writes in a record (None) and in each of its groups
+_KEYS = {None: {group or key for group, key, *_ in _JSON_IN}}
+_KEYS.update((part, {key for group, key, *_ in _JSON_IN if group == part}) for part in _PARTS)
 
 
 def _json_layout() -> tuple[tuple, str]:
@@ -329,9 +322,10 @@ _JSON_FIELDS, _JSON_RECORD_CLOSE = _json_layout()
 
 
 def record_from_json(obj: dict, expand_torsion: bool) -> FamilyRecord:
-    """The record a catalog object stores, its base made canonical.  Every
-    field, derived ones included, must read back from it as written, k must
-    be coprime to d (the torsion hypothesis), and the torsion's "decimal" is
+    """The record a catalog object stores, its base made canonical.  An
+    object in it holding a key the writer never writes raises TypeError.
+    Every field, derived ones included, must read back as written, k must be
+    coprime to d (the torsion hypothesis), and the torsion's "decimal" is
     written exactly when `expand_torsion` is, as the power expanded under the
     digit budget; otherwise ValueError names the first field that differs."""
     values, top = [], {}
@@ -344,6 +338,8 @@ def record_from_json(obj: dict, expand_torsion: bool) -> FamilyRecord:
             raise TypeError(f"{json_key} is {given!r}, {exc}") from None
         values.append(value)
         (top if group is None else parts[group])[name] = value
+    for group, keys in _KEYS.items():
+        _members(obj if group is None else obj[group], keys, group or "the record")
     for group, cls in _PARTS.items():  # each takes the attributes it stores
         top[group] = cls(*map(parts[group].__getitem__, cls._fields))
     top["base"] = top["base"].canonical()
@@ -445,7 +441,7 @@ def parse_catalog_json(text: str) -> tuple[dict, list[FamilyRecord]]:
     """
     try:
         payload = json.loads(text)
-        meta, objs = payload["meta"], payload["records"]
+        meta, objs = _members(payload, ("meta", "records"), "the catalog")
         bounds = meta["bounds"]
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise UsageError(f"malformed catalog: {exc!r}") from None
@@ -456,7 +452,6 @@ def parse_catalog_json(text: str) -> tuple[dict, list[FamilyRecord]]:
         raise UsageError(f"catalog expand_torsion is {expand_torsion!r}, expected bool")
     try:
         cfg = ScanConfig(**bounds)
-        _ints((cfg.weight_bound, cfg.k_bound, *cfg.m_range, cfg.k_min))
     except (TypeError, ValueError) as exc:  # a UsageError is a ValueError
         raise UsageError(f"catalog bounds {bounds!r} are refused: {exc!r}") from None
     expected = _catalog_meta(cfg, expand_torsion, len(objs))
@@ -543,16 +538,6 @@ def _write_output(text: str, path: Optional[str]) -> None:
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _quasi_smooth(ws: WeightSystem) -> WeightSystem:
-    """`ws`; IntegrityError when no member is quasi-smooth."""
-    if not quasi_smooth_generic(ws):
-        raise IntegrityError(
-            f"{ws} has no quasi-smooth member; invariants are not defined "
-            "for this weight class"
-        )
-    return ws
 
 
 def _run_invariants(ns: argparse.Namespace) -> str:

@@ -42,20 +42,20 @@ def is_fano(k: int, base: WeightSystem) -> bool:
     For |w| - d >= 0 this holds for every positive k; in the hyperbolic
     case it bounds k above by d/(d - |w|).
     """
-    if k < 1:
-        raise UsageError(f"k must be positive, got {k}")
     return _klt_sides(k, base)[0] > 0
 
 
-def _klt_sides(k: int, base: WeightSystem) -> tuple[int, int, str]:
-    """(left, least, witness): left = k(|w| - d) + d, least = min{d, k w_i}
-    = min{d, k min(w)} and the first term attaining it, d before the first
-    index of min(w).  The klt inequality is left < m/(m-1) least."""
+def _klt_sides(k: int, base: WeightSystem) -> tuple[int, int, str, bool]:
+    """(left, least, witness, holds) for k >= 1: left = k(|w| - d) + d, least
+    = min{d, k w_i} = min{d, k min(w)}, the first term attaining it (d, else
+    k w at the first index of min(w)), and whether left < m/(m-1) least."""
+    if k < 1:
+        raise UsageError(f"k must be positive, got {k}")
     d, w = base.degree, min(base.weights)
     left = k * (base.norm - d) + d
-    if d <= k * w:
-        return left, d, "d"
-    return left, k * w, f"k*w[{base.weights.index(w) + 1}]"
+    least = min(d, k * w)
+    witness = "d" if least == d else f"k*w[{base.weights.index(w) + 1}]"
+    return left, least, witness, (base.m - 1) * left < base.m * least
 
 
 def necessary_klt(k: int, base: WeightSystem) -> bool:
@@ -65,10 +65,7 @@ def necessary_klt(k: int, base: WeightSystem) -> bool:
     candidate out; passing it certifies nothing (it is far from
     sufficient).
     """
-    if k < 1:
-        raise UsageError(f"k must be positive, got {k}")
-    left, least, _ = _klt_sides(k, base)
-    return (base.m - 1) * left < base.m * least
+    return _klt_sides(k, base)[3]
 
 
 def euclidean_k_threshold(base: WeightSystem) -> int:
@@ -268,7 +265,7 @@ def certify_cover(
 ) -> KeCertificate:
     """Evaluate every certificate test for the k-fold cover of `base`.
 
-    The klt sides give the necessary klt inequality ((m-1) left < m least).
+    The klt sides (`_klt_sides`) decide the necessary klt inequality.
     A Brieskorn-Pham cover (every w_i a proper divisor of d, gcd(k, d) = 1)
     records the sides of the sufficiency inequality solved in k, equal to
     those of the literal `bp_sufficient_ke` on the cover exponents; any
@@ -277,15 +274,13 @@ def certify_cover(
     solves it.  A rule is ignored when gcd(k, d) > 1.
     """
     coprime = torsion_hypothesis(k, base)  # refuses k < 2
-    m = base.m
-    left, least, witness = _klt_sides(k, base)
-    nklt = (m - 1) * left < m * least
+    left, least, witness, nklt = _klt_sides(k, base)
     if not coprime:
         rule = None
     elif rule is _UNSOLVED:
         rule = _sufficiency_in_k(base)
     if rule is None:
-        left_value, right = Fraction(left), Fraction(m * least, m - 1)
+        left_value, right = Fraction(left), Fraction(base.m * least, base.m - 1)
     else:
         left_value, right, witness = rule.sides(k)
     return KeCertificate(nklt, rule is not None, left_value, right, witness)

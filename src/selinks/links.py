@@ -17,7 +17,7 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 from .arith import COUNT_MONOMIALS_CELL_LIMIT, check_digits
-from .errors import ResourceBudgetError, UsageError
+from .errors import IntegrityError, ResourceBudgetError, UsageError
 
 # the most bitset cells the walk of `quasi_smooth_generic` may charge: each
 # set it visits costs max(d + 1, 2^16) cells per shift and per AND with
@@ -253,6 +253,17 @@ def quasi_smooth_generic(ws: WeightSystem) -> bool:
             )
         path.append((bits, size, n + 1))
     return True
+
+
+def _quasi_smooth(ws: WeightSystem) -> WeightSystem:
+    """`ws`; IntegrityError when no member is quasi-smooth: the gate of every
+    invariant the command line and `ingest_weight_list` compute."""
+    if not quasi_smooth_generic(ws):
+        raise IntegrityError(
+            f"{ws} has no quasi-smooth member; invariants are not defined "
+            "for this weight class"
+        )
+    return ws
 
 
 def torsion_hypothesis(k: int, ws: WeightSystem) -> bool:

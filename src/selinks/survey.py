@@ -15,7 +15,7 @@ import itertools
 import math
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .arith import COUNT_MONOMIALS_CELL_LIMIT, FactoredPower, check_digits, count_monomials
+from .arith import COUNT_MONOMIALS_CELL_LIMIT, FactoredPower, _ints, check_digits, count_monomials
 from .errors import IntegrityError, ResourceBudgetError, UsageError
 from .ke_cert import (
     KeCertificate,
@@ -25,7 +25,13 @@ from .ke_cert import (
     euclidean_k_threshold,
     hyperbolic_k_window,
 )
-from .links import WeightSystem, branched_cover, quasi_smooth_generic, torsion_hypothesis
+from .links import (
+    WeightSystem,
+    _quasi_smooth,
+    branched_cover,
+    quasi_smooth_generic,
+    torsion_hypothesis,
+)
 from .moduli import ModuliCount, moduli_count
 from .topology import genus, torsion_order
 
@@ -72,6 +78,7 @@ class ScanConfig(_Bounds):
 
     def __new__(cls, *args, **kwargs) -> "ScanConfig":
         self = super().__new__(cls, *args, **kwargs)
+        _ints((self.weight_bound, self.k_bound, *self.m_range, self.k_min))
         if self.weight_bound < 1 or self.k_bound < 1:
             raise UsageError(
                 f"bounds must be positive, got weight_bound {self.weight_bound} "
@@ -420,16 +427,9 @@ def ingest_weight_list(
         if not text:
             continue
         try:
-            ws = WeightSystem.parse(text)
-            smooth = quasi_smooth_generic(ws)
-        except (UsageError, ResourceBudgetError) as exc:
+            ws = _quasi_smooth(WeightSystem.parse(text))
+        except (UsageError, IntegrityError, ResourceBudgetError) as exc:
             errors.append(f"line {lineno}: {exc}")
-            continue
-        if not smooth:
-            errors.append(
-                f"line {lineno}: {ws} rejected: no quasi-smooth member "
-                "(the generic singularity is not isolated)"
-            )
             continue
         # the record budget is the run's, not the row's: passing it ends the run
         orders = _branch_orders(ws, ks, len(records))

@@ -77,7 +77,7 @@ def milnor_orlik_betti(ws: WeightSystem) -> int:
     if total.denominator != 1 or total < 0:
         raise IntegrityError(
             f"b_{ws.m - 2} of {ws} evaluates to {total}, which is not a "
-            "non-negative integer; the system has no quasi-smooth member"
+            "non-negative integer; no member of the class is quasi-smooth"
         )
     return int(total)
 
@@ -129,7 +129,7 @@ def genus(ws: WeightSystem) -> int:
              + sum_i gcd(d,w_i)/w_i - 1) / 2
 
     evaluated exactly; a fractional or negative result raises
-    IntegrityError (the system then has no quasi-smooth member).
+    IntegrityError (no member of the class is then quasi-smooth).
     """
     if ws.m != 3:
         raise UsageError(f"genus needs exactly three weights, got {ws.m}")

@@ -82,6 +82,11 @@ def test_factored_power():
         FactoredPower(2, -1)
     with pytest.raises(UsageError):
         FactoredPower(1, 5)
+    # an int base and exponent, not a bool or a float
+    with pytest.raises(TypeError, match="^True is not an integer$"):
+        FactoredPower(2, True)
+    with pytest.raises(TypeError, match="^2.0 is not an integer$"):
+        FactoredPower(5, 2.0)
 
 
 def test_factored_power_expansion_stops_at_the_digit_limit():

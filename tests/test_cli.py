@@ -624,6 +624,31 @@ def test_parse_catalog_json_checks_value_types(group, key, value, message):
     assert message in str(excinfo.value)
 
 
+@pytest.mark.parametrize(
+    "path, key, message",
+    [
+        ((), "payload_extra", "malformed catalog: TypeError(\"the catalog holds"),
+        (("records", 0), "extra", "record 0: TypeError(\"the record holds"),
+        (("records", 1, "base"), "extra", "record 1: TypeError(\"base holds"),
+        (("records", 1, "moduli"), "extra", "record 1: TypeError(\"moduli holds"),
+        (("records", 1, "certificate"), "note", "record 1: TypeError(\"certificate holds"),
+        (("records", 1, "torsion"), "junk", "record 1: TypeError(\"torsion is {"),
+        (("records", 2, "certificate", "left_value"), "num2", "record 2: TypeError(\"left_value"),
+        (("records", 2, "certificate", "right_bound"), "den2", "record 2: TypeError(\"right_bound"),
+    ],
+)
+def test_parse_catalog_json_refuses_a_key_the_writer_never_writes(path, key, message):
+    payload = json.loads(_catalog_text())
+    obj = payload
+    for step in path:
+        obj = obj[step]
+    obj[key] = 1
+    with pytest.raises(UsageError) as excinfo:
+        parse_catalog_json(json.dumps(payload))
+    assert message in str(excinfo.value)
+    assert f"holds ['{key}'], keys the writer never writes" in str(excinfo.value)
+
+
 def test_each_codec_reads_exactly_the_type_of_its_attribute():
     # the codec of a scalar field accepts a JSON value exactly when its type
     # is in the type hint of the attribute the field fills: a stored field's

@@ -4,6 +4,7 @@ import pytest
 
 from selinks import (
     FamilyRecord,
+    IntegrityError,
     ResourceBudgetError,
     ScanConfig,
     UsageError,
@@ -13,6 +14,7 @@ from selinks import (
     generate_theorem2_family,
     genus,
     ingest_weight_list,
+    links,
     moduli_count,
     scan_all,
     scan_euclidean_classification,
@@ -35,6 +37,10 @@ def test_scan_config_validation():
         ScanConfig(m_range=(5, 4))
     with pytest.raises(UsageError):
         ScanConfig(k_min=1)
+    # each bound is an int, not a float or a bool, before its range is checked
+    for bounds in ({"k_bound": 13.0}, {"k_bound": True}, {"m_range": (3.0, 4)}):
+        with pytest.raises(TypeError, match=r"^(13\.0|True|3\.0) is not an integer$"):
+            ScanConfig(**bounds)
 
 
 def test_euclidean_classification_rows():
@@ -172,6 +178,10 @@ def test_ingest_pipeline():
     assert "positive" in result.errors[0]
     assert result.errors[1].startswith("line 5:")
     assert "quasi-smooth" in result.errors[1]
+    # the row is refused by the quasi-smoothness gate of links, in its words
+    with pytest.raises(IntegrityError) as gate:
+        links._quasi_smooth(WeightSystem((1, 2, 2), 5))
+    assert result.errors[1] == f"line 5: {gate.value}"
 
     assert all(r.family_tag == "ingested" for r in result.records)
     by_key = {(tuple(r.base.weights), r.k): r for r in result.records}

@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from milnor_algebra import milnor_algebra_betti, milnor_algebra_torsion, poincare_series
 from test_links import invertible_systems, repeated_block_systems
@@ -294,6 +294,29 @@ def test_every_catalog_cover_is_a_rational_homology_sphere_with_its_torsion(cata
         # the oracle is 0 exactly when 1 is an eigenvalue, and k^b >= 1; the
         # power is built by hand, since some pass the digit budget of `expand`
         assert milnor_algebra_torsion(cover.weights, cover.degree) == k**torsion.exponent, cover
+
+
+# the most coefficients a drawn cover's Poincaré series may have
+COVER_SERIES_LIMIT = 3000
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(invertible_systems() | repeated_block_systems(), st.data())
+def test_the_torsion_oracle_on_drawn_covers(ws, data):
+    # the cover (d, k w; k d) has a series of sum (k d - 2 v) + 1 coefficients
+    # over its weights v, which is k ((m + 1) d - 2 |w|) - 2 d + 1; a weight
+    # equal to d is a linear term, whose Milnor algebra is 0
+    assume(max(ws.weights) < ws.degree and quasi_smooth_generic(ws))
+    per_k = (ws.m + 1) * ws.degree - 2 * ws.norm
+    top = (COVER_SERIES_LIMIT - 1 + 2 * ws.degree) // per_k
+    coprime = [k for k in range(2, top + 1) if math.gcd(k, ws.degree) == 1]
+    assume(coprime)
+    k = data.draw(st.sampled_from(coprime), label="k")
+    cover = branched_cover(k, ws).cover
+    assert len(poincare_series(cover.weights, cover.degree)) <= COVER_SERIES_LIMIT
+    assert milnor_orlik_betti(cover) == 0, cover
+    torsion = torsion_order(k, ws)
+    assert milnor_algebra_torsion(cover.weights, cover.degree) == k**torsion.exponent, cover
 
 
 def test_the_adjunction_genus_on_every_catalog_triple(catalog_records, qs_triple_corpus):
