@@ -15,7 +15,9 @@ import csv
 import io
 import json
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
+from itertools import groupby
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import Any, Callable, Collection, NamedTuple, Optional, Sequence
@@ -284,6 +286,17 @@ def _split(path: str) -> tuple[Optional[str], str]:
 
 CSV_HEADER = tuple(field.column for field in _FIELDS)
 _values = attrgetter(*(field.attr_path for field in _FIELDS))
+# Only k, the torsion order k^b and the certificate change with k.  Every
+# other field reads only the stored values of _template_key, so the JSON and
+# table writers encode it once per key (`_append_text`), not once per cover.
+_PER_COVER = tuple(
+    f.attr_path.partition(".")[0] in ("k", "torsion", "certificate") for f in _FIELDS
+)
+_COVER_FIELDS = tuple(f for f, varies in zip(_FIELDS, _PER_COVER) if varies)
+_cover_values = attrgetter(*(f.attr_path for f in _COVER_FIELDS))
+_template_key = attrgetter(
+    "family_tag", "base", "torsion.exponent", "moduli", "paper_min_k", "literal_min_k"
+)
 _JSON_IN = tuple((*_split(f.json_path), *_split(f.attr_path), f.codec.from_json) for f in _FIELDS)
 _TEXT_OUT = tuple(f.codec.to_text for f in _FIELDS)
 # the keys the writer writes in a record (None) and in each of its groups
@@ -319,6 +332,9 @@ def _json_layout() -> tuple[tuple, str]:
 
 
 _JSON_FIELDS, _JSON_RECORD_CLOSE = _json_layout()
+_JSON_COVER = tuple(
+    (encode, indent) for (_, encode, indent), varies in zip(_JSON_FIELDS, _PER_COVER) if varies
+)
 
 
 def record_from_json(obj: dict, expand_torsion: bool) -> FamilyRecord:
@@ -365,6 +381,77 @@ def _table_text(value: Any) -> str:
     return "-" if value is None else str(value)
 
 
+def _append_text(parts: list, records, template, cover, expand_torsion: bool) -> None:
+    """Append to `parts` the text of each record.
+
+    `template(rec, expand_torsion)` gives the record's text in pieces, with
+    None in place of each per-cover value.  It is joined into the runs
+    between the Nones once per _template_key, and the records with that key
+    share the runs.  Per record only `cover(rec, expand_torsion)`, the texts
+    of its per-cover values, is made, and it goes between the runs.  The
+    templates live for one call: one per base in `records`.
+    """
+    templates: dict = {}
+    append = parts.append
+    for rec in records:
+        key = _template_key(rec)
+        runs = templates.get(key)
+        if runs is None:
+            # text opens and closes a record, and no two Nones are adjacent
+            pieces = groupby(template(rec, expand_torsion), lambda piece: piece is None)
+            first, *rest = ["".join(run) for is_cover, run in pieces if not is_cover]
+            runs = templates[key] = first, rest
+        first, rest = runs
+        append(first)
+        for text, run in zip(cover(rec, expand_torsion), rest):
+            append(text)
+            append(run)
+
+
+def _json_template(rec: FamilyRecord, expand_torsion: bool) -> list:
+    # _json_layout's text around each field, with None for a per-cover value
+    pieces = []
+    for (text, encode, indent), value, varies in zip(_JSON_FIELDS, _values(rec), _PER_COVER):
+        pieces += (text, None if varies else encode(value, expand_torsion, indent))
+    return [*pieces, _JSON_RECORD_CLOSE]
+
+
+def _json_cover(rec: FamilyRecord, expand_torsion: bool) -> list[str]:
+    return [
+        encode(value, expand_torsion, indent)
+        for (encode, indent), value in zip(_JSON_COVER, _cover_values(rec))
+    ]
+
+
+# the table view's cells of per-cover fields: column -> (format spec, field)
+_TABLE_COVER = {
+    field.column: (f"{align}{width}", field)
+    for _, width, align, key in _TABLE
+    for field in _COVER_FIELDS
+    if field.column == key
+}
+_table_cover_values = attrgetter(*(field.attr_path for _, field in _TABLE_COVER.values()))
+
+
+def _table_template(rec: FamilyRecord, expand_torsion: bool) -> list:
+    # a space between cells keeps a cell wider than its column apart from
+    # the next one
+    cells = dict(zip(CSV_HEADER, _csv_row(rec, expand_torsion)), base=rec.base)
+    pieces = []
+    for _, width, align, key in _TABLE:
+        cell = None if key in _TABLE_COVER else f"{_table_text(cells[key]):{align}{width}}"
+        pieces += (cell, " ")
+    pieces[-1] = "\n"
+    return pieces
+
+
+def _table_cover(rec: FamilyRecord, expand_torsion: bool) -> list[str]:
+    return [
+        format(_table_text(field.codec.to_text(value, expand_torsion)), spec)
+        for (spec, field), value in zip(_TABLE_COVER.values(), _table_cover_values(rec))
+    ]
+
+
 def _catalog_meta(cfg: ScanConfig, expand_torsion: bool, count: int) -> dict:
     return {
         "schema": CATALOG_SCHEMA,
@@ -403,31 +490,17 @@ def render_catalog(
         if not records:
             return head + "\n"
         parts = [head[: -len("]\n}")]]
-        append = parts.append
-        for rec in records:
-            for (text, encode, indent), value in zip(_JSON_FIELDS, _values(rec)):
-                append(text)
-                append(encode(value, expand_torsion, indent))
-            append(_JSON_RECORD_CLOSE)
+        _append_text(parts, records, _json_template, _json_cover, expand_torsion)
         parts[1] = parts[1][1:]  # no comma before the first record
         parts.append("\n  ]\n}\n")
         return "".join(parts)
     if fmt == "csv":
         return _csv_text(CSV_HEADER, (_csv_row(rec, expand_torsion) for rec in records))
     if fmt == "table":
-        # a space between cells keeps a cell wider than its column apart
-        # from the next one
         head = " ".join(f"{header:{align}{width}}" for header, width, align, _ in _TABLE)
-        lines = [head, "-" * len(head)]
-        for rec in records:
-            cells = dict(zip(CSV_HEADER, _csv_row(rec, expand_torsion)), base=rec.base)
-            lines.append(
-                " ".join(
-                    f"{_table_text(cells[key]):{align}{width}}"
-                    for _, width, align, key in _TABLE
-                )
-            )
-        return "\n".join(lines) + "\n"
+        parts = [head, "\n", "-" * len(head), "\n"]
+        _append_text(parts, records, _table_template, _table_cover, expand_torsion)
+        return "".join(parts)
     raise UsageError(f"unknown catalog format {fmt!r}")
 
 
@@ -532,12 +605,15 @@ def _render_scalar(payload: dict, fmt: str) -> str:
     return "\n".join(f"{key:<{width}}  {value}" for key, value in payload.items()) + "\n"
 
 
+# the most characters written at once: the text layer encodes what it is
+# given in one piece, so a whole catalog would cost a second full copy
+_WRITE_SLICE = 1 << 16
+
+
 def _write_output(text: str, path: Optional[str]) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    with nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8") as fh:
+        for start in range(0, len(text), _WRITE_SLICE):
+            fh.write(text[start : start + _WRITE_SLICE])
 
 
 def _run_invariants(ns: argparse.Namespace) -> str:

@@ -78,6 +78,9 @@ class ScanConfig(_Bounds):
 
     def __new__(cls, *args, **kwargs) -> "ScanConfig":
         self = super().__new__(cls, *args, **kwargs)
+        # a catalog's JSON bounds give m_range as a list
+        if not isinstance(self.m_range, (tuple, list)) or len(self.m_range) != 2:
+            raise UsageError(f"m range must be a pair (lo, hi), got {self.m_range!r}")
         _ints((self.weight_bound, self.k_bound, *self.m_range, self.k_min))
         if self.weight_bound < 1 or self.k_bound < 1:
             raise UsageError(

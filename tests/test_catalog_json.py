@@ -1,13 +1,18 @@
-"""The JSON catalog writer against its oracle.
+"""The catalog writers against their oracles.
 
 `render_catalog(..., "json", ...)` writes each record field by field from
-`_FIELDS`.  The oracle spells each record out by hand as nested dicts,
-from the `FamilyRecord` attributes and not from `_FIELDS`, and lets
-`json.dumps(indent=2)` write it; the two must give the same text.  The
-catalogs the benchmark writes must also keep the sha256 it pins.
+`_FIELDS`, and writes the fields that do not change with k once per base.
+The oracle spells each record out by hand as nested dicts, from the
+`FamilyRecord` attributes and not from `_FIELDS`, and lets
+`json.dumps(indent=2)` write it; the two must give the same text.  The CSV
+and table oracles write every cell of every record, one record at a time,
+the CSV one through `csv.writer`.  The catalogs the benchmark writes must
+also keep the sha256 it pins.
 """
 
+import csv
 import hashlib
+import io
 import itertools
 import json
 import sys
@@ -25,12 +30,13 @@ from selinks import (
     ModuliCount,
     ScanConfig,
     WeightSystem,
+    generate_theorem2_family,
     ingest_weight_list,
     scan_all,
     scan_fermat_cy,
     scan_hyperbolic,
 )
-from selinks.cli import _catalog_meta, main, render_catalog
+from selinks.cli import _TABLE, CSV_HEADER, _catalog_meta, main, parse_catalog_json, render_catalog
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 FAMILY_TAGS = ("euclidean5", "fermat_cy", "hyperbolic", "mixed_canonical", "ingested")
@@ -84,20 +90,78 @@ def oracle(records, cfg, expand_torsion=False) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def csv_cells(rec: FamilyRecord, expand_torsion: bool = False) -> dict:
+    """One record's CSV cells by column, before csv.writer writes them."""
+    cert = rec.certificate
+    torsion = rec.torsion.base**rec.torsion.exponent if expand_torsion else rec.torsion
+    return {
+        "family": rec.family_tag,
+        "m": rec.m,
+        "k": rec.k,
+        "l_or_d": rec.l_or_d,
+        "weights": " ".join(map(str, rec.base.weights)),
+        "degree": rec.base.degree,
+        "link_dimension": rec.link_dimension,
+        "torsion": str(torsion),
+        "genus": rec.genus,
+        "moduli_complex": rec.moduli.complex_dim,
+        "moduli_real": rec.moduli.real_dim,
+        "h0_degree": rec.moduli.h0_degree,
+        "h0_weights_sum": rec.moduli.h0_weights_sum,
+        "fano": cert.fano,
+        "necessary_klt": cert.necessary_klt,
+        "bp_applicable": cert.bp_applicable,
+        "bp_sufficient": cert.bp_sufficient,
+        "gc_assumed": cert.gc_assumed,
+        "left_value": f"{cert.left_value.numerator}/{cert.left_value.denominator}",
+        "right_bound": f"{cert.right_bound.numerator}/{cert.right_bound.denominator}",
+        "limiting_witness": cert.limiting_witness,
+        "paper_min_k": rec.paper_min_k,
+        "literal_min_k": rec.literal_min_k,
+    }
+
+
+def csv_oracle(records, expand_torsion=False) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for rec in records:
+        cells = csv_cells(rec, expand_torsion)
+        assert tuple(cells) == CSV_HEADER
+        writer.writerow(cells.values())
+    return buf.getvalue()
+
+
+def table_oracle(records, expand_torsion=False) -> str:
+    """The table view: each cell of `_TABLE` in its column, one space apart."""
+    head = " ".join(f"{header:{align}{width}}" for header, width, align, _ in _TABLE)
+    lines = [head, "-" * len(head)]
+    for rec in records:
+        cells = dict(csv_cells(rec, expand_torsion), base=rec.base)
+        texts = ["-" if cells[key] is None else str(cells[key]) for *_, key in _TABLE]
+        lines.append(" ".join(f"{text:{a}{w}}" for text, (_, w, a, _) in zip(texts, _TABLE)))
+    return "\n".join(lines) + "\n"
+
+
 def assert_writer_is_the_oracle(records, cfg, expand_torsion=False):
-    written = render_catalog(records, "json", cfg, expand_torsion)
-    expected = oracle(records, cfg, expand_torsion)
-    if written != expected:
-        # name the first difference: a diff of two catalogs takes minutes
-        at = next(
-            (i for i, (a, b) in enumerate(zip(written, expected)) if a != b),
-            min(len(written), len(expected)),
-        )
-        near = slice(max(at - 60, 0), at + 60)
-        pytest.fail(
-            f"writer and oracle differ at character {at}: "
-            f"{written[near]!r} against {expected[near]!r}"
-        )
+    expected = {
+        "json": oracle(records, cfg, expand_torsion),
+        "csv": csv_oracle(records, expand_torsion),
+        "table": table_oracle(records, expand_torsion),
+    }
+    for fmt, text in expected.items():
+        written = render_catalog(records, fmt, cfg, expand_torsion)
+        if written != text:
+            # name the first difference: a diff of two catalogs takes minutes
+            at = next(
+                (i for i, (a, b) in enumerate(zip(written, text)) if a != b),
+                min(len(written), len(text)),
+            )
+            near = slice(max(at - 60, 0), at + 60)
+            pytest.fail(
+                f"{fmt} writer and oracle differ at character {at}: "
+                f"{written[near]!r} against {text[near]!r}"
+            )
 
 
 def test_every_family_at_k_bound_400():
@@ -198,6 +262,54 @@ def test_every_combination_of_the_certificate_flags():
     }
     assert len(flags) == 10
     assert_writer_is_the_oracle(records, cfg)
+
+
+def test_bases_that_share_family_m_and_d_interleave_by_k():
+    # the sort key puts k before the weights, so these records alternate
+    # between their bases; each must keep its own constant fields
+    cfg = ScanConfig(k_bound=30)
+    records = ingest_weight_list(["1,2,3;6", "1,1,2;6", "2,2,1;6"], cfg).records
+    assert [rec.base.weights for rec in records[:3]] == [(1, 1, 2), (1, 2, 2), (1, 2, 3)]
+    # the same stored values on two bases of one m and d
+    twins = [rec._replace(base=WeightSystem((1, 2, 2), 6)) for rec in records[-3::-3]]
+    records = sorted(records + twins, key=FamilyRecord.sort_key)
+    assert_writer_is_the_oracle(records, cfg)
+    assert_writer_is_the_oracle(records, cfg, expand_torsion=True)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"family_tag": "hyperbolic"},
+        {"torsion": FactoredPower(7, 8)},  # genus 4, not 1
+        {"moduli": ModuliCount(9, 7)},
+        {"paper_min_k": 5},
+        {"literal_min_k": None},
+    ],
+    ids=lambda change: next(iter(change)),
+)
+def test_records_that_differ_in_one_value_of_their_base(change):
+    # every key part a constant field reads, changed alone, k kept
+    cfg = ScanConfig(k_bound=13)
+    rec = generate_theorem2_family(cfg)[3]
+    assert (rec.base, rec.k, rec.torsion.exponent, rec.literal_min_k) == (
+        WeightSystem((1, 1, 1), 3), 7, 2, 7
+    )
+    records = [rec, rec._replace(**change), rec]
+    assert_writer_is_the_oracle(records, cfg)
+    assert_writer_is_the_oracle(records[::-1], cfg, expand_torsion=True)
+
+
+def test_records_read_back_share_templates_by_value():
+    # parse_catalog_json builds each record's base anew: equal bases are
+    # distinct objects, and must still be written as one base
+    cfg = ScanConfig(k_bound=30, m_range=(3, 4))
+    text = render_catalog(scan_all(cfg), "json", cfg)
+    back = parse_catalog_json(text)[1]
+    same = [rec for rec in back if rec.base == back[0].base]
+    assert len(same) > 1 and same[0].base is not same[1].base
+    assert render_catalog(back, "json", cfg) == text
+    assert_writer_is_the_oracle(back, cfg)
 
 
 big_ints = st.integers(-(2**70), 2**70) | st.sampled_from([2**64, 2**64 + 1, -(2**64), 10**30])

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -262,6 +263,35 @@ def test_output_file_writing(tmp_path, capsys):
     meta, records = parse_catalog_json(out.read_text(encoding="utf-8"))
     assert len(records) == 1
     assert records[0].torsion.expand() == 729
+
+
+@pytest.mark.parametrize(
+    "text",
+    # three slices and a partial one, with a character of two UTF-8 bytes;
+    # and nothing
+    ["catalog é\n" * (3 * cli._WRITE_SLICE // 10 + 7), ""],
+    ids=["slices", "empty"],
+)
+def test_the_output_reaches_a_file_and_stdout_byte_for_byte(text, tmp_path, capsysbinary):
+    out = tmp_path / "out.txt"
+    cli._write_output(text, str(out))
+    assert out.read_bytes() == text.encode("utf-8")
+    cli._write_output(text, None)
+    assert capsysbinary.readouterr().out == text.encode("utf-8")
+
+
+def test_writing_a_catalog_holds_no_second_copy(tmp_path):
+    # the text layer encodes what one write gives it: a whole 8 MiB text
+    # would be a second 8 MiB
+    text = "0123456789abcdef" * (1 << 19)
+    tracemalloc.start()
+    try:
+        cli._write_output(text, str(tmp_path / "big.txt"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert (tmp_path / "big.txt").stat().st_size == len(text)
 
 
 def test_ingest_cli(tmp_path, capsys):
@@ -858,6 +888,18 @@ def test_the_meta_of_a_scan_catalog_by_hand(capsys):
             [9, 3],
             "'m_range': [9, 3], 'k_min': 2} are refused: "
             "UsageError('m range must satisfy 3 <= lo <= hi, got [9, 3]')",
+        ),
+        (
+            "bounds",
+            "m_range",
+            [3, 4, 5],
+            "are refused: UsageError('m range must be a pair (lo, hi), got [3, 4, 5]')",
+        ),
+        (
+            "bounds",
+            "m_range",
+            3,
+            "are refused: UsageError('m range must be a pair (lo, hi), got 3')",
         ),
         # the records reach k = 13
         ("bounds", "k_bound", 5, "record 3: ValueError('k is 7, not in k_min..k_bound 2..5')"),

@@ -126,6 +126,19 @@ def test_bp_sufficient_examples():
     assert res.bound == Fraction(35, 32)
 
 
+def test_the_mixed_family_certifies_by_its_closed_forms():
+    # the cover (2m-1, 2m, ..., 2m, 2) of (1, ..., 1, m; 2m), one per link
+    # dimension 2m + 1; README ("How certificates are computed") proves from
+    # these closed forms that the verdict holds for every m >= 3
+    for m in range(3, 301):
+        res = bp_sufficient_ke((2 * m - 1,) + (2 * m,) * (m - 1) + (2,))
+        assert res.gcds == (1,) + (2 * m,) * (m - 1) + (2,), m
+        assert res.limiting_witness == "1/(b[1]*b[2])", m
+        assert res.reciprocal_sum == 1 + Fraction(1, 2 * m * (2 * m - 1)), m
+        assert res.bound == 1 + Fraction(1, 4 * m * (m - 1)), m
+        assert res.verdict, m
+
+
 def test_bp_sufficient_validation():
     with pytest.raises(UsageError):
         bp_sufficient_ke((3, 4))

@@ -37,6 +37,11 @@ def test_scan_config_validation():
         ScanConfig(m_range=(5, 4))
     with pytest.raises(UsageError):
         ScanConfig(k_min=1)
+    # m_range is a pair, a tuple or the list a catalog's JSON bounds give
+    for m_range in ((3, 4, 5), 3, (3,), "34", {3, 4}):
+        with pytest.raises(UsageError, match=r"^m range must be a pair \(lo, hi\), got "):
+            ScanConfig(m_range=m_range)
+    assert ScanConfig(m_range=[3, 4]).m_range == [3, 4]
     # each bound is an int, not a float or a bool, before its range is checked
     for bounds in ({"k_bound": 13.0}, {"k_bound": True}, {"m_range": (3.0, 4)}):
         with pytest.raises(TypeError, match=r"^(13\.0|True|3\.0) is not an integer$"):
