@@ -889,18 +889,6 @@ def test_the_meta_of_a_scan_catalog_by_hand(capsys):
             "'m_range': [9, 3], 'k_min': 2} are refused: "
             "UsageError('m range must satisfy 3 <= lo <= hi, got [9, 3]')",
         ),
-        (
-            "bounds",
-            "m_range",
-            [3, 4, 5],
-            "are refused: UsageError('m range must be a pair (lo, hi), got [3, 4, 5]')",
-        ),
-        (
-            "bounds",
-            "m_range",
-            3,
-            "are refused: UsageError('m range must be a pair (lo, hi), got 3')",
-        ),
         # the records reach k = 13
         ("bounds", "k_bound", 5, "record 3: ValueError('k is 7, not in k_min..k_bound 2..5')"),
         # 8.0 is not 8, and true is not 1
@@ -923,6 +911,19 @@ def test_the_meta_of_a_scan_catalog_by_hand(capsys):
             None,
             "catalog meta keys are ['assumptions', 'bounds', 'count', 'expand_torsion', "
             "'extra', 'schema', 'tool'], expected ['assumptions', 'bounds', 'count', ",
+        ),
+        # an m_range that is not a pair
+        (
+            "bounds",
+            "m_range",
+            [3, 4, 5],
+            "are refused: UsageError('m range must be a pair (lo, hi), got [3, 4, 5]')",
+        ),
+        (
+            "bounds",
+            "m_range",
+            3,
+            "are refused: UsageError('m range must be a pair (lo, hi), got 3')",
         ),
     ],
 )
