@@ -20,10 +20,10 @@ from fractions import Fraction
 from itertools import groupby
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
-from typing import Any, Callable, Collection, NamedTuple, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from . import __version__
-from .arith import FactoredPower, _ints, check_digits
+from .arith import FactoredPower, check_digits
 from .errors import IntegrityError, ResourceBudgetError, UsageError
 from .ke_cert import KeCertificate, bp_sufficient_ke
 from .links import WeightSystem, _quasi_smooth, branched_cover, classify_case, torsion_hypothesis
@@ -142,38 +142,27 @@ def _build_parser() -> _Parser:
 
 
 class _Codec(NamedTuple):
-    """How a field value is written to JSON and to CSV, and read from JSON."""
+    """How a field value is written to JSON and to CSV, and built from JSON."""
 
     # (value, expand_torsion, indent): the value's JSON text, laid out as
     # json.dumps(indent=2) lays it out when its key sits at `indent`
     json_text: Callable[[Any, bool, str], str]
-    from_json: Callable[[Any], Any]  # TypeError: a wrong type, or a key never written
     to_text: Callable[[Any, bool], Any]  # (value, expand_torsion): the CSV cell
+    from_json: Optional[Callable[[Any], Any]] = None  # the value from its JSON; None: as parsed
 
 
-def _scalar(expected: str, types: tuple[type, ...], text: Callable[[Any], str]) -> _Codec:
-    """The codec of a value written as it is, to JSON by `text` and to CSV
-    by the csv module (None as an empty cell), and read back only when its
-    type is exactly one of `types`: bool is a subclass of int, but a flag
-    is not a count."""
-
-    def from_json(value: Any) -> Any:
-        if type(value) not in types:
-            raise TypeError(f"expected {expected}")
-        return value
-
-    return _Codec(lambda value, _, __: text(value), from_json, lambda value, _: value)
+def _scalar(text: Callable[[Any], str]) -> _Codec:
+    # written to JSON by `text`, to CSV as it is (None as an empty cell)
+    return _Codec(lambda value, _, __: text(value), lambda value, _: value)
 
 
-_INT = _scalar("int", (int,), int.__repr__)
-_OPTIONAL_INT = _scalar(
-    "int or null",
-    (int, type(None)),
-    lambda value: "null" if value is None else int.__repr__(value),
-)
-_BOOL = _scalar("bool", (bool,), lambda value: "true" if value else "false")
+# int.__repr__ writes a bool as 1 and refuses a float or a str, so a flag
+# or a float stored for a count never writes its own text back
+_INT = _scalar(int.__repr__)
+_OPTIONAL_INT = _scalar(lambda value: "null" if value is None else int.__repr__(value))
+_BOOL = _scalar(lambda value: "true" if value else "false")
 # escaped as json.dumps escapes strings by default (ensure_ascii)
-_STR = _scalar("str", (str,), encode_basestring_ascii)
+_STR = _scalar(encode_basestring_ascii)
 
 
 def _weights_text(value: tuple[int, ...], _, indent: str) -> str:
@@ -196,25 +185,16 @@ def _fraction_text(value: Fraction, _, indent: str) -> str:
     return f'{{\n{inner}"num": {value.numerator},\n{inner}"den": {value.denominator}\n{indent}}}'
 
 
-def _members(obj: Any, keys: Collection[str], what: str, *optional: str) -> list:
-    """obj[key] for each of `keys`; TypeError when `obj` holds other keys but `optional`."""
-    values = [obj[key] for key in keys]  # TypeError unless obj is a JSON object
-    extra = obj.keys() - {*keys, *optional}
-    if extra:
-        raise TypeError(f"{what} holds {sorted(extra)}, keys the writer never writes")
-    return values
-
-
-_WEIGHTS = _Codec(_weights_text, _ints, lambda value, _: " ".join(map(str, value)))
+_WEIGHTS = _Codec(_weights_text, lambda value, _: " ".join(map(str, value)))
 _TORSION = _Codec(
     _torsion_text,
-    lambda obj: FactoredPower(*_members(obj, ("base", "exponent"), "a torsion", "decimal")),
     lambda value, expand: str(value.expand()) if expand else str(value),
+    lambda obj: FactoredPower(obj["base"], obj["exponent"]),
 )
 _FRACTION = _Codec(
     _fraction_text,
-    lambda obj: Fraction(*_ints(_members(obj, ("num", "den"), "a fraction"))),
     lambda value, _: f"{value.numerator}/{value.denominator}",
+    lambda obj: Fraction(obj["num"], obj["den"]),
 )
 
 
@@ -297,11 +277,14 @@ _cover_values = attrgetter(*(f.attr_path for f in _COVER_FIELDS))
 _template_key = attrgetter(
     "family_tag", "base", "torsion.exponent", "moduli", "paper_min_k", "literal_min_k"
 )
-_JSON_IN = tuple((*_split(f.json_path), *_split(f.attr_path), f.codec.from_json) for f in _FIELDS)
 _TEXT_OUT = tuple(f.codec.to_text for f in _FIELDS)
-# the keys the writer writes in a record (None) and in each of its groups
-_KEYS = {None: {group or key for group, key, *_ in _JSON_IN}}
-_KEYS.update((part, {key for group, key, *_ in _JSON_IN if group == part}) for part in _PARTS)
+# (JSON group, JSON key, attribute group, attribute, from_json) of each stored field
+_JSON_IN = tuple(
+    (*_split(f.json_path), group, name, f.codec.from_json)
+    for f in _FIELDS
+    for group, name in [_split(f.attr_path)]
+    if name in (FamilyRecord if group is None else _PARTS[group])._fields
+)
 
 
 def _json_layout() -> tuple[tuple, str]:
@@ -337,40 +320,17 @@ _JSON_COVER = tuple(
 )
 
 
-def record_from_json(obj: dict, expand_torsion: bool) -> FamilyRecord:
-    """The record a catalog object stores, its base made canonical.  An
-    object in it holding a key the writer never writes raises TypeError.
-    Every field, derived ones included, must read back as written, k must be
-    coprime to d (the torsion hypothesis), and the torsion's "decimal" is
-    written exactly when `expand_torsion` is, as the power expanded under the
-    digit budget; otherwise ValueError names the first field that differs."""
-    values, top = [], {}
-    parts: dict = {group: {} for group in _PARTS}
+def _record(obj: Any) -> FamilyRecord:
+    """The record whose stored fields `obj` holds, its base made canonical.
+    The fields a record derives are not read: the re-render checks them."""
+    parts: dict = {group: {} for group in (None, *_PARTS)}
     for json_group, json_key, group, name, decode in _JSON_IN:
-        given = (obj if json_group is None else obj[json_group])[json_key]
-        try:
-            value = decode(given)
-        except TypeError as exc:
-            raise TypeError(f"{json_key} is {given!r}, {exc}") from None
-        values.append(value)
-        (top if group is None else parts[group])[name] = value
-    for group, keys in _KEYS.items():
-        _members(obj if group is None else obj[group], keys, group or "the record")
-    for group, cls in _PARTS.items():  # each takes the attributes it stores
-        top[group] = cls(*map(parts[group].__getitem__, cls._fields))
+        value = (obj if json_group is None else obj[json_group])[json_key]
+        parts[group][name] = value if decode is None else decode(value)
+    top = parts.pop(None)
+    top.update((group, cls(**parts[group])) for group, cls in _PARTS.items())
     top["base"] = top["base"].canonical()
-    rec = FamilyRecord(*map(top.__getitem__, FamilyRecord._fields))
-    for column, value, expected in zip(CSV_HEADER, values, _values(rec)):
-        if value != expected:
-            raise ValueError(f"{column} is {value}, expected {expected}")
-    if not torsion_hypothesis(rec.k, rec.base):
-        raise ValueError(f"k = {rec.k} is not coprime to the degree of {rec.base}")
-    torsion = obj["torsion"]
-    if not expand_torsion and "decimal" in torsion:
-        raise ValueError("decimal is written, but meta.expand_torsion is false")
-    if expand_torsion and torsion["decimal"] != (decimal := str(rec.torsion.expand())):
-        raise ValueError(f"decimal is {torsion['decimal']!r}, expected {decimal!r}")
-    return rec
+    return FamilyRecord(**top)
 
 
 def _csv_row(rec: FamilyRecord, expand_torsion: bool) -> list:
@@ -504,44 +464,84 @@ def render_catalog(
     raise UsageError(f"unknown catalog format {fmt!r}")
 
 
+def _first_difference(found: str, expected: str) -> str:
+    """Where the catalog text `found` first departs from `expected`, both laid
+    out by json.dumps(indent=2): `meta`, a record by its index or the catalog,
+    then the key of the first differing line (of its list, for a list item)
+    with the value in each.  Trailing commas are dropped, so an added or a
+    missing member is the one named."""
+    lines, wants = ([line.rstrip(",") for line in text.splitlines()] for text in (found, expected))
+    same = [a == b for a, b in zip(lines, wants)]
+    n = same.index(False) if False in same else len(same)
+    head = lines[:n]
+    if '  "records": [' not in head:
+        where = "catalog meta"
+    elif "  ]" in head:  # past the records
+        where = "catalog"
+    else:
+        where = f"catalog record {head.count('    {') - 1}"
+    line, want = (text[n].strip() if n < len(text) else "the end" for text in (lines, wants))
+    key, sep, value = line.partition('": ')
+    want_key, want_sep, want_value = want.partition('": ')
+    opened = next((text for text in reversed(head) if text.endswith(("[", "]"))), "]")
+    listed = opened.split('"')[1] if opened.endswith("[") else None
+    if sep and want_sep and key == want_key:
+        # a list or an object that opens on the line goes on past it
+        value, want_value = ({"[": "[...]", "{": "{...}"}.get(v, v) for v in (value, want_value))
+        difference = f"{key[1:]} is {value}, expected {want_value}"
+    elif listed and not sep and not want_sep:  # items of one list
+        difference = f"{listed} holds {line}, expected {want}"
+    else:
+        difference = f"found {line}, expected {want}"
+    return f"{where} differs from the writer's: {difference}"
+
+
 def parse_catalog_json(text: str) -> tuple[dict, list[FamilyRecord]]:
     """Inverse of the JSON rendering: (meta, records), exact.
 
-    `meta` must be, as JSON text, what `_catalog_meta` writes for the
-    ScanConfig its bounds make, and each record must read back with its k
-    inside the bounds; otherwise UsageError names the meta key or the index
-    of the record.  A decimal past the digit budget raises ResourceBudgetError.
+    The records are built from their stored fields and sorted as every
+    generator sorts them (`FamilyRecord.sort_key`).  The text must then be
+    what `render_catalog` writes for them under `meta.bounds` and
+    `meta.expand_torsion`, or json.dumps(indent=2) of the JSON it holds must
+    be; otherwise UsageError names the first difference.  The values the
+    writer copies are checked too: the bounds must make a ScanConfig, and
+    each record's k must meet the torsion hypothesis and the bounds.  A
+    decimal past the digit budget raises ResourceBudgetError.
     """
     try:
         payload = json.loads(text)
-        meta, objs = _members(payload, ("meta", "records"), "the catalog")
-        bounds = meta["bounds"]
+        meta, objs = payload["meta"], payload["records"]
+        bounds, expand_torsion = meta["bounds"], meta["expand_torsion"] is True
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise UsageError(f"malformed catalog: {exc!r}") from None
     if not isinstance(objs, list):
         raise UsageError("malformed catalog: records is not a list")
-    expand_torsion = meta.get("expand_torsion")
-    if type(expand_torsion) is not bool:
-        raise UsageError(f"catalog expand_torsion is {expand_torsion!r}, expected bool")
     try:
         cfg = ScanConfig(**bounds)
     except (TypeError, ValueError) as exc:  # a UsageError is a ValueError
         raise UsageError(f"catalog bounds {bounds!r} are refused: {exc!r}") from None
-    expected = _catalog_meta(cfg, expand_torsion, len(objs))
-    for key, value in expected.items():
-        if json.dumps(meta.get(key), sort_keys=True) != json.dumps(value, sort_keys=True):
-            raise UsageError(f"catalog {key} is {meta.get(key)!r}, expected {value!r}")
-    if meta.keys() != expected.keys():
-        raise UsageError(f"catalog meta keys are {sorted(meta)}, expected {sorted(expected)}")
     records = []
     for index, obj in enumerate(objs):
         try:
-            rec = record_from_json(obj, expand_torsion)
+            rec = _record(obj)
+            if not torsion_hypothesis(rec.k, rec.base):
+                raise ValueError(f"k = {rec.k} is not coprime to the degree of {rec.base}")
             if not cfg.k_min <= rec.k <= cfg.k_bound:
                 raise ValueError(f"k is {rec.k}, not in k_min..k_bound {cfg.k_min}..{cfg.k_bound}")
         except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise UsageError(f"malformed catalog record {index}: {exc!r}") from None
         records.append(rec)
+    try:
+        records.sort(key=FamilyRecord.sort_key)
+        written = render_catalog(records, "json", cfg, expand_torsion)
+    except (TypeError, ValueError) as exc:  # a value of a type the writer cannot write
+        raise UsageError(f"malformed catalog: {exc!r}") from None
+    if written != text:
+        # under indent, json.dumps runs its pure-Python encoder: only text
+        # that is not the writer's own pays for it
+        found = json.dumps(payload, indent=2) + "\n"
+        if written != found:
+            raise UsageError(_first_difference(found, written))
     return meta, records
 
 

@@ -92,7 +92,8 @@ class ScanConfig(_Bounds):
         lo, hi = self.m_range
         if lo < 3 or hi < lo:
             raise UsageError(f"m range must satisfy 3 <= lo <= hi, got {self.m_range}")
-        return self
+        # kept as a tuple, so that configs compare and hash by value
+        return super().__new__(cls, self.weight_bound, self.k_bound, (lo, hi), self.k_min)
 
 
 class EuclideanRow(NamedTuple):
@@ -135,8 +136,10 @@ class FamilyRecord(NamedTuple):
         return self.torsion.exponent // 2 if len(self.base.weights) == 3 else None
 
     def sort_key(self):
-        # the base is sorted already: `_records` builds it so, and
-        # `parse_catalog_json` refuses any other
+        # the order of every catalog: each generator sorts its records by
+        # it, and `parse_catalog_json` sorts what it reads by it, stably, so
+        # the records of an ingest row given twice stay as written.  The base
+        # is sorted already: `_records` and the reader build it canonical
         return (self.family_tag, self.m, self.l_or_d, self.k, self.base.weights)
 
 

@@ -208,6 +208,11 @@ def test_the_benchmark_catalogs_keep_their_pinned_sha256(monkeypatch, tmp_path):
         assert main([*args, "--format", "json", "--out", str(out)]) == 0, key
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == pinned["catalogs"][key], key
+        if key != "euclidean/euclidean":  # a list of rows, not of records
+            text = out.read_text(encoding="utf-8")
+            meta, records = parse_catalog_json(text)
+            cfg = ScanConfig(**meta["bounds"])
+            assert render_catalog(records, "json", cfg, meta["expand_torsion"]) == text, key
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import pytest
@@ -41,7 +42,10 @@ def test_scan_config_validation():
     for m_range in ((3, 4, 5), 3, (3,), "34", {3, 4}):
         with pytest.raises(UsageError, match=r"^m range must be a pair \(lo, hi\), got "):
             ScanConfig(m_range=m_range)
-    assert ScanConfig(m_range=[3, 4]).m_range == [3, 4]
+    # a list is kept as a tuple: equal configs compare and hash alike
+    listed = ScanConfig(m_range=[3, 4])
+    assert type(listed.m_range) is tuple and listed == ScanConfig(m_range=(3, 4))
+    assert hash(listed) == hash(ScanConfig(m_range=(3, 4)))
     # each bound is an int, not a float or a bool, before its range is checked
     for bounds in ({"k_bound": 13.0}, {"k_bound": True}, {"m_range": (3.0, 4)}):
         with pytest.raises(TypeError, match=r"^(13\.0|True|3\.0) is not an integer$"):
@@ -161,6 +165,19 @@ def test_cross_family_consistency():
 def test_certified_records_are_fano():
     for rec in scan_all(SMALL):
         assert not rec.certificate.bp_sufficient or rec.certificate.fano
+
+
+def test_every_odd_dimension_holds_a_certified_nontrivial_rational_homology_sphere():
+    # the paper's claim in each link dimension the default bounds reach, m
+    # 3..8: a cover with a Kähler-Einstein certificate (so a Sasaki-Einstein
+    # link) whose torsion k^b is nontrivial
+    records = scan_all(ScanConfig())
+    certified = collections.Counter(
+        rec.link_dimension
+        for rec in records
+        if rec.certificate.bp_sufficient and rec.torsion.exponent > 0
+    )
+    assert sorted(certified.items()) == [(5, 115), (7, 26), (9, 34), (11, 12), (13, 18), (15, 4)]
 
 
 def test_scan_determinism_across_runs():
