@@ -532,9 +532,15 @@ def parse_catalog_json(text: str) -> tuple[dict, list[FamilyRecord]]:
             raise UsageError(f"malformed catalog record {index}: {exc!r}") from None
         records.append(rec)
     try:
-        records.sort(key=FamilyRecord.sort_key)
-        written = render_catalog(records, "json", cfg, expand_torsion)
+        ordered = sorted(records, key=FamilyRecord.sort_key)
+        written = render_catalog(ordered, "json", cfg, expand_torsion)
     except (TypeError, ValueError) as exc:  # a value of a type the writer cannot write
+        # rendered one at a time in input order, the first record that fails is named
+        for index, rec in enumerate(records):
+            try:
+                render_catalog([rec], "json", cfg, expand_torsion)
+            except (TypeError, ValueError) as error:
+                raise UsageError(f"malformed catalog record {index}: {error!r}") from None
         raise UsageError(f"malformed catalog: {exc!r}") from None
     if written != text:
         # under indent, json.dumps runs its pure-Python encoder: only text
@@ -542,7 +548,7 @@ def parse_catalog_json(text: str) -> tuple[dict, list[FamilyRecord]]:
         found = json.dumps(payload, indent=2) + "\n"
         if written != found:
             raise UsageError(_first_difference(found, written))
-    return meta, records
+    return meta, ordered
 
 
 def render_euclidean_rows(rows: Sequence[EuclideanRow], fmt: str) -> str:

@@ -64,6 +64,8 @@ class WeightSystem(_System):
         if len(ws) < 2:
             raise UsageError(f"a weight system needs at least two weights, got {ws}")
         try:
+            if type(d) is bool or bool in map(type, ws):  # gcd takes a bool as an int
+                raise TypeError
             g = math.gcd(d, *ws)
         except TypeError:
             raise UsageError(f"weights and degree must be integers, got {ws} and {d!r}") from None

@@ -10,7 +10,6 @@ are byte-identical across runs).
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from typing import Iterable, Iterator, NamedTuple, Optional
@@ -245,18 +244,26 @@ def _m_values(cfg: ScanConfig) -> range:
 
 def _euclidean_candidates(m: int, bound: int) -> Iterator[tuple[int, ...]]:
     """Sorted weight vectors w_1 <= ... <= w_m <= bound that may be Euclidean
-    (|w| = d) and quasi-smooth.
+    (|w| = d) and quasi-smooth, in lexicographic order.
 
-    With S = w_1 + ... + w_{m-1}, the singleton test of
-    `quasi_smooth_generic` on the largest weight needs w_m | d or
-    w_m | d - w_j for some j < m; since d = S + w_m, that is w_m | S or
-    w_m | S - w_j.  For m >= 3 each S - w_j is positive, so w_m is taken
-    from the divisors of these numbers in [w_{m-1}, bound] and no
+    Only the m - 2 smallest weights P are walked (sum T, largest lo); the
+    two largest, v <= x, come from closed forms of the singleton tests of
+    `quasi_smooth_generic`, with d = T + v + x:
+    - on x: x | d - y for some y in {0, v} + P (y = x is y = 0), that is
+      c x = T + v - y, where 0 < T + v - y <= (m - 1) x gives 0 < c < m;
+    - on v: v | d - x = T + v, that is v | T, or v | d - q = T + v + x - q
+      for some q in {0} + P, that is v | T + x - q; times c,
+      v | Q = (c + 1) T - p - c q, with p = y, or p = 0 when y = v.  As p, q <= lo <= T, 0 <= Q <= m (m - 2) lo, so v = Q / e
+      for some e <= Q / lo.
+    Q = 0 only when m = 3, p = q = w_1 and x = v.  Then one index lies
+    outside the index set {2, 3}, so the walk's test of it needs v | d, that
+    is v | w_1, and gcd 1 leaves (1, 1, 1), which v | T gives.  So no
     quasi-smooth system is left out.
 
-    The walk over the C(bound + m - 2, m - 1) prefixes is refused with
-    ResourceBudgetError, before anything is built, when that count passes
-    COUNT_MONOMIALS_CELL_LIMIT.
+    The C(bound + m - 2, m - 1) sorted (m - 1)-prefixes that bound this
+    space are counted first, and past COUNT_MONOMIALS_CELL_LIMIT the
+    enumeration is refused with ResourceBudgetError before anything is
+    built.
     """
     prefixes = math.comb(bound + m - 2, m - 1)
     if prefixes > COUNT_MONOMIALS_CELL_LIMIT:
@@ -265,18 +272,24 @@ def _euclidean_candidates(m: int, bound: int) -> Iterator[tuple[int, ...]]:
             f"walks {prefixes} sorted weight prefixes, more than the limit of "
             f"{COUNT_MONOMIALS_CELL_LIMIT}"
         )
-    divisors: list[list[int]] = [[] for _ in range((m - 1) * bound + 1)]
-    for q in range(1, bound + 1):
-        for n in range(q, len(divisors), q):
-            divisors[n].append(q)
-    for prefix in itertools.combinations_with_replacement(range(1, bound + 1), m - 1):
-        s = sum(prefix)
-        last = set()
-        for n in {s, *(s - w for w in prefix)}:
-            divs = divisors[n]
-            last.update(divs[bisect.bisect_left(divs, prefix[-1]):])
-        for w_m in sorted(last):
-            yield prefix + (w_m,)
+    for head in itertools.combinations_with_replacement(range(1, bound + 1), m - 2):
+        t, lo = sum(head), head[-1]
+        zs = {0, *head}
+        pairs = set()
+        for c in range(1, m):
+            for p in zs:
+                # v | T pairs with every (c, y); v | Q with the y of its p
+                for n in {t, *((c + 1) * t - p - c * q for q in zs)}:
+                    for e in range(1, n // lo + 1):
+                        v, r = divmod(n, e)
+                        if r or v > bound:
+                            continue
+                        for cx in (t + v - p,) if p else (t + v, t):  # y = p, or y in {0, v}
+                            x, r = divmod(cx, c)
+                            if not r and v <= x <= bound:
+                                pairs.add((v, x))
+        for pair in sorted(pairs):
+            yield head + pair
 
 
 def _euclidean_systems(m: int, bound: int) -> list[WeightSystem]:
@@ -301,8 +314,8 @@ def scan_euclidean_classification(cfg: ScanConfig) -> list[EuclideanRow]:
     """All |w| = d classes in three variables up to the weight bound.
 
     Enumerates canonical triples w1 <= w2 <= w3 <= weight_bound with
-    gcd 1 and d = w1 + w2 + w3, w3 taken from the divisors the singleton
-    test allows (`_euclidean_candidates`), keeping those with a
+    gcd 1 and d = w1 + w2 + w3, w2 and w3 taken from closed forms of the
+    singleton tests (`_euclidean_candidates`), keeping those with a
     quasi-smooth member.  Exhaustive up to the bound; the outcome is stable
     once the bound covers all genuine classes.
     """

@@ -765,19 +765,30 @@ def test_every_leaf_of_a_record_is_refused_in_another_json_type():
         if field.codec is cli._OPTIONAL_INT
     }
     text = _catalog_text()
+
+    def edited(path, sample):
+        payload = json.loads(text)
+        obj = payload["records"][2]
+        for step in path[:-1]:
+            obj = obj[step]
+        obj[path[-1]] = sample
+        return json.dumps(payload)
+
     leaves = list(_leaves(json.loads(text)["records"][2]))
     assert len(leaves) == 28
     for path, value in leaves:
         for sample in (True, 3.0, "3", None):
             if type(sample) is type(value) or (sample is None and path in nullable):
                 continue
-            payload = json.loads(text)
-            obj = payload["records"][2]
-            for step in path[:-1]:
-                obj = obj[step]
-            obj[path[-1]] = sample
             with pytest.raises(UsageError, match="catalog"):
-                parse_catalog_json(json.dumps(payload))
+                parse_catalog_json(edited(path, sample))
+    # a value the record takes but the writer cannot write: rendered one
+    # record at a time, the record that holds it is named
+    for path, sample in (
+        (("moduli", "h0_degree"), 3.0), (("literal_min_k",), "3"), (("family",), 3)
+    ):
+        with pytest.raises(UsageError, match=r"^malformed catalog record 2: TypeError"):
+            parse_catalog_json(edited(path, sample))
 
 
 @pytest.mark.parametrize(

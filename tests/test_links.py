@@ -32,6 +32,10 @@ def test_weight_system_validation():
         WeightSystem((0, 1, 2), 3)
     with pytest.raises(UsageError):
         WeightSystem((1, 2), 0)
+    # a bool is an int to gcd and sum, but not a weight or a degree
+    for weights, degree in (((True, True, True), 3), ((1, 1, 1), True), ((1, True, 2), 4)):
+        with pytest.raises(UsageError, match="weights and degree must be integers"):
+            WeightSystem(weights, degree)
 
 
 def test_weight_system_parse():
