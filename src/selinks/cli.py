@@ -17,9 +17,8 @@ import json
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
-from itertools import groupby
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
+from operator import attrgetter, methodcaller
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from . import __version__
@@ -142,58 +141,62 @@ def _build_parser() -> _Parser:
 
 
 class _Codec(NamedTuple):
-    """How a field value is written to JSON and to CSV, and built from JSON."""
+    """How a field value is written to JSON and to CSV, and built from JSON.
+    A chain is functions applied in turn, so that columns go through `map`."""
 
-    # (value, expand_torsion, indent): the value's JSON text, laid out as
-    # json.dumps(indent=2) lays it out when its key sits at `indent`
-    json_text: Callable[[Any, bool, str], str]
-    to_text: Callable[[Any, bool], Any]  # (value, expand_torsion): the CSV cell
+    # (indent, expand_torsion): the value's JSON text as a %-format, laid out
+    # as json.dumps(indent=2) lays it out when its key sits at `indent`, and
+    # the chain that makes each of its arguments from the value
+    json_form: Callable[[str, bool], tuple[str, tuple]]
+    to_text: Callable[[bool], tuple]  # expand_torsion: the chain that makes the CSV cell
     from_json: Optional[Callable[[Any], Any]] = None  # the value from its JSON; None: as parsed
 
 
-def _scalar(text: Callable[[Any], str]) -> _Codec:
-    # written to JSON by `text`, to CSV as it is (None as an empty cell)
-    return _Codec(lambda value, _, __: text(value), lambda value, _: value)
+def _scalar(*chain: Callable) -> _Codec:
+    # written to JSON through `chain`, to CSV as it is (None as an empty cell)
+    return _Codec(lambda _, __: ("%s", (chain,)), lambda _: ())
 
 
 # int.__repr__ writes a bool as 1 and refuses a float or a str, so a flag
-# or a float stored for a count never writes its own text back
+# or a float stored for a count never writes its own text back; a flag is
+# written by its truth value, whatever it holds
 _INT = _scalar(int.__repr__)
 _OPTIONAL_INT = _scalar(lambda value: "null" if value is None else int.__repr__(value))
-_BOOL = _scalar(lambda value: "true" if value else "false")
+_BOOL = _scalar(bool, ("false", "true").__getitem__)
 # escaped as json.dumps escapes strings by default (ensure_ascii)
 _STR = _scalar(encode_basestring_ascii)
 
 
-def _weights_text(value: tuple[int, ...], _, indent: str) -> str:
+def _weights_form(indent: str, _) -> tuple[str, tuple]:
     # a WeightSystem has at least two weights, so the list is never empty
     inner = indent + "  "
-    return f"[\n{inner}" + f",\n{inner}".join(map(str, value)) + f"\n{indent}]"
+    return f"[\n{inner}%s\n{indent}]", ((lambda value: f",\n{inner}".join(map(str, value)),),)
 
 
-def _torsion_text(value: FactoredPower, expand: bool, indent: str) -> str:
+# %d formats only the ints of a FactoredPower, which refuses any other type,
+# and a Fraction's numerator and denominator, which are ints
+def _torsion_form(indent: str, expand: bool) -> tuple[str, tuple]:
     inner = indent + "  "
-    decimal = f',\n{inner}"decimal": "{value.expand()}"' if expand else ""
-    return (
-        f'{{\n{inner}"base": {value.base},\n{inner}"exponent": {value.exponent}'
-        f"{decimal}\n{indent}}}"
-    )
+    decimal = f',\n{inner}"decimal": "%d"' if expand else ""
+    args = ((attrgetter("base"),), (attrgetter("exponent"),), (methodcaller("expand"),))
+    return f'{{\n{inner}"base": %d,\n{inner}"exponent": %d{decimal}\n{indent}}}', args[: 2 + expand]
 
 
-def _fraction_text(value: Fraction, _, indent: str) -> str:
+def _fraction_form(indent: str, _) -> tuple[str, tuple]:
     inner = indent + "  "
-    return f'{{\n{inner}"num": {value.numerator},\n{inner}"den": {value.denominator}\n{indent}}}'
+    args = ((attrgetter("numerator"),), (attrgetter("denominator"),))
+    return f'{{\n{inner}"num": %d,\n{inner}"den": %d\n{indent}}}', args
 
 
-_WEIGHTS = _Codec(_weights_text, lambda value, _: " ".join(map(str, value)))
+_WEIGHTS = _Codec(_weights_form, lambda _: (lambda value: " ".join(map(str, value)),))
 _TORSION = _Codec(
-    _torsion_text,
-    lambda value, expand: str(value.expand()) if expand else str(value),
+    _torsion_form,
+    lambda expand: (methodcaller("expand"), str) if expand else (str,),
     lambda obj: FactoredPower(obj["base"], obj["exponent"]),
 )
 _FRACTION = _Codec(
-    _fraction_text,
-    lambda value, _: f"{value.numerator}/{value.denominator}",
+    _fraction_form,
+    lambda _: (lambda value: f"{value.numerator}/{value.denominator}",),
     lambda obj: Fraction(obj["num"], obj["den"]),
 )
 
@@ -265,19 +268,15 @@ def _split(path: str) -> tuple[Optional[str], str]:
 
 
 CSV_HEADER = tuple(field.column for field in _FIELDS)
-_values = attrgetter(*(field.attr_path for field in _FIELDS))
 # Only k, the torsion order k^b and the certificate change with k.  Every
 # other field reads only the stored values of _template_key, so the JSON and
-# table writers encode it once per key (`_append_text`), not once per cover.
-_PER_COVER = tuple(
-    f.attr_path.partition(".")[0] in ("k", "torsion", "certificate") for f in _FIELDS
-)
-_COVER_FIELDS = tuple(f for f, varies in zip(_FIELDS, _PER_COVER) if varies)
-_cover_values = attrgetter(*(f.attr_path for f in _COVER_FIELDS))
+# table writers write it once per key (`_append_text`), not once per cover.
+_PER_COVER = {
+    f.column for f in _FIELDS if f.attr_path.partition(".")[0] in ("k", "torsion", "certificate")
+}
 _template_key = attrgetter(
     "family_tag", "base", "torsion.exponent", "moduli", "paper_min_k", "literal_min_k"
 )
-_TEXT_OUT = tuple(f.codec.to_text for f in _FIELDS)
 # (JSON group, JSON key, attribute group, attribute, from_json) of each stored field
 _JSON_IN = tuple(
     (*_split(f.json_path), group, name, f.codec.from_json)
@@ -287,17 +286,16 @@ _JSON_IN = tuple(
 )
 
 
-def _json_layout() -> tuple[tuple, str]:
-    """What json.dumps(indent=2) writes around each field of a record in the
-    catalog's "records" list, from _FIELDS.
+def _json_fields(expand_torsion: bool) -> tuple[list, str]:
+    """What json.dumps(indent=2) writes for each field of a record in the
+    catalog's "records" list, from _FIELDS, as `_append_text` takes it, and
+    the text that closes the record.
 
-    Per field: the text before its value (the comma, newline and
-    indentation, a group's closing or opening, the quoted key), its codec's
-    `json_text` and the indentation of its key.  Then the text that closes
-    the record.  The first field's text starts with the comma that
-    separates a record from the one before it.
+    The text before a value holds the comma, newline and indentation, a
+    group's closing or opening and the quoted key.  The first field's text
+    starts with the comma that separates a record from the one before it.
     """
-    layout, group_open = [], None
+    fields, group_open = [], None
     for index, field in enumerate(_FIELDS):
         group, key = _split(field.json_path)
         text = ",\n    {" if index == 0 else ","
@@ -309,15 +307,10 @@ def _json_layout() -> tuple[tuple, str]:
             group_open = group
         indent = "      " if group is None else "        "
         text += f"\n{indent}{encode_basestring_ascii(key)}: "
-        layout.append((text, field.codec.json_text, indent))
-    closing = "\n    }" if group_open is None else "\n      }\n    }"
-    return tuple(layout), closing
-
-
-_JSON_FIELDS, _JSON_RECORD_CLOSE = _json_layout()
-_JSON_COVER = tuple(
-    (encode, indent) for (_, encode, indent), varies in zip(_JSON_FIELDS, _PER_COVER) if varies
-)
+        fragment, chains = field.codec.json_form(indent, expand_torsion)
+        chains = [(attrgetter(field.attr_path), *fns) for fns in chains]
+        fields.append((text, fragment, chains, field.column in _PER_COVER))
+    return fields, "\n    }" if group_open is None else "\n      }\n    }"
 
 
 def _record(obj: Any) -> FamilyRecord:
@@ -333,83 +326,52 @@ def _record(obj: Any) -> FamilyRecord:
     return FamilyRecord(**top)
 
 
-def _csv_row(rec: FamilyRecord, expand_torsion: bool) -> list:
-    return [encode(value, expand_torsion) for encode, value in zip(_TEXT_OUT, _values(rec))]
+def _columns(records, chains) -> list:
+    """One iterator per chain over `records`: each record passed through the
+    chain's functions in turn, lazily."""
+    columns = []
+    for fns in chains:
+        column = records
+        for fn in fns:
+            column = map(fn, column)
+        columns.append(column)
+    return columns
 
 
 def _table_text(value: Any) -> str:
     return "-" if value is None else str(value)
 
 
-def _append_text(parts: list, records, template, cover, expand_torsion: bool) -> None:
+def _append_text(parts: list, records, fields, closing: str) -> None:
     """Append to `parts` the text of each record.
 
-    `template(rec, expand_torsion)` gives the record's text in pieces, with
-    None in place of each per-cover value.  It is joined into the runs
-    between the Nones once per _template_key, and the records with that key
-    share the runs.  Per record only `cover(rec, expand_torsion)`, the texts
-    of its per-cover values, is made, and it goes between the runs.  The
-    templates live for one call: one per base in `records`.
+    `fields` gives, per field, the text before its value, its %-format, the
+    chains that make its arguments from the record and whether it is
+    per-cover; `closing` ends a record.  The fields are cut into runs,
+    constant and per-cover by turns, each one %-format, with the text
+    between the two kinds in the constant run.  A per-cover run is filled
+    for every record from columns (`_columns`).  The constant runs are
+    filled once per _template_key and shared by the records with that key.
     """
+    runs = [["", []]]  # constant at even indices
+    for text, fragment, chains, varies in (*fields, (closing, "", (), False)):
+        if not varies and len(runs) % 2 == 0:
+            runs.append(["", []])
+        runs[-1][0] += text.replace("%", "%%")
+        if varies and len(runs) % 2:
+            runs.append(["", []])
+        runs[-1][0] += fragment
+        runs[-1][1] += chains
+    covers = (map(fmt.__mod__, zip(*_columns(records, chains))) for fmt, chains in runs[1::2])
     templates: dict = {}
-    append = parts.append
-    for rec in records:
-        key = _template_key(rec)
-        runs = templates.get(key)
-        if runs is None:
-            # text opens and closes a record, and no two Nones are adjacent
-            pieces = groupby(template(rec, expand_torsion), lambda piece: piece is None)
-            first, *rest = ["".join(run) for is_cover, run in pieces if not is_cover]
-            runs = templates[key] = first, rest
-        first, rest = runs
-        append(first)
-        for text, run in zip(cover(rec, expand_torsion), rest):
-            append(text)
-            append(run)
-
-
-def _json_template(rec: FamilyRecord, expand_torsion: bool) -> list:
-    # _json_layout's text around each field, with None for a per-cover value
-    pieces = []
-    for (text, encode, indent), value, varies in zip(_JSON_FIELDS, _values(rec), _PER_COVER):
-        pieces += (text, None if varies else encode(value, expand_torsion, indent))
-    return [*pieces, _JSON_RECORD_CLOSE]
-
-
-def _json_cover(rec: FamilyRecord, expand_torsion: bool) -> list[str]:
-    return [
-        encode(value, expand_torsion, indent)
-        for (encode, indent), value in zip(_JSON_COVER, _cover_values(rec))
-    ]
-
-
-# the table view's cells of per-cover fields: column -> (format spec, field)
-_TABLE_COVER = {
-    field.column: (f"{align}{width}", field)
-    for _, width, align, key in _TABLE
-    for field in _COVER_FIELDS
-    if field.column == key
-}
-_table_cover_values = attrgetter(*(field.attr_path for _, field in _TABLE_COVER.values()))
-
-
-def _table_template(rec: FamilyRecord, expand_torsion: bool) -> list:
-    # a space between cells keeps a cell wider than its column apart from
-    # the next one
-    cells = dict(zip(CSV_HEADER, _csv_row(rec, expand_torsion)), base=rec.base)
-    pieces = []
-    for _, width, align, key in _TABLE:
-        cell = None if key in _TABLE_COVER else f"{_table_text(cells[key]):{align}{width}}"
-        pieces += (cell, " ")
-    pieces[-1] = "\n"
-    return pieces
-
-
-def _table_cover(rec: FamilyRecord, expand_torsion: bool) -> list[str]:
-    return [
-        format(_table_text(field.codec.to_text(value, expand_torsion)), spec)
-        for (spec, field), value in zip(_TABLE_COVER.values(), _table_cover_values(rec))
-    ]
+    record = [None] * len(runs)  # one record's runs, refilled in place
+    for rec, key, texts in zip(records, map(_template_key, records), zip(*covers)):
+        template = templates.get(key)
+        if template is None:
+            template = [fmt % tuple(map(next, _columns([rec], c))) for fmt, c in runs[::2]]
+            templates[key] = template
+        record[::2], record[1::2] = template, texts
+        parts += record
 
 
 def _catalog_meta(cfg: ScanConfig, expand_torsion: bool, count: int) -> dict:
@@ -443,23 +405,33 @@ def render_catalog(
     """Serialize records (already in canonical order) to table, csv or json."""
     if fmt == "json":
         # the bytes of json.dumps({"meta": ..., "records": [...]}, indent=2),
-        # written field by field from _FIELDS (_json_layout)
+        # written field by field from _FIELDS (_json_fields)
         head = json.dumps(
             {"meta": _catalog_meta(cfg, expand_torsion, len(records)), "records": []}, indent=2
         )
         if not records:
             return head + "\n"
         parts = [head[: -len("]\n}")]]
-        _append_text(parts, records, _json_template, _json_cover, expand_torsion)
+        _append_text(parts, records, *_json_fields(expand_torsion))
         parts[1] = parts[1][1:]  # no comma before the first record
         parts.append("\n  ]\n}\n")
         return "".join(parts)
+    # the chain that makes each CSV cell from the record
+    cells = {f.column: (attrgetter(f.attr_path), *f.codec.to_text(expand_torsion)) for f in _FIELDS}
     if fmt == "csv":
-        return _csv_text(CSV_HEADER, (_csv_row(rec, expand_torsion) for rec in records))
+        return _csv_text(CSV_HEADER, zip(*_columns(records, map(cells.get, CSV_HEADER))))
     if fmt == "table":
+        cells["base"] = (attrgetter("base"),)
+        # a space between cells keeps a cell wider than its column apart
+        # from the next one
+        fields = [
+            (" " if index else "", f"%{'-' if align == '<' else ''}{width}s")
+            + ([(*cells[key], _table_text)], key in _PER_COVER)
+            for index, (_, width, align, key) in enumerate(_TABLE)
+        ]
         head = " ".join(f"{header:{align}{width}}" for header, width, align, _ in _TABLE)
         parts = [head, "\n", "-" * len(head), "\n"]
-        _append_text(parts, records, _table_template, _table_cover, expand_torsion)
+        _append_text(parts, records, fields, "\n")
         return "".join(parts)
     raise UsageError(f"unknown catalog format {fmt!r}")
 
@@ -707,8 +679,8 @@ def _run_ingest(ns: argparse.Namespace) -> str:
     with open(ns.file, "rb") as fh:
         lines = fh.read().splitlines()
     result: IngestResult = ingest_weight_list(lines, cfg, expand_torsion=ns.expand_torsion)
-    for message in result.errors:
-        print(f"ingest: {message}", file=sys.stderr)
+    # one write: unbuffered, each print would be two
+    sys.stderr.write("".join(f"ingest: {message}\n" for message in result.errors))
     return render_catalog(result.records, ns.format, cfg, ns.expand_torsion)
 
 

@@ -42,20 +42,7 @@ def is_fano(k: int, base: WeightSystem) -> bool:
     For |w| - d >= 0 this holds for every positive k; in the hyperbolic
     case it bounds k above by d/(d - |w|).
     """
-    return _klt_sides(k, base)[0] > 0
-
-
-def _klt_sides(k: int, base: WeightSystem) -> tuple[int, int, str, bool]:
-    """(left, least, witness, holds) for k >= 1: left = k(|w| - d) + d, least
-    = min{d, k w_i} = min{d, k min(w)}, the first term attaining it (d, else
-    k w at the first index of min(w)), and whether left < m/(m-1) least."""
-    if k < 1:
-        raise UsageError(f"k must be positive, got {k}")
-    d, w = base.degree, min(base.weights)
-    left = k * (base.norm - d) + d
-    least = min(d, k * w)
-    witness = "d" if least == d else f"k*w[{base.weights.index(w) + 1}]"
-    return left, least, witness, (base.m - 1) * left < base.m * least
+    return _cover_rule(base).klt_sides(k)[0] > 0
 
 
 def necessary_klt(k: int, base: WeightSystem) -> bool:
@@ -65,7 +52,7 @@ def necessary_klt(k: int, base: WeightSystem) -> bool:
     candidate out; passing it certifies nothing (it is far from
     sufficient).
     """
-    return _klt_sides(k, base)[3]
+    return _cover_rule(base).klt_sides(k)[3]
 
 
 def euclidean_k_threshold(base: WeightSystem) -> int:
@@ -155,15 +142,19 @@ class _KRule(NamedTuple):
     reciprocal_sum: Fraction  # S = sum 1/a_i = |w|/d
     top: int  # T, the greatest a_i or b_i b_j over base indices
     witness: str  # the first term attaining T, in cover indices
+    bound: Fraction  # 1 + m/((m-1) T), the right bound for k < T
     lower: Fraction  # equal to upper when no k passes
     upper: Optional[Fraction]  # None: no upper bound
 
     def sides(self, k: int) -> tuple[Fraction, Fraction, str]:
         """S + 1/k, the right bound and the term attaining it; k is index 0,
-        so it is the witness whenever k >= T."""
-        top, witness = (k, "1/a[0]") if k >= self.top else (self.top, self.witness)
-        bound = 1 + Fraction(self.m, (self.m - 1) * top)
-        return self.reciprocal_sum + Fraction(1, k), bound, witness
+        so it is the witness whenever k >= T.  One Fraction each."""
+        p, q = self.reciprocal_sum.as_integer_ratio()
+        left = Fraction(p * k + q, q * k)
+        if k < self.top:
+            return left, self.bound, self.witness
+        n = (self.m - 1) * k
+        return left, Fraction(n + self.m, n), "1/a[0]"
 
 
 def _sufficiency_in_k(base: WeightSystem) -> Optional[_KRule]:
@@ -188,9 +179,41 @@ def _sufficiency_in_k(base: WeightSystem) -> Optional[_KRule]:
         upper = 1 / ((m - 1) * (s - 1))
     else:
         upper = None
-    room = 1 + Fraction(m, (m - 1) * top) - s
-    lower = 1 / room if room > 0 else upper
-    return _KRule(m, s, top, witness, lower, upper)
+    bound = 1 + Fraction(m, (m - 1) * top)
+    lower = 1 / (bound - s) if bound > s else upper
+    return _KRule(m, s, top, witness, bound, lower, upper)
+
+
+class _CoverRule(NamedTuple):
+    """Both certificate inequalities on the covers z_0^k + f of one base,
+    solved once for every k: the klt line left = k(|w| - d) + d against
+    least = min(d, k w_min), and `bp`, the sufficiency inequality solved in
+    k (`_sufficiency_in_k`), None unless the covers are Brieskorn-Pham."""
+
+    m: int
+    slope: int  # |w| - d
+    degree: int  # d, the intercept
+    least_weight: int  # w_min
+    weight_witness: str  # k*w[i], i the first index of w_min
+    right_at_degree: Fraction  # m d/(m-1), the klt right side once least = d
+    bp: Optional[_KRule]
+
+    def klt_sides(self, k: int) -> tuple[int, int, str, bool]:
+        """(left, least, the first term attaining least, left < m/(m-1) least)."""
+        if k < 1:
+            raise UsageError(f"k must be positive, got {k}")
+        d, least = self.degree, k * self.least_weight
+        least, witness = (least, self.weight_witness) if least < d else (d, "d")
+        left = k * self.slope + d
+        return left, least, witness, (self.m - 1) * left < self.m * least
+
+
+def _cover_rule(base: WeightSystem) -> _CoverRule:
+    """The certificate inequalities of `base`, solved in k (`_CoverRule`)."""
+    m, d, w = base.m, base.degree, min(base.weights)
+    witness = f"k*w[{base.weights.index(w) + 1}]"
+    bp = _sufficiency_in_k(base)
+    return _CoverRule(m, base.norm - d, d, w, witness, Fraction(m * d, m - 1), bp)
 
 
 class HyperbolicWindow(NamedTuple):
@@ -249,38 +272,39 @@ class KeCertificate(NamedTuple):
     @property
     def fano(self) -> bool:
         # k(|w| - d) + d > 0 iff |w|/d + 1/k > 1 (divide by kd): the left side on a BP cover
-        return self.left_value > (1 if self.bp_applicable else 0)
+        p, q = self.left_value.as_integer_ratio()
+        return p > (q if self.bp_applicable else 0)
 
     @property
     def bp_sufficient(self) -> bool:
-        return self.bp_applicable and 1 < self.left_value < self.right_bound
-
-
-# `certify_cover`'s default: no rule given, so the call solves it
-_UNSOLVED = object()
+        # 1 < left < right, on numerators and (positive) denominators
+        if not self.bp_applicable:
+            return self.bp_applicable
+        (p, q), (r, s) = self.left_value.as_integer_ratio(), self.right_bound.as_integer_ratio()
+        return q < p and p * s < r * q
 
 
 def certify_cover(
-    k: int, base: WeightSystem, *, rule: Optional[_KRule] | object = _UNSOLVED
+    k: int, base: WeightSystem, *, rule: Optional[_CoverRule] = None
 ) -> KeCertificate:
     """Evaluate every certificate test for the k-fold cover of `base`.
 
-    The klt sides (`_klt_sides`) decide the necessary klt inequality.
-    A Brieskorn-Pham cover (every w_i a proper divisor of d, gcd(k, d) = 1)
-    records the sides of the sufficiency inequality solved in k, equal to
-    those of the literal `bp_sufficient_ke` on the cover exponents; any
-    other cover records the klt sides.  `rule` is `_sufficiency_in_k(base)`
-    when the caller has solved it once for many k; without it the call
-    solves it.  A rule is ignored when gcd(k, d) > 1.
+    The klt sides decide the necessary klt inequality.  A Brieskorn-Pham
+    cover (every w_i a proper divisor of d, gcd(k, d) = 1) records the
+    sides of the sufficiency inequality solved in k, equal to those of the
+    literal `bp_sufficient_ke` on the cover exponents; any other cover
+    records the klt sides.  `rule` is `_cover_rule(base)` when the caller
+    has solved it once for many k; without it the call solves it.  Per k
+    the call does integer work and builds at most two Fractions.
     """
     coprime = torsion_hypothesis(k, base)  # refuses k < 2
-    left, least, witness, nklt = _klt_sides(k, base)
-    if not coprime:
-        rule = None
-    elif rule is _UNSOLVED:
-        rule = _sufficiency_in_k(base)
     if rule is None:
-        left_value, right = Fraction(left), Fraction(base.m * least, base.m - 1)
+        rule = _cover_rule(base)
+    left, least, witness, nklt = rule.klt_sides(k)
+    if coprime and rule.bp is not None:
+        return KeCertificate(nklt, True, *rule.bp.sides(k))
+    if least == rule.degree:
+        right = rule.right_at_degree
     else:
-        left_value, right, witness = rule.sides(k)
-    return KeCertificate(nklt, rule is not None, left_value, right, witness)
+        right = Fraction(rule.m * least, rule.m - 1)
+    return KeCertificate(nklt, False, Fraction(left), right, witness)

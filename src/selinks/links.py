@@ -114,7 +114,7 @@ class WeightSystem(_System):
         return cls(weights, degree)
 
     def __str__(self) -> str:
-        return "(" + ",".join(str(w) for w in self.weights) + f";{self.degree})"
+        return "(" + ",".join(map(str, self.weights)) + f";{self.degree})"
 
 
 class CaseClass(Enum):

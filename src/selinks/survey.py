@@ -18,7 +18,7 @@ from .arith import COUNT_MONOMIALS_CELL_LIMIT, FactoredPower, _ints, check_digit
 from .errors import IntegrityError, ResourceBudgetError, UsageError
 from .ke_cert import (
     KeCertificate,
-    _sufficiency_in_k,
+    _cover_rule,
     bp_sufficient_ke,
     certify_cover,
     euclidean_k_threshold,
@@ -138,8 +138,10 @@ class FamilyRecord(NamedTuple):
         # the order of every catalog: each generator sorts its records by
         # it, and `parse_catalog_json` sorts what it reads by it, stably, so
         # the records of an ingest row given twice stay as written.  The base
-        # is sorted already: `_records` and the reader build it canonical
-        return (self.family_tag, self.m, self.l_or_d, self.k, self.base.weights)
+        # is sorted already: `_records` and the reader build it canonical.
+        # It reads the stored fields, not the m, l_or_d and k properties
+        base = self.base
+        return (self.family_tag, len(base.weights), base.degree, self.torsion.base, base.weights)
 
 
 class IngestResult(NamedTuple):
@@ -181,11 +183,11 @@ def _records(
     to d (`_branch_orders`).
 
     A base with no k costs nothing.  The Betti number, the genus, the
-    moduli count and the sufficiency inequality solved in k are computed
-    once per base, exactly: a cover monomial z_0^a z^beta of degree k t
-    forces k | a, so h0_cover(O(k t)) = sum_{j >= 0} h0_base(O(t - j d))
-    and h0_cover(O(d)) = 1, neither depending on k.  The least k gives the
-    smallest counting tables.
+    moduli count and the certificate inequalities solved in k
+    (`_cover_rule`) are computed once per base, exactly: a cover monomial
+    z_0^a z^beta of degree k t forces k | a, so h0_cover(O(k t)) =
+    sum_{j >= 0} h0_base(O(t - j d)) and h0_cover(O(d)) = 1, neither
+    depending on k.  The least k gives the smallest counting tables.
     """
     if not ks:
         return []
@@ -202,16 +204,12 @@ def _records(
     # real_dim = 2 max(mu, 0) can have one digit more than the counts
     for name in ("complex_dim", "real_dim", "h0_degree", "h0_weights_sum"):
         check_digits(getattr(moduli, name), name)
-    rule = _sufficiency_in_k(base)
+    rule = _cover_rule(base)
+    # by position: keywords double what building a NamedTuple costs
     return [
         FamilyRecord(
-            family_tag=tag,
-            base=base,
-            torsion=FactoredPower(k, betti),
-            moduli=moduli,
-            certificate=certify_cover(k, base, rule=rule),
-            paper_min_k=paper_min_k,
-            literal_min_k=literal_min_k,
+            tag, base, FactoredPower(k, betti), moduli, certify_cover(k, base, rule=rule),
+            paper_min_k, literal_min_k,
         )
         for k in ks
     ]

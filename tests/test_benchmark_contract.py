@@ -6,9 +6,14 @@ breaking that without notice."""
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-TRACE = Path(__file__).resolve().parents[1] / "perfbench" / "trace.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACE = ROOT / "perfbench" / "trace.py"
 
 
 def _trace_module():
@@ -43,3 +48,48 @@ def test_scan_calls_each_generator_through_its_name_in_cli(monkeypatch, capsys):
         assert cli.main(["scan", family, "--format", "json"]) == 0
     capsys.readouterr()
     assert sorted(called) == sorted(trace.GENERATORS - {"scan_all", "ingest_weight_list"})
+
+
+def test_a_traced_run_records_each_busy_layer_and_one_certificate_per_record(
+    monkeypatch, tmp_path
+):
+    # trace.py on the families scans (small bounds) and on the seed-0 ingest
+    # rows, each with its catalogs read back: every layer the workload lists
+    # as busy records calls, and certify_cover is called once per record
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    try:
+        from workloads import FAMILY_SCANS, Families, Ingest
+
+        ingest = Ingest(tmp_path, 0)
+    finally:
+        sys.modules.pop("workloads", None)
+        sys.modules.pop("oracles", None)
+    scans = [
+        (["scan", family, "--k-bound", "30", "--m", "3..5"], tmp_path / f"{family}.json")
+        for family in FAMILY_SCANS
+    ]
+    runs = {
+        "families": (Families.busy, scans),
+        "ingest": (Ingest.busy, [(list(inv.args[:2]), inv.out) for inv in ingest.invocations()]),
+    }
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    for name, (busy, invocations) in runs.items():
+        spec = {
+            "invocations": [
+                [[*args, "--format", "json", "--out", str(out)], str(tmp_path / f"{name}.err")]
+                for args, out in invocations
+            ],
+            "parse": [str(out) for _, out in invocations],
+        }
+        spec_path, stats_path = tmp_path / "spec.json", tmp_path / "stats.json"
+        spec_path.write_text(json.dumps(spec), encoding="utf-8")
+        done = subprocess.run(
+            [sys.executable, str(TRACE), str(spec_path), str(stats_path)],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        stats = json.loads(stats_path.read_text(encoding="utf-8"))
+        functions = stats["functions"]
+        assert [layer for layer in busy if functions.get(layer, {}).get("calls", 0) == 0] == []
+        records = sum(json.loads(out.read_text())["meta"]["count"] for _, out in invocations)
+        assert functions["ke_cert.certify_cover"]["calls"] == records > 0, name

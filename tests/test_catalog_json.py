@@ -7,7 +7,8 @@ The oracle spells each record out by hand as nested dicts, from the
 `json.dumps(indent=2)` write it; the two must give the same text.  The CSV
 and table oracles write every cell of every record, one record at a time,
 the CSV one through `csv.writer`.  The catalogs the benchmark writes must
-also keep the sha256 it pins.
+also keep the sha256 it pins, and their table and CSV views those of
+pinned_renderings.json.
 """
 
 import csv
@@ -213,6 +214,36 @@ def test_the_benchmark_catalogs_keep_their_pinned_sha256(monkeypatch, tmp_path):
             meta, records = parse_catalog_json(text)
             cfg = ScanConfig(**meta["bounds"])
             assert render_catalog(records, "json", cfg, meta["expand_torsion"]) == text, key
+
+
+def test_the_table_and_csv_views_keep_their_pinned_sha256(monkeypatch, tmp_path, capsys):
+    # JSON parsing reads back only the JSON view, so the bytes of the other
+    # two, and the seed-0 ingest row diagnostics (malformed rows and rows
+    # without a quasi-smooth member), are pinned too
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import ingest_rows
+
+    try:
+        lines = ingest_rows(0).lines
+    finally:
+        sys.modules.pop("workloads", None)
+        sys.modules.pop("oracles", None)
+    rows = tmp_path / "ingest-rows.txt"
+    rows.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    pinned = json.loads((Path(__file__).with_name("pinned_renderings.json")).read_text())
+    runs = {
+        "families/fermat-cy": ["scan", "fermat-cy", "--k-bound", "400", "--m", "3..10"],
+        "ingest/seed=0": ["ingest", str(rows)],
+    }
+    digests = {}
+    for key, args in runs.items():
+        for fmt in ("table", "csv"):
+            assert main([*args, "--format", fmt]) == 0, (key, fmt)
+            out, err = capsys.readouterr()
+            digests[f"{key}/{fmt}"] = hashlib.sha256(out.encode("utf-8")).hexdigest()
+            if key.startswith("ingest"):
+                digests[f"{key}/stderr"] = hashlib.sha256(err.encode("utf-8")).hexdigest()
+    assert digests == pinned["renderings"]
 
 
 @pytest.mark.parametrize(

@@ -530,6 +530,30 @@ def test_ingest_cli_reports_a_row_past_the_counting_budget(tmp_path, capsys):
     }
 
 
+def test_ingest_writes_its_row_diagnostics_byte_for_byte_in_its_own_process(tmp_path):
+    # unbuffered, as the benchmark runs it: one line per skipped row, in
+    # row order, whatever made the row fail
+    src = tmp_path / "bases.txt"
+    src.write_bytes(b"1,1,1;3\nfoo\n1,1;0\n4,4,6,9;12\n\xff\n2,2,2,3,3,5;13\n")
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONUNBUFFERED="1")
+    done = subprocess.run(
+        [sys.executable, "-m", "selinks", "ingest", str(src), "--k-range", "2..5"],
+        cwd=root, env=env, capture_output=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    unsmooth = "has no quasi-smooth member; invariants are not defined for this weight class"
+    assert done.stderr == (
+        "ingest: line 2: expected 'w1,...,wm;d', got 'foo'\n"
+        "ingest: line 3: degree must be positive, got 0\n"
+        f"ingest: line 4: (4,4,6,9;12) {unsmooth}\n"
+        "ingest: line 5: not UTF-8 text ('utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte)\n"
+        f"ingest: line 6: (2,2,2,3,3,5;13) {unsmooth}\n"
+    ).encode("ascii")
+    assert done.stdout.count(b"\ningested ") == 3  # (1,1,1;3) at k = 2, 4, 5
+
+
 def test_ingest_gives_a_row_too_long_to_write_a_diagnostic_in_its_own_process(tmp_path):
     # the middle row's Betti number has about 6,000 digits, past the
     # int-to-str limit: the row gets a diagnostic before any of its records

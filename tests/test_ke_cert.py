@@ -22,7 +22,7 @@ from selinks import (
     is_fano,
     necessary_klt,
 )
-from selinks.ke_cert import _sufficiency_in_k
+from selinks.ke_cert import _cover_rule, _sufficiency_in_k
 
 
 def test_is_fano():
@@ -314,23 +314,30 @@ def any_bases(draw):
     return WeightSystem(tuple(weights), d)
 
 
-@settings(derandomize=True, max_examples=500, deadline=None)
-@given(base=divisor_bases() | any_bases(), k=st.integers(2, 400))
-@example(base=WeightSystem((1, 1, 2), 5), k=3)  # not Brieskorn-Pham: the rule is None
-@example(base=WeightSystem((1, 1, 4), 4), k=3)  # a weight equal to d: the rule is None
-@example(base=WeightSystem((1, 1, 1), 3), k=6)  # k shares a factor with d: the rule is ignored
-@example(base=WeightSystem((3, 4, 6), 12), k=9)  # likewise, on a base whose rule admits k
-def test_a_rule_solved_once_per_base_gives_the_per_record_certificate(
-    base, k, literal_certificate
-):
-    rule = _sufficiency_in_k(base)
-    assert (rule is None) == (base.bp_exponents is None)
-    cert = certify_cover(k, base, rule=rule)
-    assert cert == certify_cover(k, base) == literal_certificate(k, base)
-    exponents = branched_cover(k, base).bp_exponents
-    assert cert.bp_applicable == (exponents is not None)
-    if exponents is not None:
-        assert cert.bp_sufficient == bp_sufficient_ke(exponents).verdict
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(base=divisor_bases() | any_bases())
+@example(base=WeightSystem((1, 1, 2), 5))  # not Brieskorn-Pham: no sufficiency rule
+@example(base=WeightSystem((1, 1, 4), 4))  # a weight equal to d: no sufficiency rule
+@example(base=WeightSystem((1, 1, 1), 3))  # k = 3, 6, 9 share a factor with d
+@example(base=WeightSystem((3, 4, 6), 12))  # likewise, on a base whose rule admits k
+@example(base=WeightSystem((2, 3, 5), 7))  # k w_min crosses d between k = 3 and k = 4
+def test_a_rule_solved_once_per_base_gives_the_per_record_certificate(base, literal_certificate):
+    # every k in 2..3d: the k sharing a factor with d, where the sufficiency
+    # rule is ignored, and the k where k w_min passes d and d becomes the least term
+    rule = _cover_rule(base)
+    assert rule.bp == _sufficiency_in_k(base)
+    assert (rule.bp is None) == (base.bp_exponents is None)
+    for k in range(2, 3 * base.degree + 1):
+        cert = certify_cover(k, base, rule=rule)
+        assert cert == certify_cover(k, base) == literal_certificate(k, base), k
+        exponents = branched_cover(k, base).bp_exponents
+        assert cert.bp_applicable == (exponents is not None)
+        if exponents is not None:
+            assert cert.bp_sufficient == bp_sufficient_ke(exponents).verdict
+        # the integer comparisons of the two sides are the Fraction ones
+        left, right = cert.left_value, cert.right_bound
+        assert cert.fano == (left > (1 if cert.bp_applicable else 0))
+        assert cert.bp_sufficient == (cert.bp_applicable and 1 < left < right)
 
 
 def test_certify_cover_refuses_k_below_2():
