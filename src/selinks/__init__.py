@@ -10,23 +10,17 @@ that regenerate the known families as machine-checkable catalogs.
 
 __version__ = "0.1.0"
 
-from . import arith, errors, ke_cert, links, moduli, survey, topology
-from .arith import *
-from .errors import *
-from .ke_cert import *
-from .links import *
-from .moduli import *
-from .survey import *
-from .topology import *
 
-# each module's __all__ is its list of public names; this is their union
-__all__ = [
-    "__version__",
-    *arith.__all__,
-    *errors.__all__,
-    *links.__all__,
-    *topology.__all__,
-    *ke_cert.__all__,
-    *moduli.__all__,
-    *survey.__all__,
-]
+def __getattr__(name: str):
+    # PEP 562: the first public name asked for, or __all__, imports the library,
+    # so a command loads only the modules it runs; `from . import` would recurse
+    from importlib import import_module
+
+    # each module's __all__ is its list of public names; this is their union
+    shorts = ("arith", "errors", "links", "topology", "ke_cert", "moduli", "survey")
+    modules = [import_module(f"{__name__}.{short}") for short in shorts]
+    globals()["__all__"] = ["__version__", *(n for module in modules for n in module.__all__)]
+    globals().update((n, getattr(module, n)) for module in modules for n in module.__all__)
+    if name not in globals():
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals()[name]

@@ -11,12 +11,10 @@ byte-identical across runs, and the JSON form round-trips losslessly.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
 from contextlib import nullcontext
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, methodcaller
 from typing import Any, Callable, NamedTuple, Optional, Sequence
@@ -24,9 +22,7 @@ from typing import Any, Callable, NamedTuple, Optional, Sequence
 from . import __version__
 from .arith import FactoredPower, check_digits
 from .errors import IntegrityError, ResourceBudgetError, UsageError
-from .ke_cert import KeCertificate, bp_sufficient_ke
 from .links import WeightSystem, _quasi_smooth, branched_cover, classify_case, torsion_hypothesis
-from .moduli import ModuliCount, moduli_count
 from .survey import (
     EuclideanRow,
     FamilyRecord,
@@ -39,8 +35,8 @@ from .survey import (
     scan_fermat_cy,
     scan_hyperbolic,
 )
-from .topology import genus, milnor_orlik_betti, torsion_order
 
+# the other layers, csv and fractions are imported where they run (README)
 __all__ = ["render_catalog", "parse_catalog_json", "main"]
 
 CATALOG_SCHEMA = "selinks.catalog/1"
@@ -188,6 +184,11 @@ def _fraction_form(indent: str, _) -> tuple[str, tuple]:
     return f'{{\n{inner}"num": %d,\n{inner}"den": %d\n{indent}}}', args
 
 
+def _fraction(obj: Any):
+    from fractions import Fraction
+    return Fraction(obj["num"], obj["den"])
+
+
 _WEIGHTS = _Codec(_weights_form, lambda _: (lambda value: " ".join(map(str, value)),))
 _TORSION = _Codec(
     _torsion_form,
@@ -197,7 +198,7 @@ _TORSION = _Codec(
 _FRACTION = _Codec(
     _fraction_form,
     lambda _: (lambda value: f"{value.numerator}/{value.denominator}",),
-    lambda obj: Fraction(obj["num"], obj["den"]),
+    _fraction,
 )
 
 
@@ -237,8 +238,6 @@ _FIELDS = (
     _Field("paper_min_k", "paper_min_k", "paper_min_k", _OPTIONAL_INT),
     _Field("literal_min_k", "literal_min_k", "literal_min_k", _OPTIONAL_INT),
 )
-# the class of each FamilyRecord attribute assembled from several fields
-_PARTS = {"base": WeightSystem, "moduli": ModuliCount, "certificate": KeCertificate}
 
 # the table view's own layout: (header, width, alignment, cell), where a
 # cell names a CSV column and "base" is the system as (w1,...,wm;d)
@@ -277,13 +276,6 @@ _PER_COVER = {
 _template_key = attrgetter(
     "family_tag", "base", "torsion.exponent", "moduli", "paper_min_k", "literal_min_k"
 )
-# (JSON group, JSON key, attribute group, attribute, from_json) of each stored field
-_JSON_IN = tuple(
-    (*_split(f.json_path), group, name, f.codec.from_json)
-    for f in _FIELDS
-    for group, name in [_split(f.attr_path)]
-    if name in (FamilyRecord if group is None else _PARTS[group])._fields
-)
 
 
 def _json_fields(expand_torsion: bool) -> tuple[list, str]:
@@ -313,15 +305,30 @@ def _json_fields(expand_torsion: bool) -> tuple[list, str]:
     return fields, "\n    }" if group_open is None else "\n      }\n    }"
 
 
-def _record(obj: Any) -> FamilyRecord:
-    """The record whose stored fields `obj` holds, its base made canonical.
-    The fields a record derives are not read: the re-render checks them."""
-    parts: dict = {group: {} for group in (None, *_PARTS)}
-    for json_group, json_key, group, name, decode in _JSON_IN:
+def _reader_fields() -> tuple[dict, tuple]:
+    """The class of each FamilyRecord attribute assembled from several fields,
+    and (JSON group, JSON key, attribute group, attribute, from_json) of each
+    stored field."""
+    from .ke_cert import KeCertificate
+    from .moduli import ModuliCount
+    classes = {"base": WeightSystem, "moduli": ModuliCount, "certificate": KeCertificate}
+    return classes, tuple(
+        (*_split(f.json_path), group, name, f.codec.from_json)
+        for f in _FIELDS
+        for group, name in [_split(f.attr_path)]
+        if name in (FamilyRecord if group is None else classes[group])._fields
+    )
+
+
+def _record(obj: Any, classes: dict, stored: tuple) -> FamilyRecord:
+    """The record whose stored fields (`_reader_fields`) `obj` holds, its base
+    made canonical.  The fields it derives are left to the re-render."""
+    parts: dict = {group: {} for group in (None, *classes)}
+    for json_group, json_key, group, name, decode in stored:
         value = (obj if json_group is None else obj[json_group])[json_key]
         parts[group][name] = value if decode is None else decode(value)
     top = parts.pop(None)
-    top.update((group, cls(**parts[group])) for group, cls in _PARTS.items())
+    top.update((group, cls(**parts[group])) for group, cls in classes.items())
     top["base"] = top["base"].canonical()
     return FamilyRecord(**top)
 
@@ -389,6 +396,7 @@ def _catalog_meta(cfg: ScanConfig, expand_torsion: bool, count: int) -> dict:
 
 
 def _csv_text(header: Sequence[str], rows) -> str:
+    import csv
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -492,10 +500,10 @@ def parse_catalog_json(text: str) -> tuple[dict, list[FamilyRecord]]:
         cfg = ScanConfig(**bounds)
     except (TypeError, ValueError) as exc:  # a UsageError is a ValueError
         raise UsageError(f"catalog bounds {bounds!r} are refused: {exc!r}") from None
-    records = []
+    records, reader_fields = [], _reader_fields()
     for index, obj in enumerate(objs):
         try:
-            rec = _record(obj)
+            rec = _record(obj, *reader_fields)
             if not torsion_hypothesis(rec.k, rec.base):
                 raise ValueError(f"k = {rec.k} is not coprime to the degree of {rec.base}")
             if not cfg.k_min <= rec.k <= cfg.k_bound:
@@ -565,6 +573,7 @@ def _written(key: str, value: Any) -> Any:
     as n/d, a plain tuple joined by commas, a system or a power by its str.
     Each integer in it is first checked against the int-to-str limit
     (`check_digits`), so a value too long to write is a budget error."""
+    from fractions import Fraction
     if type(value) is int:
         return check_digits(value, key)
     if isinstance(value, Fraction):
@@ -595,6 +604,7 @@ def _write_output(text: str, path: Optional[str]) -> None:
 
 
 def _run_invariants(ns: argparse.Namespace) -> str:
+    from .topology import genus, milnor_orlik_betti
     ws = _quasi_smooth(WeightSystem(ns.weights, ns.degree))
     payload = {
         "system": ws,
@@ -608,9 +618,10 @@ def _run_invariants(ns: argparse.Namespace) -> str:
 
 
 def _run_cover(ns: argparse.Namespace) -> str:
+    from .topology import torsion_order
+    k = ns.k
     # branched_cover refuses k < 2, a usage error, before the
     # quasi-smoothness gate gives its integrity error
-    k = ns.k
     cov = branched_cover(k, WeightSystem(ns.weights, ns.degree))
     base = _quasi_smooth(cov.base)
     payload = {
@@ -626,6 +637,7 @@ def _run_cover(ns: argparse.Namespace) -> str:
 
 
 def _run_certify(ns: argparse.Namespace) -> str:
+    from .ke_cert import bp_sufficient_ke
     result = bp_sufficient_ke(ns.exponents)
     payload = {
         "exponents": result.exponents,
@@ -640,6 +652,7 @@ def _run_certify(ns: argparse.Namespace) -> str:
 
 
 def _run_moduli(ns: argparse.Namespace) -> str:
+    from .moduli import moduli_count
     ws = _quasi_smooth(WeightSystem(ns.weights, ns.degree))
     mc = moduli_count(ws)
     payload = {

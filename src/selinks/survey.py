@@ -12,27 +12,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional
 
 from .arith import COUNT_MONOMIALS_CELL_LIMIT, FactoredPower, _ints, check_digits, count_monomials
 from .errors import IntegrityError, ResourceBudgetError, UsageError
-from .ke_cert import (
-    KeCertificate,
-    _cover_rule,
-    bp_sufficient_ke,
-    certify_cover,
-    euclidean_k_threshold,
-    hyperbolic_k_window,
-)
-from .links import (
-    WeightSystem,
-    _quasi_smooth,
-    branched_cover,
-    quasi_smooth_generic,
-    torsion_hypothesis,
-)
-from .moduli import ModuliCount, moduli_count
-from .topology import genus, torsion_order
+from .links import WeightSystem, _quasi_smooth, branched_cover, quasi_smooth_generic
+
+# ke_cert, moduli and topology are imported where they run, per call or per base
+if TYPE_CHECKING:
+    from .ke_cert import KeCertificate
+    from .moduli import ModuliCount
 
 __all__ = [
     "ScanConfig",
@@ -152,23 +141,21 @@ class IngestResult(NamedTuple):
 
 
 def _branch_orders(base: WeightSystem, ks: Iterable[int], spent: int = 0) -> list[int]:
-    """The k in `ks` coprime to d, refused once they and the `spent` records
-    counted before them would pass CATALOG_RECORD_LIMIT.
+    """The k in `ks` (each at least 2) coprime to d, refused once they and
+    the `spent` records counted before them would pass CATALOG_RECORD_LIMIT.
 
     Every catalog's records pass through here (`hyperbolic_k_window` and
-    `_least_certifying_k` also skip the other k, in their own sweeps); on a
-    reduced base gcd(k, d) = 1 is the torsion hypothesis.  The
-    count stops at the limit, so a huge k range is refused at once.
+    `_least_certifying_k` also skip the other k, in their own sweeps).  The
+    rule is `links.torsion_hypothesis`, gcd(k, d) = 1 on a reduced system.
+    The count stops one past the limit: a huge k range is refused at once.
     """
-    orders = []
-    for k in ks:
-        if torsion_hypothesis(k, base):
-            if spent + len(orders) == CATALOG_RECORD_LIMIT:
-                raise ResourceBudgetError(
-                    f"a catalog of more than {CATALOG_RECORD_LIMIT} records is refused "
-                    f"(the limit is passed at {base}, k = {k})"
-                )
-            orders.append(k)
+    d, room = base.degree, CATALOG_RECORD_LIMIT - spent
+    orders = list(itertools.islice((k for k in ks if math.gcd(k, d) == 1), room + 1))
+    if len(orders) > room:
+        raise ResourceBudgetError(
+            f"a catalog of more than {CATALOG_RECORD_LIMIT} records is refused "
+            f"(the limit is passed at {base}, k = {orders[-1]})"
+        )
     return orders
 
 
@@ -191,6 +178,9 @@ def _records(
     """
     if not ks:
         return []
+    from .ke_cert import _cover_rule, certify_cover
+    from .moduli import moduli_count
+    from .topology import genus, torsion_order
     # records name the sorted base, so the certificate's witness indexes it
     base = base.canonical()
     k0 = min(ks)
@@ -326,13 +316,14 @@ def scan_euclidean_classification(cfg: ScanConfig) -> list[EuclideanRow]:
 
 
 def _least_certifying_k(base: WeightSystem, k_bound: int) -> Optional[int]:
-    """Smallest admissible k whose cover passes the sufficiency inequality,
-    found by sweeping the literal inequality (`bp_sufficient_ke`) over k."""
+    """Smallest k coprime to d (`links.torsion_hypothesis`) whose cover passes
+    the literal sufficiency inequality (`bp_sufficient_ke`), swept over k."""
+    from .ke_cert import bp_sufficient_ke
     exponents = base.bp_exponents
     if exponents is None:
         return None
     for k in range(2, k_bound + 1):
-        if torsion_hypothesis(k, base) and bp_sufficient_ke((k,) + exponents).verdict:
+        if math.gcd(k, base.degree) == 1 and bp_sufficient_ke((k,) + exponents).verdict:
             return k
     return None
 
@@ -348,6 +339,7 @@ def generate_theorem2_family(cfg: ScanConfig) -> list[FamilyRecord]:
     the sufficiency inequality produces (7/11/13).  The two disagree and
     records carry both, so the discrepancy stays visible as data.
     """
+    from .ke_cert import euclidean_k_threshold
     ks = range(cfg.k_min, cfg.k_bound + 1)
     groups = [
         (base, ks, euclidean_k_threshold(base), _least_certifying_k(base, cfg.k_bound))
@@ -373,6 +365,7 @@ def scan_hyperbolic(cfg: ScanConfig) -> list[FamilyRecord]:
     Branch orders come from the exact admissibility window; for l = m+1
     the window contains exactly k = m.
     """
+    from .ke_cert import hyperbolic_k_window
     ks = range(cfg.k_min, cfg.k_bound + 1)
     groups = [
         (WeightSystem((1,) * m, l), [k for k in hyperbolic_k_window(m, l).solutions if k in ks])

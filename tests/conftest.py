@@ -11,7 +11,7 @@ from selinks import (
     bp_sufficient_ke,
     branched_cover,
     quasi_smooth_generic,
-    survey,
+    topology,
 )
 
 
@@ -58,14 +58,14 @@ def genus_raises_on(monkeypatch):
     """
 
     def install(bad: WeightSystem) -> None:
-        real_genus = survey.genus
+        real_genus = topology.genus
 
         def genus(ws):
             if ws == bad:
                 raise IntegrityError(f"genus of {ws} evaluates to -5/4, not a non-negative integer")
             return real_genus(ws)
 
-        monkeypatch.setattr(survey, "genus", genus)
+        monkeypatch.setattr(topology, "genus", genus)
 
     return install
 

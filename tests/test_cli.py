@@ -601,22 +601,40 @@ def test_python_dash_m_selinks_runs_the_command_line():
     assert done.stdout.startswith("selinks ")
 
 
+def _modules_after(code: str) -> set[str]:
+    """The modules a fresh interpreter holds once it has run `code`, listed on
+    stderr, apart from what the code writes to stdout."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules, file=sys.stderr)"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return set(done.stderr.split())
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # every CLI child pays for its imports: dataclasses, and the inspect it
     # pulls in, cost each one about 20 ms
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    probe = "import sys; print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    heavy = {"dataclasses", "inspect"}
+    assert heavy & _modules_after("import selinks.cli") <= _modules_after("pass")
 
-    def loaded(code: str) -> set[str]:
-        done = subprocess.run(
-            [sys.executable, "-c", code],
-            cwd=root, env=env, capture_output=True, text=True, timeout=60,
-        )
-        assert done.returncode == 0, done.stderr
-        return set(done.stdout.split())
 
-    assert loaded(f"import selinks.cli; {probe}") <= loaded(probe)
+def test_a_command_loads_only_the_modules_it_runs():
+    # --version and scan euclidean run no certificate, topology or moduli
+    # code and write no CSV, so neither loads those layers, csv or fractions
+    layers = {"selinks.ke_cert", "selinks.moduli", "selinks.topology"}
+    unused = layers | {"csv", "fractions"}
+    at_start = _modules_after("pass")
+
+    def run(*args: str) -> set[str]:
+        return _modules_after(f"from selinks.cli import main\nassert main({list(args)!r}) == 0")
+
+    assert unused & run("--version") <= at_start
+    assert unused & run("scan", "euclidean", "--weight-bound", "10", "--format", "json") <= at_start
+    # a family scan certifies its covers, so the check above is not vacuous
+    assert layers <= run("scan", "fermat-cy", "--k-bound", "10", "--m", "3..3")
 
 
 def _catalog_text() -> str:
@@ -906,11 +924,12 @@ def test_parse_catalog_json_refuses_an_edited_derived_field(group, key, value, m
     # the record stores none of these: it reads them off the base, the
     # torsion order, the two h0 counts, the certificate's two sides and its
     # constant, so each must read back
+    classes, _ = cli._reader_fields()
     derived = [
         field.json_path
         for field in cli._FIELDS
         for attr_group, name in [cli._split(field.attr_path)]
-        if name not in (FamilyRecord if attr_group is None else cli._PARTS[attr_group])._fields
+        if name not in (FamilyRecord if attr_group is None else classes[attr_group])._fields
     ]
     assert derived == [
         "m",

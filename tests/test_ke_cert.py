@@ -236,12 +236,21 @@ def test_verdict_single_window_in_k():
 
 
 def test_fermat_cy_threshold():
-    for m in range(3, 7):
-        for k in range(2, 61):
+    # the cover (k, m, ..., m) of (1, ..., 1; m), gcd(k, m) = 1, at every such
+    # k <= 60 for m <= 6 and within 6 of m(m - 1) for m up to 300; README
+    # ("How certificates are computed") proves from these closed forms that
+    # the verdict is k > m(m - 1) for every m >= 3
+    for m in range(3, 301):
+        threshold = m * (m - 1)
+        for k in range(2, 61) if m <= 6 else range(threshold - 6, threshold + 7):
             if math.gcd(k, m) != 1:
                 continue
-            verdict = bp_sufficient_ke((k,) + (m,) * m).verdict
-            assert verdict == (k > m * (m - 1)), (m, k)
+            res = bp_sufficient_ke((k,) + (m,) * m)
+            assert res.gcds == (1,) + (m,) * m, (m, k)
+            assert res.limiting_witness == ("1/a[0]" if k > m * m else "1/(b[1]*b[2])"), (m, k)
+            assert res.reciprocal_sum == 1 + Fraction(1, k), (m, k)
+            assert res.bound == 1 + Fraction(m, (m - 1) * max(k, m * m)), (m, k)
+            assert res.verdict == (k > threshold), (m, k)
 
 
 def test_certify_cover_bp_route():

@@ -2,6 +2,8 @@ import collections
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selinks import (
     FamilyRecord,
@@ -22,6 +24,8 @@ from selinks import (
     scan_fermat_cy,
     scan_hyperbolic,
     survey,
+    topology,
+    torsion_hypothesis,
     torsion_order,
 )
 from selinks.cli import parse_catalog_json, render_catalog
@@ -235,9 +239,9 @@ def test_ingest_row_whose_genus_is_not_half_its_betti_number_is_isolated(monkeyp
     # records read the genus off b_1 = 2g, and the Orlik-Wagreich genus checks
     # it: a genus one too large on (1,2,3;6), where b_1 = 2, costs that row
     # its records and no other row any of theirs
-    real_genus = survey.genus
+    real_genus = topology.genus
     monkeypatch.setattr(
-        survey, "genus", lambda ws: real_genus(ws) + (ws == WeightSystem((1, 2, 3), 6))
+        topology, "genus", lambda ws: real_genus(ws) + (ws == WeightSystem((1, 2, 3), 6))
     )
     lines = ["1,1,1;3", "3,2,1;6", "1,1,2;4"]
     cfg = ScanConfig(k_bound=7)
@@ -354,6 +358,26 @@ def test_record_budget_at_the_limit_and_past_it():
     # the count stops at the limit, so a huge range is refused at once
     with pytest.raises(ResourceBudgetError, match="k = 75002"):
         survey._branch_orders(base, range(2, 10**12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    weights=st.lists(st.integers(1, 12), min_size=2, max_size=5),
+    degree=st.integers(1, 60),
+    lo=st.integers(2, 90),
+    width=st.integers(0, 90),
+)
+def test_branch_orders_are_the_k_that_meet_the_torsion_hypothesis(weights, degree, lo, width):
+    base = WeightSystem(tuple(weights), degree)  # reduced on construction
+    ks = range(lo, lo + width)
+    oracle = [k for k in ks if torsion_hypothesis(k, base)]
+    limit = survey.CATALOG_RECORD_LIMIT
+    for spent in (0, limit - len(oracle)):  # the last order at the limit
+        assert survey._branch_orders(base, ks, spent) == oracle
+        assert survey._branch_orders(base, list(ks), spent) == oracle
+    if oracle:  # one past the limit: the last order is the one refused
+        with pytest.raises(ResourceBudgetError, match=rf"\), k = {oracle[-1]}\)$"):
+            survey._branch_orders(base, ks, limit - len(oracle) + 1)
 
 
 def test_a_scan_past_the_record_budget_builds_no_record(monkeypatch):
