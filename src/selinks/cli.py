@@ -137,15 +137,14 @@ def _build_parser() -> _Parser:
 
 
 class _Codec(NamedTuple):
-    """How a field value is written to JSON and to CSV, and built from JSON.
-    A chain is functions applied in turn, so that columns go through `map`."""
+    """How a field value is written to JSON and to CSV.  A chain is
+    functions applied in turn, so that columns go through `map`."""
 
     # (indent, expand_torsion): the value's JSON text as a %-format, laid out
     # as json.dumps(indent=2) lays it out when its key sits at `indent`, and
     # the chain that makes each of its arguments from the value
     json_form: Callable[[str, bool], tuple[str, tuple]]
     to_text: Callable[[bool], tuple]  # expand_torsion: the chain that makes the CSV cell
-    from_json: Optional[Callable[[Any], Any]] = None  # the value from its JSON; None: as parsed
 
 
 def _scalar(*chain: Callable) -> _Codec:
@@ -184,21 +183,12 @@ def _fraction_form(indent: str, _) -> tuple[str, tuple]:
     return f'{{\n{inner}"num": %d,\n{inner}"den": %d\n{indent}}}', args
 
 
-def _fraction(obj: Any):
-    from fractions import Fraction
-    return Fraction(obj["num"], obj["den"])
-
-
 _WEIGHTS = _Codec(_weights_form, lambda _: (lambda value: " ".join(map(str, value)),))
 _TORSION = _Codec(
-    _torsion_form,
-    lambda expand: (methodcaller("expand"), str) if expand else (str,),
-    lambda obj: FactoredPower(obj["base"], obj["exponent"]),
+    _torsion_form, lambda expand: (methodcaller("expand"), str) if expand else (str,)
 )
 _FRACTION = _Codec(
-    _fraction_form,
-    lambda _: (lambda value: f"{value.numerator}/{value.denominator}",),
-    _fraction,
+    _fraction_form, lambda _: (lambda value: f"{value.numerator}/{value.denominator}",)
 )
 
 
@@ -307,13 +297,21 @@ def _json_fields(expand_torsion: bool) -> tuple[list, str]:
 
 def _reader_fields() -> tuple[dict, tuple]:
     """The class of each FamilyRecord attribute assembled from several fields,
-    and (JSON group, JSON key, attribute group, attribute, from_json) of each
-    stored field."""
+    and (JSON group, JSON key, attribute group, attribute, decode) of each
+    stored field, where decode builds the value from its JSON (None: as
+    parsed).  The classes are imported here, once per catalog read, so that
+    the writers never load `fractions`."""
+    from fractions import Fraction
+
     from .ke_cert import KeCertificate
     from .moduli import ModuliCount
     classes = {"base": WeightSystem, "moduli": ModuliCount, "certificate": KeCertificate}
+    decoders = {
+        _TORSION: lambda obj: FactoredPower(obj["base"], obj["exponent"]),
+        _FRACTION: lambda obj: Fraction(obj["num"], obj["den"]),
+    }
     return classes, tuple(
-        (*_split(f.json_path), group, name, f.codec.from_json)
+        (*_split(f.json_path), group, name, decoders.get(f.codec))
         for f in _FIELDS
         for group, name in [_split(f.attr_path)]
         if name in (FamilyRecord if group is None else classes[group])._fields

@@ -16,6 +16,8 @@ import hashlib
 import io
 import itertools
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -214,6 +216,23 @@ def test_the_benchmark_catalogs_keep_their_pinned_sha256(monkeypatch, tmp_path):
             meta, records = parse_catalog_json(text)
             cfg = ScanConfig(**meta["bounds"])
             assert render_catalog(records, "json", cfg, meta["expand_torsion"]) == text, key
+
+
+def test_a_child_writes_a_pinned_catalog_to_its_own_stdout():
+    # the test above writes through --out in process; here the catalog goes
+    # through the other branch of the writer, a real stdout of its own, in
+    # many slices (1.7 MB)
+    root = PERFBENCH.parent
+    done = subprocess.run(
+        [sys.executable, "-m", "selinks", "scan", "fermat-cy", "--k-bound", "400",
+         "--m", "3..10", "--format", "json"],
+        cwd=root, env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    pinned = json.loads((PERFBENCH / "baseline_sha256.json").read_text(encoding="utf-8"))
+    digest = hashlib.sha256(done.stdout).hexdigest()
+    assert digest == pinned["catalogs"]["families/fermat-cy"]
 
 
 def test_the_table_and_csv_views_keep_their_pinned_sha256(monkeypatch, tmp_path, capsys):

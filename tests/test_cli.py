@@ -621,20 +621,39 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert heavy & _modules_after("import selinks.cli") <= _modules_after("pass")
 
 
+def _command_modules(*args: str) -> set[str]:
+    """The modules a fresh interpreter holds once `selinks ARGS` has run."""
+    return _modules_after(f"from selinks.cli import main\nassert main({list(args)!r}) == 0")
+
+
 def test_a_command_loads_only_the_modules_it_runs():
     # --version and scan euclidean run no certificate, topology or moduli
     # code and write no CSV, so neither loads those layers, csv or fractions
     layers = {"selinks.ke_cert", "selinks.moduli", "selinks.topology"}
     unused = layers | {"csv", "fractions"}
     at_start = _modules_after("pass")
-
-    def run(*args: str) -> set[str]:
-        return _modules_after(f"from selinks.cli import main\nassert main({list(args)!r}) == 0")
-
-    assert unused & run("--version") <= at_start
-    assert unused & run("scan", "euclidean", "--weight-bound", "10", "--format", "json") <= at_start
+    assert unused & _command_modules("--version") <= at_start
+    euclidean = _command_modules("scan", "euclidean", "--weight-bound", "10", "--format", "json")
+    assert unused & euclidean <= at_start
     # a family scan certifies its covers, so the check above is not vacuous
-    assert layers <= run("scan", "fermat-cy", "--k-bound", "10", "--m", "3..3")
+    assert layers <= _command_modules("scan", "fermat-cy", "--k-bound", "10", "--m", "3..3")
+
+
+def test_a_command_loads_nothing_outside_the_standard_library(tmp_path):
+    # the package's only dependency is the interpreter.  What `pass` loads
+    # differs by version and by the site hooks installed, so it is left out;
+    # every row below reads, so ingest writes nothing to stderr
+    rows = tmp_path / "bases.txt"
+    rows.write_text("1,1,1;3\n1,2,3;6\n", encoding="utf-8")
+    at_start = _modules_after("pass")
+    for args in (
+        ["--version"],
+        ["scan", "euclidean", "--weight-bound", "10", "--format", "json"],
+        ["scan", "mixed-canonical", "--m", "3..4", "--format", "json"],
+        ["ingest", str(rows), "--k-range", "2..5", "--format", "csv"],
+    ):
+        loaded = {name.partition(".")[0] for name in _command_modules(*args) - at_start}
+        assert loaded - {"selinks", *sys.stdlib_module_names} == set(), args
 
 
 def _catalog_text() -> str:

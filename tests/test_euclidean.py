@@ -81,10 +81,12 @@ def test_four_variables_equal_the_quartic_loop_up_to_bound_20():
         assert _euclidean_systems(4, bound) == euclidean_systems_cube(4, bound), bound
 
 
-@pytest.mark.parametrize("m, bound", [(3, 150), (3, 300), (4, 33), (4, 42)])
+@pytest.mark.parametrize("m, bound", [(3, 150), (3, 300), (3, 400), (4, 33), (4, 42)])
 def test_the_closed_forms_equal_the_divisor_rule(m, bound):
     expected = _quasi_smooth_systems(divisor_rule_candidates(m, bound))
     assert _euclidean_systems(m, bound) == expected
+    if m == 3:  # the three classes, whatever the bound past 6
+        assert [ws.weights for ws in expected] == [(1, 1, 1), (1, 1, 2), (1, 2, 3)]
 
 
 def test_the_closed_forms_keep_few_candidates_at_the_benchmark_bound():

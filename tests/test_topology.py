@@ -135,6 +135,17 @@ def test_fermat_betti():
         fermat_betti(3, 1)
 
 
+def test_the_mixed_family_base_has_a_positive_betti_number_for_every_m():
+    # README ("How certificates are computed") counts b of (1, ..., 1, m; 2m)
+    # by roots of unity: ((2m - 1)^(m - 1) + (-1)^m) / (2m), which is
+    # positive because (2m - 1)^(m - 1) > 1, so every cover is a nontrivial
+    # rational homology sphere
+    for m in range(3, 301):
+        numerator = (2 * m - 1) ** (m - 1) + (-1) ** m
+        b = milnor_orlik_betti(WeightSystem((1,) * (m - 1) + (m,), 2 * m))
+        assert 2 * m * b == numerator and b > 0, m
+
+
 def test_genus_values():
     assert genus(WeightSystem((1, 2, 3), 6)) == 1
     assert genus(WeightSystem((1, 1, 1), 4)) == 3
