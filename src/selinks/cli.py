@@ -1,11 +1,12 @@
-"""Command line driver and catalog serialization.
+"""Command line driver and catalog writers.
 
 The only module with side effects.  Subcommands map onto the library:
 ``invariants``, ``cover``, ``certify``, ``moduli``, ``scan`` and
 ``ingest``.  Exit codes distinguish failure classes: 0 success, 1 usage
 error, 2 integrity error (an exact invariant came out impossible), 3 I/O
 error, 4 resource budget exceeded.  Catalog output is deterministic:
-byte-identical across runs, and the JSON form round-trips losslessly.
+byte-identical across runs, and the JSON form round-trips losslessly
+through ``parse_catalog_json``, whose reader is ``selinks.reader``.
 """
 
 from __future__ import annotations
@@ -20,13 +21,12 @@ from operator import attrgetter, methodcaller
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from . import __version__
-from .arith import FactoredPower, check_digits
+from .arith import check_digits
 from .errors import IntegrityError, ResourceBudgetError, UsageError
 from .links import WeightSystem, _quasi_smooth, branched_cover, classify_case, torsion_hypothesis
 from .survey import (
     EuclideanRow,
     FamilyRecord,
-    IngestResult,
     ScanConfig,
     generate_mixed_canonical,
     generate_theorem2_family,
@@ -36,7 +36,7 @@ from .survey import (
     scan_hyperbolic,
 )
 
-# the other layers, csv and fractions are imported where they run (README)
+# the other layers, the reader, csv and fractions are imported where they run (README)
 __all__ = ["render_catalog", "parse_catalog_json", "main"]
 
 CATALOG_SCHEMA = "selinks.catalog/1"
@@ -295,42 +295,6 @@ def _json_fields(expand_torsion: bool) -> tuple[list, str]:
     return fields, "\n    }" if group_open is None else "\n      }\n    }"
 
 
-def _reader_fields() -> tuple[dict, tuple]:
-    """The class of each FamilyRecord attribute assembled from several fields,
-    and (JSON group, JSON key, attribute group, attribute, decode) of each
-    stored field, where decode builds the value from its JSON (None: as
-    parsed).  The classes are imported here, once per catalog read, so that
-    the writers never load `fractions`."""
-    from fractions import Fraction
-
-    from .ke_cert import KeCertificate
-    from .moduli import ModuliCount
-    classes = {"base": WeightSystem, "moduli": ModuliCount, "certificate": KeCertificate}
-    decoders = {
-        _TORSION: lambda obj: FactoredPower(obj["base"], obj["exponent"]),
-        _FRACTION: lambda obj: Fraction(obj["num"], obj["den"]),
-    }
-    return classes, tuple(
-        (*_split(f.json_path), group, name, decoders.get(f.codec))
-        for f in _FIELDS
-        for group, name in [_split(f.attr_path)]
-        if name in (FamilyRecord if group is None else classes[group])._fields
-    )
-
-
-def _record(obj: Any, classes: dict, stored: tuple) -> FamilyRecord:
-    """The record whose stored fields (`_reader_fields`) `obj` holds, its base
-    made canonical.  The fields it derives are left to the re-render."""
-    parts: dict = {group: {} for group in (None, *classes)}
-    for json_group, json_key, group, name, decode in stored:
-        value = (obj if json_group is None else obj[json_group])[json_key]
-        parts[group][name] = value if decode is None else decode(value)
-    top = parts.pop(None)
-    top.update((group, cls(**parts[group])) for group, cls in classes.items())
-    top["base"] = top["base"].canonical()
-    return FamilyRecord(**top)
-
-
 def _columns(records, chains) -> list:
     """One iterator per chain over `records`: each record passed through the
     chain's functions in turn, lazily."""
@@ -442,38 +406,6 @@ def render_catalog(
     raise UsageError(f"unknown catalog format {fmt!r}")
 
 
-def _first_difference(found: str, expected: str) -> str:
-    """Where the catalog text `found` first departs from `expected`, both laid
-    out by json.dumps(indent=2): `meta`, a record by its index or the catalog,
-    then the key of the first differing line (of its list, for a list item)
-    with the value in each.  Trailing commas are dropped, so an added or a
-    missing member is the one named."""
-    lines, wants = ([line.rstrip(",") for line in text.splitlines()] for text in (found, expected))
-    same = [a == b for a, b in zip(lines, wants)]
-    n = same.index(False) if False in same else len(same)
-    head = lines[:n]
-    if '  "records": [' not in head:
-        where = "catalog meta"
-    elif "  ]" in head:  # past the records
-        where = "catalog"
-    else:
-        where = f"catalog record {head.count('    {') - 1}"
-    line, want = (text[n].strip() if n < len(text) else "the end" for text in (lines, wants))
-    key, sep, value = line.partition('": ')
-    want_key, want_sep, want_value = want.partition('": ')
-    opened = next((text for text in reversed(head) if text.endswith(("[", "]"))), "]")
-    listed = opened.split('"')[1] if opened.endswith("[") else None
-    if sep and want_sep and key == want_key:
-        # a list or an object that opens on the line goes on past it
-        value, want_value = ({"[": "[...]", "{": "{...}"}.get(v, v) for v in (value, want_value))
-        difference = f"{key[1:]} is {value}, expected {want_value}"
-    elif listed and not sep and not want_sep:  # items of one list
-        difference = f"{listed} holds {line}, expected {want}"
-    else:
-        difference = f"found {line}, expected {want}"
-    return f"{where} differs from the writer's: {difference}"
-
-
 def parse_catalog_json(text: str) -> tuple[dict, list[FamilyRecord]]:
     """Inverse of the JSON rendering: (meta, records), exact.
 
@@ -486,47 +418,8 @@ def parse_catalog_json(text: str) -> tuple[dict, list[FamilyRecord]]:
     each record's k must meet the torsion hypothesis and the bounds.  A
     decimal past the digit budget raises ResourceBudgetError.
     """
-    try:
-        payload = json.loads(text)
-        meta, objs = payload["meta"], payload["records"]
-        bounds, expand_torsion = meta["bounds"], meta["expand_torsion"] is True
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
-        raise UsageError(f"malformed catalog: {exc!r}") from None
-    if not isinstance(objs, list):
-        raise UsageError("malformed catalog: records is not a list")
-    try:
-        cfg = ScanConfig(**bounds)
-    except (TypeError, ValueError) as exc:  # a UsageError is a ValueError
-        raise UsageError(f"catalog bounds {bounds!r} are refused: {exc!r}") from None
-    records, reader_fields = [], _reader_fields()
-    for index, obj in enumerate(objs):
-        try:
-            rec = _record(obj, *reader_fields)
-            if not torsion_hypothesis(rec.k, rec.base):
-                raise ValueError(f"k = {rec.k} is not coprime to the degree of {rec.base}")
-            if not cfg.k_min <= rec.k <= cfg.k_bound:
-                raise ValueError(f"k is {rec.k}, not in k_min..k_bound {cfg.k_min}..{cfg.k_bound}")
-        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
-            raise UsageError(f"malformed catalog record {index}: {exc!r}") from None
-        records.append(rec)
-    try:
-        ordered = sorted(records, key=FamilyRecord.sort_key)
-        written = render_catalog(ordered, "json", cfg, expand_torsion)
-    except (TypeError, ValueError) as exc:  # a value of a type the writer cannot write
-        # rendered one at a time in input order, the first record that fails is named
-        for index, rec in enumerate(records):
-            try:
-                render_catalog([rec], "json", cfg, expand_torsion)
-            except (TypeError, ValueError) as error:
-                raise UsageError(f"malformed catalog record {index}: {error!r}") from None
-        raise UsageError(f"malformed catalog: {exc!r}") from None
-    if written != text:
-        # under indent, json.dumps runs its pure-Python encoder: only text
-        # that is not the writer's own pays for it
-        found = json.dumps(payload, indent=2) + "\n"
-        if written != found:
-            raise UsageError(_first_difference(found, written))
-    return meta, ordered
+    from .reader import parse_catalog_json
+    return parse_catalog_json(text)
 
 
 def render_euclidean_rows(rows: Sequence[EuclideanRow], fmt: str) -> str:
@@ -682,14 +575,20 @@ def _run_scan(ns: argparse.Namespace) -> str:
     return render_catalog(result, ns.format, cfg, ns.expand_torsion)
 
 
+# the most bytes an ingest file may hold, refused before any row runs (README)
+INGEST_BYTE_LIMIT = 5 * 10**5
+
+
 def _run_ingest(ns: argparse.Namespace) -> str:
     k_min, k_bound = ns.k_range
     cfg = ScanConfig(k_bound=k_bound, k_min=k_min)
     # lines are split as bytes, so a line that is not UTF-8 costs only itself
     # a row diagnostic; splitlines ends a line at \n, \r\n or \r, as text mode does
     with open(ns.file, "rb") as fh:
-        lines = fh.read().splitlines()
-    result: IngestResult = ingest_weight_list(lines, cfg, expand_torsion=ns.expand_torsion)
+        data = fh.read(INGEST_BYTE_LIMIT + 1)  # stat gives /dev/zero size 0
+    if len(data) > INGEST_BYTE_LIMIT:
+        raise ResourceBudgetError(f"{ns.file}: more than the limit of {INGEST_BYTE_LIMIT} bytes")
+    result = ingest_weight_list(data.splitlines(), cfg, expand_torsion=ns.expand_torsion)
     # one write: unbuffered, each print would be two
     sys.stderr.write("".join(f"ingest: {message}\n" for message in result.errors))
     return render_catalog(result.records, ns.format, cfg, ns.expand_torsion)

@@ -282,7 +282,8 @@ def _euclidean_candidates(m: int, bound: int) -> Iterator[tuple[int, ...]]:
 
 def _euclidean_systems(m: int, bound: int) -> list[WeightSystem]:
     """Every |w| = d class in m >= 3 variables with a quasi-smooth member and
-    sorted weights up to `bound`, with gcd(w) = 1 (`_euclidean_candidates`)."""
+    sorted weights up to `bound`, with gcd(w) = 1, in lexicographic order
+    (`_euclidean_candidates`)."""
     systems = []
     for weights in _euclidean_candidates(m, bound):
         if math.gcd(*weights) != 1:
@@ -307,12 +308,10 @@ def scan_euclidean_classification(cfg: ScanConfig) -> list[EuclideanRow]:
     quasi-smooth member.  Exhaustive up to the bound; the outcome is stable
     once the bound covers all genuine classes.
     """
-    rows = [
+    return [
         EuclideanRow(ws, count_monomials(ws.weights, ws.degree))
         for ws in _euclidean_systems(3, cfg.weight_bound)
     ]
-    rows.sort(key=lambda row: (row.system.weights, row.system.degree))
-    return rows
 
 
 def _least_certifying_k(base: WeightSystem, k_bound: int) -> Optional[int]:

@@ -50,6 +50,22 @@ def test_scan_calls_each_generator_through_its_name_in_cli(monkeypatch, capsys):
     assert sorted(called) == sorted(trace.GENERATORS - {"scan_all", "ingest_weight_list"})
 
 
+def test_parse_catalog_json_renders_through_the_cli_name_once(monkeypatch):
+    # trace.py counts the bytes each cli.render_catalog call returns, the
+    # reader's re-render included: a reader that bound the writer under
+    # another name, or rendered twice, would move the traced counts
+    from selinks import ScanConfig, scan_fermat_cy
+
+    cli = importlib.import_module("selinks.cli")
+    importlib.import_module("selinks.reader")  # first, so a name it bound would miss the patch
+    cfg = ScanConfig(k_bound=13, m_range=(3, 4))
+    text = cli.render_catalog(scan_fermat_cy(cfg), "json", cfg)
+    render, calls = cli.render_catalog, []
+    monkeypatch.setattr(cli, "render_catalog", lambda *args: calls.append(args) or render(*args))
+    cli.parse_catalog_json(text)
+    assert len(calls) == 1
+
+
 def test_a_traced_run_records_each_busy_layer_and_one_certificate_per_record(
     monkeypatch, tmp_path
 ):

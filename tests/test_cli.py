@@ -15,6 +15,7 @@ from selinks import (
     UsageError,
     WeightSystem,
     cli,
+    reader,
     scan_all,
     scan_fermat_cy,
 )
@@ -626,17 +627,28 @@ def _command_modules(*args: str) -> set[str]:
     return _modules_after(f"from selinks.cli import main\nassert main({list(args)!r}) == 0")
 
 
-def test_a_command_loads_only_the_modules_it_runs():
+def test_a_command_loads_only_the_modules_it_runs(tmp_path):
     # --version and scan euclidean run no certificate, topology or moduli
     # code and write no CSV, so neither loads those layers, csv or fractions
     layers = {"selinks.ke_cert", "selinks.moduli", "selinks.topology"}
     unused = layers | {"csv", "fractions"}
     at_start = _modules_after("pass")
-    assert unused & _command_modules("--version") <= at_start
+    version = _command_modules("--version")
+    assert unused & version <= at_start
     euclidean = _command_modules("scan", "euclidean", "--weight-bound", "10", "--format", "json")
     assert unused & euclidean <= at_start
     # a family scan certifies its covers, so the check above is not vacuous
-    assert layers <= _command_modules("scan", "fermat-cy", "--k-bound", "10", "--m", "3..3")
+    fermat = _command_modules("scan", "fermat-cy", "--k-bound", "10", "--m", "3..3")
+    assert layers <= fermat
+    # no command reads a catalog back, so none loads the reader, not even
+    # one that writes a JSON catalog; reading one does
+    rows = tmp_path / "bases.txt"
+    rows.write_text("1,1,1;3\n1,2,3;6\n", encoding="utf-8")
+    ingest = _command_modules("ingest", str(rows), "--k-range", "2..5", "--format", "json")
+    for loaded in (version, euclidean, fermat, ingest):
+        assert "selinks.reader" not in loaded
+    empty = "from selinks import cli\ntext = cli.render_catalog([], 'json', cli.ScanConfig())"
+    assert "selinks.reader" in _modules_after(f"{empty}\ncli.parse_catalog_json(text)")
 
 
 def test_a_command_loads_nothing_outside_the_standard_library(tmp_path):
@@ -943,7 +955,7 @@ def test_parse_catalog_json_refuses_an_edited_derived_field(group, key, value, m
     # the record stores none of these: it reads them off the base, the
     # torsion order, the two h0 counts, the certificate's two sides and its
     # constant, so each must read back
-    classes, _ = cli._reader_fields()
+    classes = reader._PART_CLASSES
     derived = [
         field.json_path
         for field in cli._FIELDS
@@ -1207,6 +1219,37 @@ def test_ingest_cli_reads_a_byte_order_mark_and_every_line_ending(data, tmp_path
     plain.write_text("1,1,1;3\n1,1,2;4\n", encoding="utf-8")
     assert main(["ingest", str(plain), "--k-range", "2..5", "--format", "json"]) == 0
     assert captured.out == capsys.readouterr().out
+
+
+def test_ingest_refuses_a_file_past_the_byte_budget_before_any_row_runs(
+    tmp_path, capsys, monkeypatch
+):
+    # the file is read to at most the budget and one byte more, so a larger
+    # file costs no more; the budget is made small so that this reads a few
+    # bytes, and the benchmark's rows stay far inside the real one
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import ingest_rows
+
+    try:
+        rows = ("\n".join(ingest_rows(0).lines) + "\n").encode("utf-8")
+    finally:
+        sys.modules.pop("workloads", None)
+        sys.modules.pop("oracles", None)
+    assert 10 * len(rows) < cli.INGEST_BYTE_LIMIT
+    src = tmp_path / "bases.txt"
+    src.write_bytes(b"1,1,1;3\n\xff\n1,1,2;4\n")
+    size, runs, real = len(src.read_bytes()), [], cli.ingest_weight_list
+    monkeypatch.setattr(cli, "ingest_weight_list", lambda *a, **k: runs.append(a) or real(*a, **k))
+    monkeypatch.setattr(cli, "INGEST_BYTE_LIMIT", size)
+    assert main(["ingest", str(src), "--k-range", "2..5", "--format", "json"]) == 0
+    assert capsys.readouterr().err.startswith("ingest: line 2: not UTF-8 text (")
+    limit = size - 1
+    monkeypatch.setattr(cli, "INGEST_BYTE_LIMIT", limit)
+    assert main(["ingest", str(src), "--k-range", "2..5", "--format", "json"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"resource budget error: {src}: more than the limit of {limit} bytes\n"
+    assert len(runs) == 1  # the refused file ran no row
 
 
 def test_scan_euclidean_past_the_prefix_budget_exits_4(capsys):

@@ -16,7 +16,7 @@ from selinks.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = Path(selinks.__file__).parent
-MODULES = ("arith", "cli", "errors", "ke_cert", "links", "moduli", "survey", "topology")
+MODULES = ("arith", "cli", "errors", "ke_cert", "links", "moduli", "reader", "survey", "topology")
 
 
 def _removed_names_table() -> list[tuple[list[str], list[str]]]:

@@ -7,7 +7,13 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from milnor_algebra import milnor_algebra_betti, milnor_algebra_torsion, poincare_series
+from milnor_algebra import (
+    milnor_algebra_betti,
+    milnor_algebra_torsion,
+    monodromy,
+    poincare_series,
+    torsion_group,
+)
 from test_links import invertible_systems, repeated_block_systems
 
 from selinks import (
@@ -305,6 +311,39 @@ def test_every_catalog_cover_is_a_rational_homology_sphere_with_its_torsion(cata
         # the oracle is 0 exactly when 1 is an eigenvalue, and k^b >= 1; the
         # power is built by hand, since some pass the digit budget of `expand`
         assert milnor_algebra_torsion(cover.weights, cover.degree) == k**torsion.exponent, cover
+
+
+def test_the_torsion_group_by_hand():
+    # z^3 is t on Z[t] / (1 + t + t^2): t t = t^2 = -1 - t
+    assert monodromy((3,)) == [{1: -1}, {0: 1, 1: -1}]
+    # k = 2 on (1,1,1;3): order 4, and the group is (Z/2)^2, not Z/4
+    assert torsion_group((2, 3, 3, 3)) == [2, 2]
+    assert torsion_group((4, 3, 3, 3)) == [4, 4]
+    assert torsion_group((5, 2, 3, 6)) == [5, 5]
+    # the link of x^3 + y^3 + z^3 itself: H_1 = Z/3 + Z^2, b_1 = 2
+    assert torsion_group((3, 3, 3)) == [3, 0, 0]
+
+
+# the most rows h - I of a cover may have in the test below
+TORSION_GROUP_ROWS = 200
+
+
+def test_each_small_brieskorn_pham_cover_has_the_torsion_group_z_k_to_the_b(catalog_records):
+    # H_{m-1} of the k-fold cover is (Z/k)^b, b the base's Betti number, and
+    # torsion_order gives its order: 36 covers of five bases, k up to 26, at
+    # most 200 rows
+    covers = {
+        (rec.base, rec.k): (rec.torsion, exponents)
+        for rec in catalog_records
+        if rec.family_tag in ("euclidean5", "fermat_cy", "hyperbolic")  # theorem2 is euclidean5
+        for exponents in [branched_cover(rec.k, rec.base).bp_exponents]
+        if exponents and math.prod(a - 1 for a in exponents) <= TORSION_GROUP_ROWS
+    }
+    assert len(covers) == 36
+    for (base, k), (torsion, exponents) in covers.items():
+        b = milnor_orlik_betti(base)
+        assert torsion_group(exponents) == [k] * b, exponents
+        assert torsion == torsion_order(k, base) == FactoredPower(k, b), exponents
 
 
 # the most coefficients a drawn cover's Poincaré series may have
