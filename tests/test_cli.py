@@ -154,6 +154,17 @@ def test_run_moduli(capsys):
     assert payload["real_dim"] == 12
 
 
+def test_the_single_system_commands_keep_their_pinned_output(capsys):
+    # the tests above look up keys; this pins the bytes, key order included
+    pinned = json.loads(Path(__file__).with_name("pinned_renderings.json").read_text())
+    printed = {}
+    for command in pinned["commands"]:
+        assert main(command.split()) == 0, command
+        printed[command] = capsys.readouterr().out
+    assert printed == pinned["commands"]
+    assert len(printed) == 14
+
+
 def test_scan_json_matches_library(capsys):
     code = main(["scan", "fermat-cy", "--m", "3..4", "--k-bound", "10",
                  "--format", "json"])
