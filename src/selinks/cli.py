@@ -510,49 +510,26 @@ def _run_invariants(ns: argparse.Namespace) -> str:
 
 def _run_cover(ns: argparse.Namespace) -> str:
     from .topology import torsion_order
-    k = ns.k
     # branched_cover refuses k < 2, a usage error, before the
     # quasi-smoothness gate gives its integrity error
-    cov = branched_cover(k, WeightSystem(ns.weights, ns.degree))
-    base = _quasi_smooth(cov.base)
-    payload = {
-        "base": base,
-        "k": k,
-        "cover": cov.cover,
-        "bp_exponents": cov.bp_exponents,
-        "torsion_hypothesis": torsion_hypothesis(k, base),
-    }
+    cov = branched_cover(ns.k, WeightSystem(ns.weights, ns.degree))
+    _quasi_smooth(cov.base)
+    payload = {**cov._asdict(), "torsion_hypothesis": torsion_hypothesis(cov.k, cov.base)}
     if payload["torsion_hypothesis"]:
-        payload["torsion"] = torsion_order(k, base)
+        payload["torsion"] = torsion_order(cov.k, cov.base)
     return _render_scalar(payload, ns.format)
 
 
 def _run_certify(ns: argparse.Namespace) -> str:
     from .ke_cert import bp_sufficient_ke
-    result = bp_sufficient_ke(ns.exponents)
-    payload = {
-        "exponents": result.exponents,
-        "reciprocal_sum": result.reciprocal_sum,
-        "bound": result.bound,
-        "cofactor_lcms": result.cofactor_lcms,
-        "gcds": result.gcds,
-        "limiting_witness": result.limiting_witness,
-        "verdict": result.verdict,
-    }
-    return _render_scalar(payload, ns.format)
+    return _render_scalar(bp_sufficient_ke(ns.exponents)._asdict(), ns.format)
 
 
 def _run_moduli(ns: argparse.Namespace) -> str:
     from .moduli import moduli_count
     ws = _quasi_smooth(WeightSystem(ns.weights, ns.degree))
     mc = moduli_count(ws)
-    payload = {
-        "system": ws,
-        "h0_degree": mc.h0_degree,
-        "h0_weights_sum": mc.h0_weights_sum,
-        "complex_dim": mc.complex_dim,
-        "real_dim": mc.real_dim,
-    }
+    payload = {"system": ws, **mc._asdict(), "complex_dim": mc.complex_dim, "real_dim": mc.real_dim}
     return _render_scalar(payload, ns.format)
 
 
@@ -577,6 +554,8 @@ def _run_scan(ns: argparse.Namespace) -> str:
 
 # the most bytes an ingest file may hold, refused before any row runs (README)
 INGEST_BYTE_LIMIT = 5 * 10**5
+# the most row diagnostics written at once
+_DIAGNOSTIC_SLICE = 1 << 10
 
 
 def _run_ingest(ns: argparse.Namespace) -> str:
@@ -589,8 +568,11 @@ def _run_ingest(ns: argparse.Namespace) -> str:
     if len(data) > INGEST_BYTE_LIMIT:
         raise ResourceBudgetError(f"{ns.file}: more than the limit of {INGEST_BYTE_LIMIT} bytes")
     result = ingest_weight_list(data.splitlines(), cfg, expand_torsion=ns.expand_torsion)
-    # one write: unbuffered, each print would be two
-    sys.stderr.write("".join(f"ingest: {message}\n" for message in result.errors))
+    # a write per slice of rows: a write per row costs a system call each,
+    # and one write of every row a second copy of the diagnostics
+    for start in range(0, len(result.errors), _DIAGNOSTIC_SLICE):
+        rows = result.errors[start : start + _DIAGNOSTIC_SLICE]
+        sys.stderr.write("".join(f"ingest: {message}\n" for message in rows))
     return render_catalog(result.records, ns.format, cfg, ns.expand_torsion)
 
 

@@ -73,13 +73,14 @@ class BpVerdict(NamedTuple):
     cofactor_lcms[j] is C^j = lcm(a_i : i != j) and gcds[j] is
     b_j = gcd(a_j, C^j); reciprocal_sum is sum 1/a_i, bound the right side
     of the inequality and limiting_witness the term that sets it.
+    `selinks certify` prints the fields in this order.
     """
 
     exponents: tuple[int, ...]
-    cofactor_lcms: tuple[int, ...]
-    gcds: tuple[int, ...]
     reciprocal_sum: Fraction
     bound: Fraction
+    cofactor_lcms: tuple[int, ...]
+    gcds: tuple[int, ...]
     limiting_witness: str
     verdict: bool
 
@@ -126,7 +127,7 @@ def bp_sufficient_ke(a: Iterable[int]) -> BpVerdict:
     total = sum(Fraction(1, ai) for ai in a)
     # the least of the 1/x is 1/(the greatest x)
     bound = 1 + Fraction(m, (m - 1) * top)
-    return BpVerdict(a, cofactors, gcds, total, bound, witness, 1 < total < bound)
+    return BpVerdict(a, total, bound, cofactors, gcds, witness, 1 < total < bound)
 
 
 class _KRule(NamedTuple):

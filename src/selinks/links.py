@@ -142,11 +142,12 @@ class CoverData(NamedTuple):
     gcd(k, d) = 1, the cover is the class of a Brieskorn-Pham polynomial
     and `bp_exponents` holds (a_0, ..., a_m) with a_0 = k and
     a_i = d / w_i >= 2.  Covers with gcd(k, d) > 1 are representable; whether a
-    cover is a rational homology sphere is `torsion_hypothesis`.
+    cover is a rational homology sphere is `torsion_hypothesis`.  `selinks
+    cover` prints the fields in this order.
     """
 
-    k: int
     base: WeightSystem
+    k: int
     cover: WeightSystem
     bp_exponents: Optional[tuple[int, ...]]
 
@@ -167,7 +168,7 @@ def branched_cover(k: int, base: WeightSystem) -> CoverData:
     bp = base.bp_exponents if coprime else None
     if bp is not None:
         bp = (k,) + bp
-    return CoverData(k=k, base=base, cover=cover, bp_exponents=bp)
+    return CoverData(base=base, k=k, cover=cover, bp_exponents=bp)
 
 
 def quasi_smooth_generic(ws: WeightSystem) -> bool:

@@ -70,13 +70,15 @@ def test_a_traced_run_records_each_busy_layer_and_one_certificate_per_record(
     monkeypatch, tmp_path
 ):
     # trace.py on the families scans (small bounds) and on the seed-0 ingest
-    # rows, each with its catalogs read back: every layer the workload lists
-    # as busy records calls, and certify_cover is called once per record
+    # rows, each with its catalogs read back, and on the euclidean scan,
+    # which writes rows and no record catalog: every layer the workload
+    # lists as busy records calls, certify_cover is called once per record
+    # and the generator counts each euclidean row
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     try:
-        from workloads import FAMILY_SCANS, Families, Ingest
+        from workloads import FAMILY_SCANS, Euclidean, Families, Ingest
 
-        ingest = Ingest(tmp_path, 0)
+        ingest, euclidean_runs = Ingest(tmp_path, 0), Euclidean(tmp_path, 0).invocations()
     finally:
         sys.modules.pop("workloads", None)
         sys.modules.pop("oracles", None)
@@ -85,17 +87,20 @@ def test_a_traced_run_records_each_busy_layer_and_one_certificate_per_record(
         for family in FAMILY_SCANS
     ]
     runs = {
-        "families": (Families.busy, scans),
-        "ingest": (Ingest.busy, [(list(inv.args[:2]), inv.out) for inv in ingest.invocations()]),
+        "families": (Families, scans),
+        "ingest": (Ingest, [(list(inv.args[:2]), inv.out) for inv in ingest.invocations()]),
+        # scan euclidean --weight-bound 150
+        "euclidean": (Euclidean, [(list(inv.args[:4]), inv.out) for inv in euclidean_runs]),
     }
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
-    for name, (busy, invocations) in runs.items():
+    for name, (workload, invocations) in runs.items():
+        outs = [str(out) for _, out in invocations]
         spec = {
             "invocations": [
                 [[*args, "--format", "json", "--out", str(out)], str(tmp_path / f"{name}.err")]
                 for args, out in invocations
             ],
-            "parse": [str(out) for _, out in invocations],
+            "parse": outs if workload.record_catalogs else [],
         }
         spec_path, stats_path = tmp_path / "spec.json", tmp_path / "stats.json"
         spec_path.write_text(json.dumps(spec), encoding="utf-8")
@@ -106,6 +111,11 @@ def test_a_traced_run_records_each_busy_layer_and_one_certificate_per_record(
         assert done.returncode == 0, done.stderr
         stats = json.loads(stats_path.read_text(encoding="utf-8"))
         functions = stats["functions"]
-        assert [layer for layer in busy if functions.get(layer, {}).get("calls", 0) == 0] == []
-        records = sum(json.loads(out.read_text())["meta"]["count"] for _, out in invocations)
-        assert functions["ke_cert.certify_cover"]["calls"] == records > 0, name
+        idle = [layer for layer in workload.busy if functions.get(layer, {}).get("calls", 0) == 0]
+        assert idle == [], name
+        records = sum(json.loads(Path(out).read_text())["meta"]["count"] for out in outs)
+        if workload.record_catalogs:
+            assert functions["ke_cert.certify_cover"]["calls"] == records > 0, name
+        else:
+            assert functions["survey.generator"]["counts"]["records"] == records == 3, name
+            assert "cli.parse_catalog_json" not in functions, name

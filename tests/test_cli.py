@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import pytest
 
 from selinks import (
     FamilyRecord,
+    IngestResult,
     ResourceBudgetError,
     ScanConfig,
     UsageError,
@@ -303,6 +305,37 @@ def test_writing_a_catalog_holds_no_second_copy(tmp_path):
         tracemalloc.stop()
     assert peak < 1 << 20
     assert (tmp_path / "big.txt").stat().st_size == len(text)
+
+
+def test_writing_the_row_diagnostics_holds_no_second_copy(tmp_path, monkeypatch):
+    # 65,536 diagnostics of 128 characters: one joined write would be a
+    # second 8 MiB, and a write per row 65,536 writes
+    errors = [f"line {n}: {'x' * 128}"[:128] for n in range(1 << 16)]
+    result = IngestResult(records=[], errors=errors)
+    expected = "".join(f"ingest: {message}\n" for message in errors)
+
+    class Sink:
+        def __init__(self):
+            self.digest, self.writes = hashlib.sha256(), 0
+
+        def write(self, text):
+            self.digest.update(text.encode("ascii"))
+            self.writes += 1
+
+    sink = Sink()
+    monkeypatch.setattr(cli, "ingest_weight_list", lambda *args, **kwargs: result)
+    monkeypatch.setattr(sys, "stderr", sink)
+    (tmp_path / "bases.txt").write_bytes(b"")
+    ns = cli._build_parser().parse_args(["ingest", str(tmp_path / "bases.txt")])
+    tracemalloc.start()
+    try:
+        cli._run_ingest(ns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert sink.digest.hexdigest() == hashlib.sha256(expected.encode("ascii")).hexdigest()
+    assert sink.writes <= len(errors) // 1000
 
 
 def test_ingest_cli(tmp_path, capsys):

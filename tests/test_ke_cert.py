@@ -192,7 +192,7 @@ def test_the_linear_terms_equal_the_list_oracles(a):
     top, witness = _greatest_term(a, gcds)
     bound = 1 + Fraction(m, (m - 1) * top)
     total = sum(Fraction(1, ai) for ai in a)
-    assert bp_sufficient_ke(a) == (a, cofactors, gcds, total, bound, witness, 1 < total < bound)
+    assert bp_sufficient_ke(a) == (a, total, bound, cofactors, gcds, witness, 1 < total < bound)
     # a base whose Brieskorn-Pham exponents are a: w_i = d/a_i with d = lcm(a)
     d = math.lcm(*a)
     rule = _sufficiency_in_k(WeightSystem(tuple(d // ai for ai in a), d))

@@ -277,9 +277,8 @@ def test_milnor_algebra_betti_on_the_triple_corpus(qs_triple_corpus):
 
 
 @pytest.fixture(scope="module")
-def catalog_records():
-    """Every record of the four family scans at k-bound 60, m 3..6, and of the
-    benchmark's seed-0 ingest rows at k-bound 13."""
+def ingested_records():
+    """Every record of the benchmark's seed-0 ingest rows at k-bound 13."""
     with pytest.MonkeyPatch.context() as patch:
         patch.syspath_prepend(str(PERFBENCH))
         from workloads import ingest_rows
@@ -289,8 +288,14 @@ def catalog_records():
         finally:
             sys.modules.pop("workloads", None)
             sys.modules.pop("oracles", None)
-    ingested = ingest_weight_list(lines, ScanConfig(k_bound=13)).records
-    return scan_all(ScanConfig(k_bound=60, m_range=(3, 6))) + ingested
+    return ingest_weight_list(lines, ScanConfig(k_bound=13)).records
+
+
+@pytest.fixture(scope="module")
+def catalog_records(ingested_records):
+    """Every record of the four family scans at k-bound 60, m 3..6, and of the
+    benchmark's seed-0 ingest rows at k-bound 13."""
+    return scan_all(ScanConfig(k_bound=60, m_range=(3, 6))) + ingested_records
 
 
 def test_the_torsion_order_by_hand():
@@ -328,22 +333,45 @@ def test_the_torsion_group_by_hand():
 TORSION_GROUP_ROWS = 200
 
 
-def test_each_small_brieskorn_pham_cover_has_the_torsion_group_z_k_to_the_b(catalog_records):
-    # H_{m-1} of the k-fold cover is (Z/k)^b, b the base's Betti number, and
-    # torsion_order gives its order: 36 covers of five bases, k up to 26, at
-    # most 200 rows
-    covers = {
+def _small_brieskorn_pham_covers(records, family_tags) -> dict:
+    """(base, k) -> (torsion, exponents) of each record of these families
+    whose cover is Brieskorn-Pham with at most TORSION_GROUP_ROWS rows."""
+    return {
         (rec.base, rec.k): (rec.torsion, exponents)
-        for rec in catalog_records
-        if rec.family_tag in ("euclidean5", "fermat_cy", "hyperbolic")  # theorem2 is euclidean5
+        for rec in records
+        if rec.family_tag in family_tags
         for exponents in [branched_cover(rec.k, rec.base).bp_exponents]
         if exponents and math.prod(a - 1 for a in exponents) <= TORSION_GROUP_ROWS
     }
-    assert len(covers) == 36
+
+
+def _assert_each_has_the_torsion_group_z_k_to_the_b(covers: dict) -> None:
+    # H_{m-1} of the k-fold cover is (Z/k)^b, b the base's Betti number, and
+    # torsion_order gives its order
     for (base, k), (torsion, exponents) in covers.items():
         b = milnor_orlik_betti(base)
         assert torsion_group(exponents) == [k] * b, exponents
         assert torsion == torsion_order(k, base) == FactoredPower(k, b), exponents
+
+
+def test_each_small_brieskorn_pham_cover_has_the_torsion_group_z_k_to_the_b(catalog_records):
+    # 36 covers of five bases, k up to 26 (theorem2 is tagged euclidean5)
+    covers = _small_brieskorn_pham_covers(
+        catalog_records, ("euclidean5", "fermat_cy", "hyperbolic")
+    )
+    assert len(covers) == 36
+    _assert_each_has_the_torsion_group_z_k_to_the_b(covers)
+
+
+def test_each_small_brieskorn_pham_cover_of_the_ingest_rows_has_the_torsion_group(
+    ingested_records,
+):
+    # the benchmark's seed-0 rows: 9 covers of five bases, k up to 7
+    covers = _small_brieskorn_pham_covers(ingested_records, ("ingested",))
+    bases = {(1, 1, 1, 5), (1, 1, 4, 8), (1, 2, 5, 10), (1, 3, 6, 12), (1, 4, 10, 20)}
+    assert len(covers) == 9
+    assert {(*base.weights, base.degree) for base, _ in covers} == bases
+    _assert_each_has_the_torsion_group_z_k_to_the_b(covers)
 
 
 # the most coefficients a drawn cover's Poincaré series may have
