@@ -48,7 +48,7 @@ class FactoredPower(_Power):
             raise UsageError(f"base must be at least 2, got {base}")
         if exponent < 0:
             raise UsageError(f"exponent must be non-negative, got {exponent}")
-        return super().__new__(cls, base, exponent)
+        return tuple.__new__(cls, (base, exponent))
 
     def expand(self) -> int:
         """The exact power, refused when its decimal form would pass the
@@ -98,7 +98,9 @@ def _ints(values: Iterable) -> tuple[int, ...]:
     return values
 
 
-def count_monomials(weights: Iterable[int], target: int) -> int:
+def count_monomials(
+    weights: Iterable[int], target: int, *, table: bool = False
+) -> int | list[int]:
     """Number of monomials of weighted degree `target`.
 
     Counts exponent vectors a >= 0 with sum a_i * weights_i = target, i.e.
@@ -107,7 +109,8 @@ def count_monomials(weights: Iterable[int], target: int) -> int:
     deterministic.  A target whose table would pass
     COUNT_MONOMIALS_CELL_LIMIT cells, or a count that would make more than
     COUNT_MONOMIALS_WORK_LIMIT table updates, raises ResourceBudgetError
-    before anything is allocated.
+    before anything is allocated.  With `table`, the whole table: entry t
+    is the number of monomials of degree t, for t = 0..target.
     """
     weights = tuple(weights)
     if not weights:
@@ -129,9 +132,9 @@ def count_monomials(weights: Iterable[int], target: int) -> int:
             f"counting monomials of degree {target} in {len(weights)} weights makes "
             f"{updates} table updates, more than the limit of {COUNT_MONOMIALS_WORK_LIMIT}"
         )
-    table = [0] * (target + 1)
-    table[0] = 1
+    counts = [0] * (target + 1)
+    counts[0] = 1
     for w in weights:
         for t in range(w, target + 1):
-            table[t] += table[t - w]
-    return table[target]
+            counts[t] += counts[t - w]
+    return counts if table else counts[target]

@@ -42,7 +42,7 @@ def is_fano(k: int, base: WeightSystem) -> bool:
     For |w| - d >= 0 this holds for every positive k; in the hyperbolic
     case it bounds k above by d/(d - |w|).
     """
-    return _cover_rule(base).klt_sides(k)[0] > 0
+    return _klt_left(k, base) > 0
 
 
 def necessary_klt(k: int, base: WeightSystem) -> bool:
@@ -52,7 +52,16 @@ def necessary_klt(k: int, base: WeightSystem) -> bool:
     candidate out; passing it certifies nothing (it is far from
     sufficient).
     """
-    return _cover_rule(base).klt_sides(k)[3]
+    m = base.m
+    return (m - 1) * _klt_left(k, base) < m * min(base.degree, k * min(base.weights))
+
+
+def _klt_left(k: int, base: WeightSystem) -> int:
+    """k(|w| - d) + d, the left side of both tests above, for k >= 1.
+    `certify_cover` evaluates the same sides on `_cover_rule(base)`."""
+    if k < 1:
+        raise UsageError(f"k must be positive, got {k}")
+    return k * (base.norm - base.degree) + base.degree
 
 
 def euclidean_k_threshold(base: WeightSystem) -> int:
@@ -199,15 +208,6 @@ class _CoverRule(NamedTuple):
     right_at_degree: Fraction  # m d/(m-1), the klt right side once least = d
     bp: Optional[_KRule]
 
-    def klt_sides(self, k: int) -> tuple[int, int, str, bool]:
-        """(left, least, the first term attaining least, left < m/(m-1) least)."""
-        if k < 1:
-            raise UsageError(f"k must be positive, got {k}")
-        d, least = self.degree, k * self.least_weight
-        least, witness = (least, self.weight_witness) if least < d else (d, "d")
-        left = k * self.slope + d
-        return left, least, witness, (self.m - 1) * left < self.m * least
-
 
 def _cover_rule(base: WeightSystem) -> _CoverRule:
     """The certificate inequalities of `base`, solved in k (`_CoverRule`)."""
@@ -298,14 +298,17 @@ def certify_cover(
     has solved it once for many k; without it the call solves it.  Per k
     the call does integer work and builds at most two Fractions.
     """
-    coprime = torsion_hypothesis(k, base)  # refuses k < 2
+    if k < 2:
+        raise UsageError(f"branch order k must be at least 2, got {k}")
     if rule is None:
         rule = _cover_rule(base)
-    left, least, witness, nklt = rule.klt_sides(k)
-    if coprime and rule.bp is not None:
+    m, d = rule.m, rule.degree
+    left, least = k * rule.slope + d, k * rule.least_weight
+    nklt = (m - 1) * left < m * (least if least < d else d)
+    # gcd(k, d) = 1 is the torsion hypothesis (`links.torsion_hypothesis`)
+    if rule.bp is not None and math.gcd(k, d) == 1:
         return KeCertificate(nklt, True, *rule.bp.sides(k))
-    if least == rule.degree:
-        right = rule.right_at_degree
-    else:
-        right = Fraction(rule.m * least, rule.m - 1)
-    return KeCertificate(nklt, False, Fraction(left), right, witness)
+    if least >= d:
+        return KeCertificate(nklt, False, Fraction(left), rule.right_at_degree, "d")
+    right = Fraction(m * least, m - 1)
+    return KeCertificate(nklt, False, Fraction(left), right, rule.weight_witness)

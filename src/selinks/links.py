@@ -76,7 +76,7 @@ class WeightSystem(_System):
         if g > 1:
             ws = tuple(w // g for w in ws)
             d //= g
-        return super().__new__(cls, ws, d)
+        return tuple.__new__(cls, (ws, d))
 
     @property
     def m(self) -> int:
@@ -107,7 +107,7 @@ class WeightSystem(_System):
         if len(parts) != 2:
             raise UsageError(f"expected 'w1,...,wm;d', got {text!r}")
         try:
-            weights = tuple(int(tok) for tok in parts[0].split(","))
+            weights = tuple(map(int, parts[0].split(",")))
             degree = int(parts[1])
         except ValueError as exc:
             raise UsageError(f"malformed integer in {text!r}: {exc}") from None
@@ -195,15 +195,16 @@ def quasi_smooth_generic(ws: WeightSystem) -> bool:
     distinct = set(ws.weights)
     # singletons: (a) x | d, or (b) some weight y has x | d - y; y = x
     # cannot serve, since x does not divide d - x when it does not divide d.
-    # The candidates for y are d - j x, j = 0..d // x: look them up when
-    # there are fewer of them than weights, else scan the weights
+    # Look the d - y up among the multiples of x up to d when there are
+    # fewer of those, else divide each d - y by x
+    rest = {d - y for y in distinct if y <= d}
     for x in distinct:
         if d % x == 0:
             continue
-        if d // x + 1 < len(distinct):
-            hit = any(d - j * x in distinct for j in range(d // x + 1))
+        if d // x < len(rest):
+            hit = not rest.isdisjoint(range(0, d + 1, x))
         else:
-            hit = any(d >= y and (d - y) % x == 0 for y in distinct)
+            hit = not all(map(x.__rmod__, rest))  # x.__rmod__(r) is r % x
         if not hit:
             return False
     counts = Counter(ws.weights)

@@ -174,7 +174,8 @@ def _records(
     (`_cover_rule`) are computed once per base, exactly: a cover monomial
     z_0^a z^beta of degree k t forces k | a, so h0_cover(O(k t)) =
     sum_{j >= 0} h0_base(O(t - j d)) and h0_cover(O(d)) = 1, neither
-    depending on k.  The least k gives the smallest counting tables.
+    depending on k, and `moduli_count` of the cover data reads them off one
+    counting table of the base.
     """
     if not ks:
         return []
@@ -190,7 +191,7 @@ def _records(
     # records read the genus off b_1 = 2g; the Orlik-Wagreich genus checks it
     if base.m == 3 and 2 * (g := genus(base)) != betti:
         raise IntegrityError(f"the orbit curve of {base} has genus {g}, but b_1 = {betti}")
-    moduli = moduli_count(branched_cover(k0, base).cover)
+    moduli = moduli_count(branched_cover(k0, base))
     # real_dim = 2 max(mu, 0) can have one digit more than the counts
     for name in ("complex_dim", "real_dim", "h0_degree", "h0_weights_sum"):
         check_digits(getattr(moduli, name), name)

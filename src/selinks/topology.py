@@ -73,13 +73,14 @@ def milnor_orlik_betti(ws: WeightSystem) -> int:
             step[taken] = step.get(taken, 0) + u * value
         sums = step
     # every L divides d
-    total = Fraction(sum(value * (d // lcm_u) for lcm_u, value in sums.items()), d * scale)
-    if total.denominator != 1 or total < 0:
+    numerator = sum(value * (d // lcm_u) for lcm_u, value in sums.items())
+    total, rest = divmod(numerator, d * scale)
+    if rest or total < 0:
         raise IntegrityError(
-            f"b_{ws.m - 2} of {ws} evaluates to {total}, which is not a "
-            "non-negative integer; no member of the class is quasi-smooth"
+            f"b_{ws.m - 2} of {ws} evaluates to {Fraction(numerator, d * scale)}, which is "
+            "not a non-negative integer; no member of the class is quasi-smooth"
         )
-    return int(total)
+    return total
 
 
 def betti_bp_oracle(a: Iterable[int], budget: int = 10_000_000) -> int:
@@ -134,18 +135,19 @@ def genus(ws: WeightSystem) -> int:
     if ws.m != 3:
         raise UsageError(f"genus needs exactly three weights, got {ws.m}")
     w1, w2, w3 = ws.weights
-    d = ws.degree
-    pair_sum = sum(
-        Fraction(math.gcd(wi, wj), wi * wj)
-        for wi, wj in itertools.combinations(ws.weights, 2)
-    )
-    single_sum = sum(Fraction(math.gcd(d, wi), wi) for wi in ws.weights)
-    g = (Fraction(d * d, w1 * w2 * w3) - d * pair_sum + single_sum - 1) / 2
-    if g.denominator != 1 or g < 0:
+    d, w = ws.degree, w1 * w2 * w3
+    # the formula times 2 w1 w2 w3, in integers: with {i, j, k} = {1, 2, 3},
+    # gcd(w_i, w_j)/(w_i w_j) = gcd(w_i, w_j) w_k / w and gcd(d, w_i)/w_i =
+    # gcd(d, w_i) w_j w_k / w
+    pairs = math.gcd(w1, w2) * w3 + math.gcd(w1, w3) * w2 + math.gcd(w2, w3) * w1
+    singles = math.gcd(d, w1) * w2 * w3 + math.gcd(d, w2) * w1 * w3 + math.gcd(d, w3) * w1 * w2
+    numerator = d * d - d * pairs + singles - w
+    g, rest = divmod(numerator, 2 * w)
+    if rest or g < 0:
         raise IntegrityError(
-            f"genus of {ws} evaluates to {g}, not a non-negative integer"
+            f"genus of {ws} evaluates to {Fraction(numerator, 2 * w)}, not a non-negative integer"
         )
-    return int(g)
+    return g
 
 
 def torsion_order(k: int, base: WeightSystem) -> FactoredPower:

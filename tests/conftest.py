@@ -1,6 +1,7 @@
 import math
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +36,22 @@ def qs_triple_corpus() -> list[WeightSystem]:
                         corpus.append(ws)
     assert len(corpus) > 100
     return corpus
+
+
+@pytest.fixture(scope="session")
+def seed0_ingest_lines() -> list[str]:
+    """The lines of the benchmark's seed-0 ingest file (2,000 rows and a
+    comment line), drawn by perfbench/workloads.py."""
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(perfbench)
+        from workloads import ingest_rows
+
+        try:
+            return ingest_rows(0).lines
+        finally:
+            sys.modules.pop("workloads", None)
+            sys.modules.pop("oracles", None)
 
 
 @pytest.fixture

@@ -478,15 +478,17 @@ def test_moduli_past_the_counting_budget_exits_4(capsys):
 
 
 def test_ingest_cli_reports_a_row_past_the_counting_work_budget(tmp_path, capsys):
-    # the moduli count of the k = 2 cover of (1^20;499999) counts in degree
-    # 999998 over 21 weights: within the table budget, past the update budget
+    # the moduli count of (1^21;999999) counts on one table of the base, in
+    # degree 999999 over 21 weights: within the table budget, past the update
+    # budget
     src = tmp_path / "bases.txt"
-    src.write_text("1,1,1;3\n" + ",".join(["1"] * 20) + ";499999\n", encoding="utf-8")
+    src.write_text("1,1,1;3\n" + ",".join(["1"] * 21) + ";999999\n", encoding="utf-8")
     code = main(["ingest", str(src), "--k-range", "2..2", "--format", "json"])
     captured = capsys.readouterr()
     assert code == 0
-    assert captured.err.startswith(
-        "ingest: line 2: counting monomials of degree 999998 in 21 weights makes "
+    assert captured.err == (
+        "ingest: line 2: counting monomials of degree 999999 in 21 weights makes "
+        "21000000 table updates, more than the limit of 20000000\n"
     )
     assert len(captured.err.splitlines()) == 1
     meta, records = parse_catalog_json(captured.out)
@@ -560,8 +562,8 @@ def test_bitset_and_record_budgets_exit_4(argv, message, capsys):
 
 
 def test_ingest_cli_reports_a_row_past_the_counting_budget(tmp_path, capsys):
-    # the moduli count of the k = 7 cover of (1,1,1;3000000) counts in
-    # degree 21000000, past the table budget
+    # the moduli count of (1,1,1;3000000), whose one coprime k is 7, counts
+    # on a base table of degree 3000000, past the table budget
     src = tmp_path / "bases.txt"
     src.write_text("1,1,1;3\n1,1,1;3000000\n", encoding="utf-8")
     code = main(["ingest", str(src), "--k-range", "2..7", "--format", "json"])
@@ -573,6 +575,21 @@ def test_ingest_cli_reports_a_row_past_the_counting_budget(tmp_path, capsys):
     assert {(r.base.weights, r.base.degree, r.k) for r in records} == {
         ((1, 1, 1), 3, k) for k in (2, 4, 5, 7)
     }
+
+
+def test_ingest_counts_a_row_on_its_base_table_within_the_budget(tmp_path, capsys):
+    # the k = 2 cover of (1,1,500001;500001) has degree 1000002, so its own
+    # table would pass the cell limit; the base table has 500002 cells
+    src = tmp_path / "bases.txt"
+    src.write_text("1,1,500001;500001\n", encoding="utf-8")
+    code = main(["ingest", str(src), "--k-range", "2..3", "--format", "json"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    meta, records = parse_catalog_json(captured.out)
+    assert [(r.base.weights, r.k) for r in records] == [((1, 1, 500001), 2)]
+    # t[s] = s + 1 below d and t[d] = (d + 1) + 1: h0_degree = t[d] + 1, and
+    # h0_weights_sum = 1 + t[1] + t[1] + (t[d] + t[0]), the j = 1 term of w = d
+    assert records[0].moduli == (500003 + 1, 1 + 2 + 2 + 500003 + 1)
 
 
 def test_ingest_writes_its_row_diagnostics_byte_for_byte_in_its_own_process(tmp_path):

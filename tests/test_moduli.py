@@ -1,17 +1,26 @@
 import math
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_links import invertible_systems, repeated_block_systems
 
 from selinks import (
+    ScanConfig,
     UsageError,
     WeightSystem,
+    arith,
     branched_cover,
     count_monomials,
     fermat_cy_moduli,
     hyperbolic_moduli,
+    ingest_weight_list,
+    links,
+    moduli,
     moduli_count,
+    quasi_smooth_generic,
+    scan_all,
 )
 
 
@@ -120,3 +129,101 @@ def test_cover_moduli_count_is_the_same_for_every_coprime_k(weights, degree, ks)
     for k in ks:
         mc = moduli_count(branched_cover(k, base).cover)
         assert (mc.h0_degree, mc.h0_weights_sum) == (h0_degree, h0_weights_sum), k
+
+
+# the base table of a coprime cover: h0_degree = t[d] + 1 and
+# h0_weights_sum = 1 + sum_i sum_{j >= 0} t[w_i - j d], checked against the
+# literal count on the cover system, moduli_count(branched_cover(k, base).cover)
+
+
+def test_a_weight_equal_to_d_keeps_its_j_1_term():
+    # a linear term w_i = d is quasi-smooth, and its cover weight k d counts
+    # z_0^k as well as the base monomials of degree d: t[d] + t[0]
+    for weights, d, literal, without_j_1 in [
+        ((1, 1, 3), 3, 11, 10),
+        ((1, 2, 5), 5, 9, 8),
+        ((2, 3, 6), 6, 7, 6),
+    ]:
+        base = WeightSystem(weights, d)
+        assert quasi_smooth_generic(base)
+        t = count_monomials(weights, d, table=True)
+        assert 1 + sum(t[w] for w in weights) == without_j_1
+        for k in (7, 11, 13):
+            cover = branched_cover(k, base)
+            assert moduli_count(cover).h0_weights_sum == literal, (base, k)
+            assert moduli_count(cover) == moduli_count(cover.cover), (base, k)
+
+
+def _assert_each_base_counts_as_its_literal_cover(records) -> int:
+    """Every record's moduli is the literal count on the cover of the least k
+    of its base, and so is the base-table count; the number of bases."""
+    by_base = {}
+    for rec in records:
+        by_base.setdefault(rec.base, []).append(rec)
+    for base, recs in by_base.items():
+        cover = branched_cover(min(rec.k for rec in recs), base)
+        literal = moduli_count(cover.cover)
+        assert moduli_count(cover) == literal, base
+        assert {rec.moduli for rec in recs} == {literal}, base
+    return len(by_base)
+
+
+def test_every_family_base_counts_as_its_literal_cover():
+    records = scan_all(ScanConfig(k_bound=60, m_range=(3, 6)))
+    assert _assert_each_base_counts_as_its_literal_cover(records) == 14
+
+
+def test_every_seed_0_ingest_base_counts_as_its_literal_cover(seed0_ingest_lines):
+    records = ingest_weight_list(seed0_ingest_lines, ScanConfig()).records
+    assert _assert_each_base_counts_as_its_literal_cover(records) == 177
+
+
+@st.composite
+def quasi_smooth_bases(draw):
+    """A drawn system, half the time with a linear term w = d added."""
+    ws = draw(invertible_systems() | repeated_block_systems())
+    if draw(st.booleans()):
+        ws = WeightSystem(ws.weights + (ws.degree,), ws.degree)
+    return ws
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(quasi_smooth_bases(), st.data())
+def test_the_base_table_count_is_the_literal_cover_count_on_drawn_bases(ws, data):
+    assume(quasi_smooth_generic(ws))
+    # the literal count fills cover tables of k d + 1 cells
+    coprime = [k for k in range(2, 41) if math.gcd(k, ws.degree) == 1 and k * ws.degree <= 2000]
+    assume(coprime)
+    cover = branched_cover(data.draw(st.sampled_from(coprime), label="k"), ws)
+    assert moduli_count(cover) == moduli_count(cover.cover)
+
+
+def test_ingest_counts_the_moduli_of_each_row_on_one_base_table(
+    seed0_ingest_lines, monkeypatch
+):
+    # the per-base guard: one moduli count and one cover per accepted row,
+    # at most 1 + (distinct weights) monomial counts each, and few cells.
+    # Each kernel is wrapped where it is defined and wherever selinks bound it
+    calls = {}
+    for module, name in [(moduli, "moduli_count"), (links, "branched_cover"),
+                         (arith, "count_monomials")]:
+        real, log = getattr(module, name), calls.setdefault(name, [])
+
+        def wrapper(*args, real=real, log=log, **kwargs):
+            log.append(args)
+            return real(*args, **kwargs)
+
+        for bound in [m for n, m in sys.modules.items() if n.startswith("selinks")]:
+            if vars(bound).get(name) is real:
+                monkeypatch.setattr(bound, name, wrapper)
+    result = ingest_weight_list(seed0_ingest_lines, ScanConfig())
+    diagnosed = {int(error.split(":")[0].removeprefix("line ")) for error in result.errors}
+    accepted = [
+        WeightSystem.parse(line) for i, line in enumerate(seed0_ingest_lines, start=1)
+        if i not in diagnosed and line.split("#")[0].strip()
+    ]
+    assert (len(seed0_ingest_lines), len(diagnosed), len(accepted)) == (2001, 1820, 180)
+    assert len(calls["moduli_count"]) == len(calls["branched_cover"]) == 180
+    assert len(calls["count_monomials"]) <= sum(1 + len(set(ws.weights)) for ws in accepted)
+    cells = sum(len(tuple(weights)) * (target + 1) for weights, target in calls["count_monomials"])
+    assert cells < 41_000

@@ -277,18 +277,9 @@ def test_milnor_algebra_betti_on_the_triple_corpus(qs_triple_corpus):
 
 
 @pytest.fixture(scope="module")
-def ingested_records():
+def ingested_records(seed0_ingest_lines):
     """Every record of the benchmark's seed-0 ingest rows at k-bound 13."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.syspath_prepend(str(PERFBENCH))
-        from workloads import ingest_rows
-
-        try:
-            lines = ingest_rows(0).lines
-        finally:
-            sys.modules.pop("workloads", None)
-            sys.modules.pop("oracles", None)
-    return ingest_weight_list(lines, ScanConfig(k_bound=13)).records
+    return ingest_weight_list(seed0_ingest_lines, ScanConfig(k_bound=13)).records
 
 
 @pytest.fixture(scope="module")
@@ -372,6 +363,23 @@ def test_each_small_brieskorn_pham_cover_of_the_ingest_rows_has_the_torsion_grou
     assert len(covers) == 9
     assert {(*base.weights, base.degree) for base, _ in covers} == bases
     _assert_each_has_the_torsion_group_z_k_to_the_b(covers)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(st.lists(st.integers(2, 7), min_size=3, max_size=5), st.data())
+def test_each_drawn_small_brieskorn_pham_cover_has_the_torsion_group_z_k_to_the_b(a, data):
+    # the base z_1^(a_1) + ... + z_m^(a_m) and a k prime to its degree, with
+    # at most TORSION_GROUP_ROWS rows in h - I of the cover
+    base = bp_weight_system(a)
+    rows = math.prod(x - 1 for x in a)
+    coprime = [
+        k for k in range(2, TORSION_GROUP_ROWS // rows + 2) if math.gcd(k, base.degree) == 1
+    ]
+    assume(coprime)
+    k = data.draw(st.sampled_from(coprime), label="k")
+    exponents = branched_cover(k, base).bp_exponents
+    assert sorted(exponents[1:]) == sorted(a) and exponents[0] == k
+    assert torsion_group(exponents) == [k] * milnor_orlik_betti(base), exponents
 
 
 # the most coefficients a drawn cover's Poincaré series may have
