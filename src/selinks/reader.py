@@ -2,7 +2,8 @@
 
 Only `cli.parse_catalog_json` imports this module, so no command loads it.
 A catalog is read by one rule: it must be what `cli.render_catalog` writes
-for the records it stores, sorted.
+for the records it stores, sorted.  It reads by the writer's field list,
+`selinks.writer._FIELDS`.
 """
 
 from __future__ import annotations
@@ -18,19 +19,20 @@ from .ke_cert import KeCertificate
 from .links import WeightSystem, torsion_hypothesis
 from .moduli import ModuliCount
 from .survey import FamilyRecord, ScanConfig
+from .writer import _FIELDS, _FRACTION, _TORSION, _split
 
 # the class of each FamilyRecord attribute assembled from several fields
 _PART_CLASSES = {"base": WeightSystem, "moduli": ModuliCount, "certificate": KeCertificate}
 # (JSON group, JSON key, attribute group, attribute, decode) of each stored
 # field, where decode builds the value from its JSON (None: as parsed)
 _STORED_FIELDS = tuple(
-    (*cli._split(f.json_path), group, name, decoders.get(f.codec))
+    (*_split(f.json_path), group, name, decoders.get(f.codec))
     for decoders in [{
-        cli._TORSION: lambda obj: FactoredPower(obj["base"], obj["exponent"]),
-        cli._FRACTION: lambda obj: Fraction(obj["num"], obj["den"]),
+        _TORSION: lambda obj: FactoredPower(obj["base"], obj["exponent"]),
+        _FRACTION: lambda obj: Fraction(obj["num"], obj["den"]),
     }]
-    for f in cli._FIELDS
-    for group, name in [cli._split(f.attr_path)]
+    for f in _FIELDS
+    for group, name in [_split(f.attr_path)]
     if name in (FamilyRecord if group is None else _PART_CLASSES[group])._fields
 )
 

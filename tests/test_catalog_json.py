@@ -39,7 +39,8 @@ from selinks import (
     scan_fermat_cy,
     scan_hyperbolic,
 )
-from selinks.cli import _TABLE, CSV_HEADER, _catalog_meta, main, parse_catalog_json, render_catalog
+from selinks.cli import main, parse_catalog_json, render_catalog
+from selinks.writer import _TABLE, CSV_HEADER, _catalog_meta
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 FAMILY_TAGS = ("euclidean5", "fermat_cy", "hyperbolic", "mixed_canonical", "ingested")

@@ -20,14 +20,10 @@ from selinks import (
     reader,
     scan_all,
     scan_fermat_cy,
+    writer,
 )
-from selinks.cli import (
-    _TABLE,
-    CSV_HEADER,
-    main,
-    parse_catalog_json,
-    render_catalog,
-)
+from selinks.cli import main, parse_catalog_json, render_catalog
+from selinks.writer import _TABLE, CSV_HEADER
 
 
 def test_parse_invocation_invariants():
@@ -696,6 +692,8 @@ def test_a_command_loads_only_the_modules_it_runs(tmp_path):
     at_start = _modules_after("pass")
     version = _command_modules("--version")
     assert unused & version <= at_start
+    # --version writes no JSON either
+    assert "json" not in version or "json" in at_start
     euclidean = _command_modules("scan", "euclidean", "--weight-bound", "10", "--format", "json")
     assert unused & euclidean <= at_start
     # a family scan certifies its covers, so the check above is not vacuous
@@ -708,8 +706,20 @@ def test_a_command_loads_only_the_modules_it_runs(tmp_path):
     ingest = _command_modules("ingest", str(rows), "--k-range", "2..5", "--format", "json")
     for loaded in (version, euclidean, fermat, ingest):
         assert "selinks.reader" not in loaded
-    empty = "from selinks import cli\ntext = cli.render_catalog([], 'json', cli.ScanConfig())"
-    assert "selinks.reader" in _modules_after(f"{empty}\ncli.parse_catalog_json(text)")
+    # only a command that writes a record catalog loads the writer
+    single = [
+        _command_modules("invariants", "--weights", "1,2,3", "--degree", "6"),
+        _command_modules("cover", "--k", "5", "--weights", "1,2,3", "--degree", "6", "--format", "json"),
+        _command_modules("certify", "--exponents", "2,3,7"),
+        _command_modules("moduli", "--weights", "1,1,1", "--degree", "3", "--format", "json"),
+    ]
+    for loaded in (version, euclidean, *single):
+        assert "selinks.writer" not in loaded
+    assert "selinks.writer" in fermat and "selinks.writer" in ingest
+    # the catalog is written here, so only reading it can load the writer
+    empty = render_catalog([], "json", ScanConfig())
+    read = _modules_after(f"from selinks import cli\ncli.parse_catalog_json({empty!r})")
+    assert {"selinks.reader", "selinks.writer"} <= read
 
 
 def test_a_command_loads_nothing_outside_the_standard_library(tmp_path):
@@ -777,7 +787,7 @@ def test_parse_catalog_json_checks_the_schema():
     payload["meta"]["schema"] = "selinks.catalog/2"
     with pytest.raises(UsageError, match="selinks.catalog/2"):
         parse_catalog_json(json.dumps(payload))
-    payload["meta"]["schema"] = cli.CATALOG_SCHEMA
+    payload["meta"]["schema"] = writer.CATALOG_SCHEMA
     payload["records"] = {"0": payload["records"][0]}
     with pytest.raises(UsageError, match="malformed catalog: records is not a list"):
         parse_catalog_json(json.dumps(payload))
@@ -895,8 +905,8 @@ def test_every_leaf_of_a_record_is_refused_in_another_json_type():
     # its place is refused: by the type it builds, or by the re-render;
     # null is a value of the fields that may hold None
     nullable = {
-        tuple(field.json_path.split(".")) for field in cli._FIELDS
-        if field.codec is cli._OPTIONAL_INT
+        tuple(field.json_path.split(".")) for field in writer._FIELDS
+        if field.codec is writer._OPTIONAL_INT
     }
     text = _catalog_text()
 
@@ -1019,8 +1029,8 @@ def test_parse_catalog_json_refuses_an_edited_derived_field(group, key, value, m
     classes = reader._PART_CLASSES
     derived = [
         field.json_path
-        for field in cli._FIELDS
-        for attr_group, name in [cli._split(field.attr_path)]
+        for field in writer._FIELDS
+        for attr_group, name in [writer._split(field.attr_path)]
         if name not in (FamilyRecord if attr_group is None else classes[attr_group])._fields
     ]
     assert derived == [
@@ -1116,7 +1126,7 @@ def test_parse_catalog_json_expands_a_decimal_under_the_digit_budget():
 
 
 def test_the_meta_of_a_scan_catalog_by_hand(capsys):
-    # spelled out here, not taken from cli._catalog_meta, which both the
+    # spelled out here, not taken from writer._catalog_meta, which both the
     # writer and the reader use
     meta = {
         "schema": "selinks.catalog/1",

@@ -16,7 +16,8 @@ from selinks.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = Path(selinks.__file__).parent
-MODULES = ("arith", "cli", "errors", "ke_cert", "links", "moduli", "reader", "survey", "topology")
+# every module of the package, so a name in a module added later resolves too
+MODULES = tuple(sorted(path.stem for path in SRC.glob("*.py") if not path.stem.startswith("_")))
 
 
 def _removed_names_table() -> list[tuple[list[str], list[str]]]:
@@ -81,7 +82,7 @@ def test_module_names_in_readme_exist():
     end = next(i for i in range(start, len(lines)) if not lines[i].startswith("|"))
     text = "\n".join(lines[:start] + lines[end:])
     names = [path for path, root in re.findall(r"`((\w+)\.[\w.]+)`", text) if root in MODULES]
-    assert {"cli._FIELDS", "cli.render_euclidean_rows"} <= set(names)
+    assert {"writer._FIELDS", "cli.render_euclidean_rows"} <= set(names)
     for name in names:
         assert _resolve(name), name
 
