@@ -174,8 +174,8 @@ def render_euclidean_rows(rows: Sequence[EuclideanRow], fmt: str) -> str:
         }
         return json.dumps(payload, indent=2) + "\n"
     if fmt == "csv":
-        from .writer import _csv_text
-        return _csv_text(
+        from .csvtext import csv_text
+        return csv_text(
             ("weights", "degree", "monomials"),
             (
                 (" ".join(str(w) for w in row.system.weights), row.system.degree, row.monomials)
@@ -300,19 +300,33 @@ _DIAGNOSTIC_SLICE = 1 << 10
 def _run_ingest(ns: argparse.Namespace) -> str:
     k_min, k_bound = ns.k_range
     cfg = ScanConfig(k_bound=k_bound, k_min=k_min)
-    # lines are split as bytes, so a line that is not UTF-8 costs only itself
-    # a row diagnostic; splitlines ends a line at \n, \r\n or \r, as text mode does
     with open(ns.file, "rb") as fh:
         data = fh.read(INGEST_BYTE_LIMIT + 1)  # stat gives /dev/zero size 0
     if len(data) > INGEST_BYTE_LIMIT:
         raise ResourceBudgetError(f"{ns.file}: more than the limit of {INGEST_BYTE_LIMIT} bytes")
-    result = ingest_weight_list(data.splitlines(), cfg, expand_torsion=ns.expand_torsion)
-    # a write per slice of rows: a write per row costs a system call each,
-    # and one write of every row a second copy of the diagnostics
-    for start in range(0, len(result.errors), _DIAGNOSTIC_SLICE):
-        rows = result.errors[start : start + _DIAGNOSTIC_SLICE]
-        sys.stderr.write("".join(f"ingest: {message}\n" for message in rows))
-    return render_catalog(result.records, ns.format, cfg, ns.expand_torsion)
+    # diagnostics are written a slice at a time as rows fail: a write per row
+    # costs a system call each, and holding them all costs their whole text
+    pending = []
+
+    def report(message: str) -> None:
+        pending.append(f"ingest: {message}\n")
+        if len(pending) == _DIAGNOSTIC_SLICE:
+            sys.stderr.write("".join(pending))
+            pending.clear()
+
+    try:
+        # lines are split as bytes, so a line that is not UTF-8 costs only
+        # itself a row diagnostic; splitlines ends a line where text mode does.
+        # The list is freed with this call, and the bytes after it, so that
+        # only the records are held while the catalog renders
+        records = ingest_weight_list(
+            data.splitlines(), cfg, report=report, expand_torsion=ns.expand_torsion
+        )
+    finally:  # a run the record budget ends still writes the rows before it
+        sys.stderr.write("".join(pending))
+        pending.clear()
+    del data
+    return render_catalog(records, ns.format, cfg, ns.expand_torsion)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

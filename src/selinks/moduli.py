@@ -21,7 +21,6 @@ from typing import NamedTuple
 
 from .arith import count_monomials
 from .errors import UsageError
-from .ke_cert import hyperbolic_k_window
 from .links import CoverData, WeightSystem
 
 __all__ = [
@@ -87,5 +86,6 @@ def fermat_cy_moduli(m: int) -> int:
 
 def hyperbolic_moduli(m: int, l: int) -> int:
     """Closed form C(m+l-1, l) - m^2 for covers of the degree-l Fermat base."""
+    from .ke_cert import hyperbolic_k_window
     hyperbolic_k_window(m, l)  # refuses an m and l whose covers have no window
     return math.comb(m + l - 1, l) - m * m

@@ -37,17 +37,22 @@ _STORED_FIELDS = tuple(
 )
 
 
-def _record(obj: Any) -> FamilyRecord:
+def _record(obj: Any, shared: dict) -> FamilyRecord:
     """The record whose stored fields (`_STORED_FIELDS`) `obj` holds, its base
-    made canonical.  The fields it derives are left to the re-render."""
+    made canonical.  The fields it derives are left to the re-render.  The
+    base and the moduli count, which a base's records share, are built once
+    per distinct stored value and kept in `shared`, the read's own."""
     parts: dict = {group: {} for group in (None, *_PART_CLASSES)}
     for json_group, json_key, group, name, decode in _STORED_FIELDS:
         value = (obj if json_group is None else obj[json_group])[json_key]
         parts[group][name] = value if decode is None else decode(value)
-    top = parts.pop(None)
-    top.update((group, cls(**parts[group])) for group, cls in _PART_CLASSES.items())
-    top["base"] = top["base"].canonical()
-    return FamilyRecord(**top)
+    top, base, moduli, certificate = parts.values()
+    # repr keys the stored values by type too: 1, 1.0 and true differ
+    key = repr((base, moduli))
+    if key not in shared:
+        shared[key] = WeightSystem(**base).canonical(), ModuliCount(**moduli)
+    top["base"], top["moduli"] = shared[key]
+    return FamilyRecord(**top, certificate=KeCertificate(**certificate))
 
 
 def _first_difference(found: str, expected: str) -> str:
@@ -97,15 +102,15 @@ def parse_catalog_json(text: str) -> tuple[dict, list[FamilyRecord]]:
         cfg = ScanConfig(**bounds)
     except (TypeError, ValueError) as exc:  # a UsageError is a ValueError
         raise UsageError(f"catalog bounds {bounds!r} are refused: {exc!r}") from None
-    records = []
+    records, shared = [], {}
     for index, obj in enumerate(objs):
         try:
-            rec = _record(obj)
+            rec = _record(obj, shared)
             if not torsion_hypothesis(rec.k, rec.base):
                 raise ValueError(f"k = {rec.k} is not coprime to the degree of {rec.base}")
             if not cfg.k_min <= rec.k <= cfg.k_bound:
                 raise ValueError(f"k is {rec.k}, not in k_min..k_bound {cfg.k_min}..{cfg.k_bound}")
-        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
+        except (KeyError, TypeError, ValueError, ArithmeticError, RecursionError) as exc:
             raise UsageError(f"malformed catalog record {index}: {exc!r}") from None
         records.append(rec)
     try:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .arith import COUNT_MONOMIALS_CELL_LIMIT, FactoredPower, _ints, check_digits, count_monomials
 from .errors import IntegrityError, ResourceBudgetError, UsageError
@@ -27,7 +27,6 @@ __all__ = [
     "ScanConfig",
     "EuclideanRow",
     "FamilyRecord",
-    "IngestResult",
     "scan_euclidean_classification",
     "generate_theorem2_family",
     "scan_fermat_cy",
@@ -131,13 +130,6 @@ class FamilyRecord(NamedTuple):
         # It reads the stored fields, not the m, l_or_d and k properties
         base = self.base
         return (self.family_tag, len(base.weights), base.degree, self.torsion.base, base.weights)
-
-
-class IngestResult(NamedTuple):
-    """Records produced from a user-supplied weight list, plus row diagnostics."""
-
-    records: list[FamilyRecord]
-    errors: list[str]
 
 
 def _branch_orders(base: WeightSystem, ks: Iterable[int], spent: int = 0) -> list[int]:
@@ -249,16 +241,19 @@ def _euclidean_candidates(m: int, bound: int) -> Iterator[tuple[int, ...]]:
     is v | w_1, and gcd 1 leaves (1, 1, 1), which v | T gives.  So no
     quasi-smooth system is left out.
 
-    The C(bound + m - 2, m - 1) sorted (m - 1)-prefixes that bound this
-    space are counted first, and past COUNT_MONOMIALS_CELL_LIMIT the
-    enumeration is refused with ResourceBudgetError before anything is
-    built.
+    The walk is charged before anything is built, and past
+    COUNT_MONOMIALS_CELL_LIMIT it is refused with ResourceBudgetError.  Each
+    of the C(bound + m - 3, m - 2) prefixes P costs one step, and each
+    (c, p, n) at most (c + 1)(m - 2) + 1 more: the n itself and its trials
+    e <= n / lo, as n <= (c + 1) T <= (c + 1)(m - 2) lo.  Summed over the
+    c < m, at most m - 1 values of p and at most m of n, a prefix costs at
+    most 1 + m (m - 1)^2 (m^2 - 2) / 2 steps.
     """
-    prefixes = math.comb(bound + m - 2, m - 1)
-    if prefixes > COUNT_MONOMIALS_CELL_LIMIT:
+    steps = math.comb(bound + m - 3, m - 2) * (1 + m * (m - 1) ** 2 * (m * m - 2) // 2)
+    if steps > COUNT_MONOMIALS_CELL_LIMIT:
         raise ResourceBudgetError(
             f"enumerating Euclidean systems in {m} variables up to weight bound {bound} "
-            f"walks {prefixes} sorted weight prefixes, more than the limit of "
+            f"walks its weight prefixes in {steps} steps, more than the limit of "
             f"{COUNT_MONOMIALS_CELL_LIMIT}"
         )
     for head in itertools.combinations_with_replacement(range(1, bound + 1), m - 2):
@@ -403,9 +398,14 @@ def scan_all(cfg: ScanConfig) -> list[FamilyRecord]:
 
 
 def ingest_weight_list(
-    lines: Iterable[str | bytes], cfg: ScanConfig, *, expand_torsion: bool = False
-) -> IngestResult:
-    """Run the full pipeline on user-supplied base systems.
+    lines: Iterable[str | bytes],
+    cfg: ScanConfig,
+    *,
+    report: Callable[[str], object],
+    expand_torsion: bool = False,
+) -> list[FamilyRecord]:
+    """Run the full pipeline on user-supplied base systems; the records, in
+    catalog order.
 
     Input is one system per line in the form ``w1,...,wm;d`` with ``#``
     comments; a line given as bytes is decoded as UTF-8, and a byte order
@@ -413,23 +413,23 @@ def ingest_weight_list(
     by every k in the configured range with gcd(k, d) = 1.  Lines that are
     not UTF-8, malformed rows, rows without a quasi-smooth member, rows
     whose invariants come out impossible (IntegrityError) and rows past a
-    resource budget (ResourceBudgetError) are reported with their line
-    numbers and skipped; they never abort the batch or cost another row its
-    records.  With `expand_torsion`, a row whose torsion orders would be
-    written in decimal past the interpreter's int-to-str limit is such a
-    row: k^b grows with k, so the largest k decides.  Only the run's record
-    budget (CATALOG_RECORD_LIMIT, counted over all rows) ends the run, with
-    ResourceBudgetError.
+    resource budget (ResourceBudgetError) are skipped; each is passed to
+    `report` as one diagnostic naming its line number, as the row fails and
+    before the next line is read, so none is held here.  They never abort
+    the batch or cost another row its records.  With `expand_torsion`, a
+    row whose torsion orders would be written in decimal past the
+    interpreter's int-to-str limit is such a row: k^b grows with k, so the
+    largest k decides.  Only the run's record budget (CATALOG_RECORD_LIMIT,
+    counted over all rows) ends the run, with ResourceBudgetError.
     """
     records: list[FamilyRecord] = []
-    errors: list[str] = []
     ks = range(cfg.k_min, cfg.k_bound + 1)
     for lineno, raw in enumerate(lines, start=1):
         if isinstance(raw, bytes):
             try:
                 raw = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
-                errors.append(f"line {lineno}: not UTF-8 text ({exc})")
+                report(f"line {lineno}: not UTF-8 text ({exc})")
                 continue
         if lineno == 1:
             raw = raw.removeprefix("\ufeff")
@@ -439,7 +439,7 @@ def ingest_weight_list(
         try:
             ws = _quasi_smooth(WeightSystem.parse(text))
         except (UsageError, IntegrityError, ResourceBudgetError) as exc:
-            errors.append(f"line {lineno}: {exc}")
+            report(f"line {lineno}: {exc}")
             continue
         # the record budget is the run's, not the row's: passing it ends the run
         orders = _branch_orders(ws, ks, len(records))
@@ -449,6 +449,6 @@ def ingest_weight_list(
                 rows[-1].torsion.expand()  # the orders ascend
             records += rows
         except (IntegrityError, ResourceBudgetError) as exc:
-            errors.append(f"line {lineno}: {exc}")
+            report(f"line {lineno}: {exc}")
     records.sort(key=FamilyRecord.sort_key)
-    return IngestResult(records=records, errors=errors)
+    return records

@@ -6,7 +6,6 @@ command that writes no record catalog does not load it.
 
 from __future__ import annotations
 
-import io
 import json
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, methodcaller
@@ -240,15 +239,6 @@ def _catalog_meta(cfg: ScanConfig, expand_torsion: bool, count: int) -> dict:
     }
 
 
-def _csv_text(header: Sequence[str], rows) -> str:
-    import csv
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def render_catalog(
     records: Sequence[FamilyRecord],
     fmt: str,
@@ -272,7 +262,8 @@ def render_catalog(
     # the chain that makes each CSV cell from the record
     cells = {f.column: (attrgetter(f.attr_path), *f.codec.to_text(expand_torsion)) for f in _FIELDS}
     if fmt == "csv":
-        return _csv_text(CSV_HEADER, zip(*_columns(records, map(cells.get, CSV_HEADER))))
+        from .csvtext import csv_text
+        return csv_text(CSV_HEADER, zip(*_columns(records, map(cells.get, CSV_HEADER))))
     if fmt == "table":
         cells["base"] = (attrgetter("base"),)
         # a space between cells keeps a cell wider than its column apart

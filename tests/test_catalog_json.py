@@ -181,7 +181,7 @@ def test_the_benchmark_ingest_rows(monkeypatch):
 
     try:
         cfg = ScanConfig()
-        records = ingest_weight_list(ingest_rows(0).lines, cfg).records
+        records = ingest_weight_list(ingest_rows(0).lines, cfg, report=lambda _: None)
     finally:
         sys.modules.pop("workloads", None)
         sys.modules.pop("oracles", None)
@@ -324,7 +324,7 @@ def test_bases_that_share_family_m_and_d_interleave_by_k():
     # the sort key puts k before the weights, so these records alternate
     # between their bases; each must keep its own constant fields
     cfg = ScanConfig(k_bound=30)
-    records = ingest_weight_list(["1,2,3;6", "1,1,2;6", "2,2,1;6"], cfg).records
+    records = ingest_weight_list(["1,2,3;6", "1,1,2;6", "2,2,1;6"], cfg, report=pytest.fail)
     assert [rec.base.weights for rec in records[:3]] == [(1, 1, 2), (1, 2, 2), (1, 2, 3)]
     # the same stored values on two bases of one m and d
     twins = [rec._replace(base=WeightSystem((1, 2, 2), 6)) for rec in records[-3::-3]]
@@ -357,11 +357,14 @@ def test_records_that_differ_in_one_value_of_their_base(change):
 
 
 def test_records_read_back_share_templates_by_value():
-    # parse_catalog_json builds each record's base anew: equal bases are
-    # distinct objects, and must still be written as one base
+    # parse_catalog_json builds each distinct base once, so its records share
+    # it; rebuilt one per record, equal bases are distinct objects, and must
+    # still be written as one base
     cfg = ScanConfig(k_bound=30, m_range=(3, 4))
     text = render_catalog(scan_all(cfg), "json", cfg)
-    back = parse_catalog_json(text)[1]
+    read = parse_catalog_json(text)[1]
+    assert len({id(rec.base) for rec in read}) == len({rec.base for rec in read})
+    back = [rec._replace(base=WeightSystem(*rec.base)) for rec in read]
     same = [rec for rec in back if rec.base == back[0].base]
     assert len(same) > 1 and same[0].base is not same[1].base
     assert render_catalog(back, "json", cfg) == text

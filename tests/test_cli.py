@@ -11,7 +11,6 @@ import pytest
 
 from selinks import (
     FamilyRecord,
-    IngestResult,
     ResourceBudgetError,
     ScanConfig,
     UsageError,
@@ -307,7 +306,6 @@ def test_writing_the_row_diagnostics_holds_no_second_copy(tmp_path, monkeypatch)
     # 65,536 diagnostics of 128 characters: one joined write would be a
     # second 8 MiB, and a write per row 65,536 writes
     errors = [f"line {n}: {'x' * 128}"[:128] for n in range(1 << 16)]
-    result = IngestResult(records=[], errors=errors)
     expected = "".join(f"ingest: {message}\n" for message in errors)
 
     class Sink:
@@ -318,8 +316,13 @@ def test_writing_the_row_diagnostics_holds_no_second_copy(tmp_path, monkeypatch)
             self.digest.update(text.encode("ascii"))
             self.writes += 1
 
+    def reports(lines, cfg, *, report, expand_torsion):
+        for message in errors:
+            report(message)
+        return []
+
     sink = Sink()
-    monkeypatch.setattr(cli, "ingest_weight_list", lambda *args, **kwargs: result)
+    monkeypatch.setattr(cli, "ingest_weight_list", reports)
     monkeypatch.setattr(sys, "stderr", sink)
     (tmp_path / "bases.txt").write_bytes(b"")
     ns = cli._build_parser().parse_args(["ingest", str(tmp_path / "bases.txt")])
@@ -612,6 +615,69 @@ def test_ingest_writes_its_row_diagnostics_byte_for_byte_in_its_own_process(tmp_
     assert done.stdout.count(b"\ningested ") == 3  # (1,1,1;3) at k = 2, 4, 5
 
 
+def test_a_run_the_record_budget_ends_writes_its_diagnostics_then_one_error(
+    tmp_path, capsys, monkeypatch
+):
+    # more diagnostics than one slice come before the row that passes the
+    # record budget: each is written as its row fails, in row order, and the
+    # run then ends with exit 4 and one line; the rows after it never run
+    from selinks import survey
+
+    rows = ["1,1,1;3", *(["foo"] * 1100), "1,1,2;4", "bar"]
+    src = tmp_path / "bases.txt"
+    src.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    # k in 2..5: three records of (1,1,1;3), two of (1,1,2;4)
+    monkeypatch.setattr(survey, "CATALOG_RECORD_LIMIT", 4)
+    assert 1100 > cli._DIAGNOSTIC_SLICE
+    assert main(["ingest", str(src), "--k-range", "2..5", "--format", "json"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines[:-1] == [
+        f"ingest: line {n}: expected 'w1,...,wm;d', got 'foo'" for n in range(2, 1102)
+    ]
+    assert lines[-1] == (
+        "resource budget error: a catalog of more than 4 records is refused "
+        "(the limit is passed at (1,1,2;4), k = 5)"
+    )
+
+
+def test_a_file_of_lines_not_utf8_holds_no_diagnostics_in_its_own_process(
+    tmp_path, monkeypatch
+):
+    # at the byte budget, 250,000 one-byte lines that are not UTF-8 each get
+    # a diagnostic: written as the rows fail, they keep the child's peak RSS,
+    # read as the benchmark reads it, far under the 58 MiB it reached when
+    # the run held them all until it ended
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import run
+
+    try:
+        launch, peak_rss_mib, env = run.launch, run.peak_rss_mib, run.child_env()
+    finally:
+        for name in ("run", "workloads", "oracles"):
+            sys.modules.pop(name, None)
+    src, peak, err = tmp_path / "bases.txt", tmp_path / "peak", tmp_path / "err"
+    rows = cli.INGEST_BYTE_LIMIT // 2
+    src.write_bytes(b"\xff\n" * rows)
+    with open(err, "wb") as stderr:
+        done = subprocess.run(
+            launch(["ingest", str(src)], peak), env=env, stdout=subprocess.PIPE,
+            stderr=stderr, timeout=120,
+        )
+    assert done.returncode == 0
+    assert done.stdout == render_catalog([], "table", ScanConfig()).encode("ascii")
+    message = (
+        ": not UTF-8 text ('utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte)\n"
+    )
+    with open(err, encoding="ascii") as lines:
+        for n, line in enumerate(lines, start=1):
+            assert line == f"ingest: line {n}{message}"
+    assert n == rows == 250_000
+    assert 0 < peak_rss_mib(peak) < 40
+
+
 def test_ingest_gives_a_row_too_long_to_write_a_diagnostic_in_its_own_process(tmp_path):
     # the middle row's Betti number has about 6,000 digits, past the
     # int-to-str limit: the row gets a diagnostic before any of its records
@@ -696,6 +762,10 @@ def test_a_command_loads_only_the_modules_it_runs(tmp_path):
     assert "json" not in version or "json" in at_start
     euclidean = _command_modules("scan", "euclidean", "--weight-bound", "10", "--format", "json")
     assert unused & euclidean <= at_start
+    # its CSV loads csv, and still neither the layers nor the catalog writer
+    euclidean_csv = _command_modules("scan", "euclidean", "--weight-bound", "10", "--format", "csv")
+    assert layers & euclidean_csv <= at_start
+    assert "csv" in euclidean_csv
     # a family scan certifies its covers, so the check above is not vacuous
     fermat = _command_modules("scan", "fermat-cy", "--k-bound", "10", "--m", "3..3")
     assert layers <= fermat
@@ -707,14 +777,17 @@ def test_a_command_loads_only_the_modules_it_runs(tmp_path):
     for loaded in (version, euclidean, fermat, ingest):
         assert "selinks.reader" not in loaded
     # only a command that writes a record catalog loads the writer
+    moduli = _command_modules("moduli", "--weights", "1,1,1", "--degree", "3", "--format", "json")
     single = [
         _command_modules("invariants", "--weights", "1,2,3", "--degree", "6"),
         _command_modules("cover", "--k", "5", "--weights", "1,2,3", "--degree", "6", "--format", "json"),
         _command_modules("certify", "--exponents", "2,3,7"),
-        _command_modules("moduli", "--weights", "1,1,1", "--degree", "3", "--format", "json"),
+        moduli,
     ]
-    for loaded in (version, euclidean, *single):
+    for loaded in (version, euclidean, euclidean_csv, *single):
         assert "selinks.writer" not in loaded
+    # the parameter count runs no certificate
+    assert "selinks.ke_cert" not in moduli
     assert "selinks.writer" in fermat and "selinks.writer" in ingest
     # the catalog is written here, so only reading it can load the writer
     empty = render_catalog([], "json", ScanConfig())
@@ -755,6 +828,30 @@ def test_parse_catalog_json_refuses_deep_nesting(text):
     # json.loads gives up with RecursionError, which ends in a UsageError too
     with pytest.raises(UsageError, match="malformed catalog: RecursionError"):
         parse_catalog_json(text)
+
+
+def test_parse_catalog_json_refuses_a_record_nested_as_deep_as_json_reads():
+    # the deepest weight lists json.loads still reads leave the reader less
+    # room than the decoder had; a record that runs out of it is refused
+    # like any other, never with a traceback
+    payload = json.loads(_catalog_text())
+    payload["records"][1]["base"]["weights"] = "NESTED"
+    template = json.dumps(payload)
+
+    def nested(depth: int) -> str:
+        return template.replace('"NESTED"', "[" * depth + "]" * depth)
+
+    lo, hi = 1, 1 << 16  # the deepest nesting json.loads reads, by bisection
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        try:
+            json.loads(nested(mid))
+            lo = mid
+        except RecursionError:
+            hi = mid - 1
+    for depth in range(lo - 3, lo + 2):
+        with pytest.raises(UsageError, match="^malformed catalog( record 1)?: "):
+            parse_catalog_json(nested(depth))
 
 
 def test_parse_catalog_json_names_the_bad_record():

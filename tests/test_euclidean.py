@@ -49,14 +49,8 @@ def euclidean_systems_cube(m: int, bound: int) -> list[WeightSystem]:
 def divisor_rule_candidates(m: int, bound: int) -> Iterator[tuple[int, ...]]:
     """Every sorted prefix w_1 <= ... <= w_{m-1} <= bound, with w_m taken from
     the divisors in [w_{m-1}, bound] of S = w_1 + ... + w_{m-1} and of each
-    S - w_j: the singleton test on the largest weight alone."""
-    prefixes = math.comb(bound + m - 2, m - 1)
-    if prefixes > COUNT_MONOMIALS_CELL_LIMIT:
-        raise ResourceBudgetError(
-            f"enumerating Euclidean systems in {m} variables up to weight bound {bound} "
-            f"walks {prefixes} sorted weight prefixes, more than the limit of "
-            f"{COUNT_MONOMIALS_CELL_LIMIT}"
-        )
+    S - w_j: the singleton test on the largest weight alone.  It has no
+    budget: it walks C(bound + m - 2, m - 1) prefixes."""
     divisors: list[list[int]] = [[] for _ in range((m - 1) * bound + 1)]
     for q in range(1, bound + 1):
         for n in range(q, len(divisors), q):
@@ -81,7 +75,8 @@ def test_four_variables_equal_the_quartic_loop_up_to_bound_20():
         assert _euclidean_systems(4, bound) == euclidean_systems_cube(4, bound), bound
 
 
-@pytest.mark.parametrize("m, bound", [(3, 150), (3, 300), (3, 400), (4, 33), (4, 42)])
+# at 1414 the divisor rule walks C(1415, 2) > 10^6 prefixes, in about 5 s
+@pytest.mark.parametrize("m, bound", [(3, 150), (3, 300), (3, 400), (3, 1414), (4, 33), (4, 42)])
 def test_the_closed_forms_equal_the_divisor_rule(m, bound):
     expected = _quasi_smooth_systems(divisor_rule_candidates(m, bound))
     assert _euclidean_systems(m, bound) == expected
@@ -130,15 +125,13 @@ def test_four_variables_give_reids_95_weighted_k3_classes():
 
 
 def test_the_prefix_walk_is_refused_past_the_cell_limit():
-    # C(1414, 2) = 998,991 sorted pairs up to 1413, C(1415, 2) = 1,000,405 up
-    # to 1414; in four variables C(182, 3) = 988,260 triples up to 180
+    # a prefix costs 1 + 42 steps in three variables and 1 + 252 in four, so
+    # bound 23,255 (999,965 steps) and 88 (3,916 pairs, 990,748 steps) are
+    # the last accepted
     assert COUNT_MONOMIALS_CELL_LIMIT == 10**6
-    for m, bound in ((3, 1413), (4, 180)):
-        assert math.comb(bound + m - 2, m - 1) <= COUNT_MONOMIALS_CELL_LIMIT
+    for m, bound, steps in ((3, 23_255, 1_000_008), (4, 88, 1_013_265)):
         assert next(_euclidean_candidates(m, bound)) == (1,) * m
-        with pytest.raises(ResourceBudgetError, match=r"sorted weight prefixes, more than"):
+        with pytest.raises(ResourceBudgetError, match=f"weight prefixes in {steps} steps, more"):
             next(_euclidean_candidates(m, bound + 1))
-    with pytest.raises(ResourceBudgetError, match="walks 500000500000 sorted weight prefixes"):
+    with pytest.raises(ResourceBudgetError, match="weight prefixes in 43000000 steps"):
         scan_euclidean_classification(ScanConfig(weight_bound=10**6))
-    # the benchmark's bound and the bound of Reid's 95 stay well inside
-    assert math.comb(151, 2) == 11_325 and math.comb(68, 3) == 50_116

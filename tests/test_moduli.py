@@ -174,7 +174,7 @@ def test_every_family_base_counts_as_its_literal_cover():
 
 
 def test_every_seed_0_ingest_base_counts_as_its_literal_cover(seed0_ingest_lines):
-    records = ingest_weight_list(seed0_ingest_lines, ScanConfig()).records
+    records = ingest_weight_list(seed0_ingest_lines, ScanConfig(), report=lambda _: None)
     assert _assert_each_base_counts_as_its_literal_cover(records) == 177
 
 
@@ -216,8 +216,9 @@ def test_ingest_counts_the_moduli_of_each_row_on_one_base_table(
         for bound in [m for n, m in sys.modules.items() if n.startswith("selinks")]:
             if vars(bound).get(name) is real:
                 monkeypatch.setattr(bound, name, wrapper)
-    result = ingest_weight_list(seed0_ingest_lines, ScanConfig())
-    diagnosed = {int(error.split(":")[0].removeprefix("line ")) for error in result.errors}
+    errors = []
+    ingest_weight_list(seed0_ingest_lines, ScanConfig(), report=errors.append)
+    diagnosed = {int(error.split(":")[0].removeprefix("line ")) for error in errors}
     accepted = [
         WeightSystem.parse(line) for i, line in enumerate(seed0_ingest_lines, start=1)
         if i not in diagnosed and line.split("#")[0].strip()

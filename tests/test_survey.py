@@ -33,6 +33,12 @@ from selinks.cli import parse_catalog_json, render_catalog
 SMALL = ScanConfig(weight_bound=20, k_bound=24, m_range=(3, 5))
 
 
+def _ingest(lines, cfg, **kwargs):
+    """(records, diagnostics) of an ingest run, the diagnostics as reported."""
+    errors = []
+    return ingest_weight_list(lines, cfg, report=errors.append, **kwargs), errors
+
+
 def test_scan_config_validation():
     with pytest.raises(UsageError):
         ScanConfig(weight_bound=0)
@@ -198,19 +204,19 @@ def test_ingest_pipeline():
         "1,2,2;5",
         "",
     ]
-    result = ingest_weight_list(lines, ScanConfig(k_bound=13, m_range=(3, 4)))
-    assert len(result.errors) == 2
-    assert result.errors[0].startswith("line 4:")
-    assert "positive" in result.errors[0]
-    assert result.errors[1].startswith("line 5:")
-    assert "quasi-smooth" in result.errors[1]
+    records, errors = _ingest(lines, ScanConfig(k_bound=13, m_range=(3, 4)))
+    assert len(errors) == 2
+    assert errors[0].startswith("line 4:")
+    assert "positive" in errors[0]
+    assert errors[1].startswith("line 5:")
+    assert "quasi-smooth" in errors[1]
     # the row is refused by the quasi-smoothness gate of links, in its words
     with pytest.raises(IntegrityError) as gate:
         links._quasi_smooth(WeightSystem((1, 2, 2), 5))
-    assert result.errors[1] == f"line 5: {gate.value}"
+    assert errors[1] == f"line 5: {gate.value}"
 
-    assert all(r.family_tag == "ingested" for r in result.records)
-    by_key = {(tuple(r.base.weights), r.k): r for r in result.records}
+    assert all(r.family_tag == "ingested" for r in records)
+    by_key = {(tuple(r.base.weights), r.k): r for r in records}
     fermat = by_key[((1, 1, 1, 1), 13)]
     assert (fermat.torsion.base, fermat.torsion.exponent) == (13, 21)
     assert fermat.moduli.complex_dim == 19
@@ -227,12 +233,12 @@ def test_ingest_row_with_impossible_genus_is_isolated(genus_raises_on):
     # (2,2,2;6) is (1,1,1;3) and yields its records
     lines = ["1,1,1;3", "foo", "1,1;0", "2,2,2;6", "1,2,3;6"]
     cfg = ScanConfig(k_bound=7)
-    result = ingest_weight_list(lines, cfg)
-    assert [e.split(":")[0] for e in result.errors] == ["line 2", "line 3", "line 5"]
-    assert "-5/4" in result.errors[2]
-    cubic = ingest_weight_list(lines[:1], cfg).records
+    records, errors = _ingest(lines, cfg)
+    assert [e.split(":")[0] for e in errors] == ["line 2", "line 3", "line 5"]
+    assert "-5/4" in errors[2]
+    cubic = _ingest(lines[:1], cfg)[0]
     assert {r.k for r in cubic} == {2, 4, 5, 7}
-    assert result.records == sorted(cubic + cubic, key=FamilyRecord.sort_key)
+    assert records == sorted(cubic + cubic, key=FamilyRecord.sort_key)
 
 
 def test_ingest_row_whose_genus_is_not_half_its_betti_number_is_isolated(monkeypatch):
@@ -245,27 +251,27 @@ def test_ingest_row_whose_genus_is_not_half_its_betti_number_is_isolated(monkeyp
     )
     lines = ["1,1,1;3", "3,2,1;6", "1,1,2;4"]
     cfg = ScanConfig(k_bound=7)
-    result = ingest_weight_list(lines, cfg)
-    assert result.errors == ["line 2: the orbit curve of (1,2,3;6) has genus 2, but b_1 = 2"]
-    kept = ingest_weight_list(lines[:1], cfg).records + ingest_weight_list(lines[2:], cfg).records
-    assert result.records == sorted(kept, key=FamilyRecord.sort_key)
-    assert {str(r.base) for r in result.records} == {"(1,1,1;3)", "(1,1,2;4)"}
+    records, errors = _ingest(lines, cfg)
+    assert errors == ["line 2: the orbit curve of (1,2,3;6) has genus 2, but b_1 = 2"]
+    kept = _ingest(lines[:1], cfg)[0] + _ingest(lines[2:], cfg)[0]
+    assert records == sorted(kept, key=FamilyRecord.sort_key)
+    assert {str(r.base) for r in records} == {"(1,1,1;3)", "(1,1,2;4)"}
 
 
 def test_ingest_labels_a_scaled_row_with_its_reduced_base():
     cfg = ScanConfig(k_bound=7)
-    result = ingest_weight_list(["1,1,1,1;4", "2,2,2,2;8"], cfg)
-    assert not result.errors
-    assert {r.base for r in result.records} == {WeightSystem((1, 1, 1, 1), 4)}
-    once = ingest_weight_list(["1,1,1,1;4"], cfg).records
-    assert result.records == sorted(once + once, key=FamilyRecord.sort_key)
+    records, errors = _ingest(["1,1,1,1;4", "2,2,2,2;8"], cfg)
+    assert not errors
+    assert {r.base for r in records} == {WeightSystem((1, 1, 1, 1), 4)}
+    once = _ingest(["1,1,1,1;4"], cfg)[0]
+    assert records == sorted(once + once, key=FamilyRecord.sort_key)
 
 
 def test_ingest_matches_generator_up_to_tag():
     cfg = ScanConfig(k_bound=13, m_range=(4, 4))
     generated = {r.k: r for r in scan_fermat_cy(cfg)}
     ingested = {
-        r.k: r for r in ingest_weight_list(["1,1,1,1;4"], cfg).records
+        r.k: r for r in _ingest(["1,1,1,1;4"], cfg)[0]
     }
     assert set(generated) == set(ingested)
     for k, rec in ingested.items():
@@ -277,14 +283,14 @@ def test_ingest_row_with_a_linear_variable_is_kept():
     # Brieskorn-Pham and take the klt-sides certificate
     lines = ["1,1,1;3", "foo", "1,1,4;4"]
     cfg = ScanConfig(k_bound=7)
-    result = ingest_weight_list(lines, cfg)
-    assert [e.split(":")[0] for e in result.errors] == ["line 2"]
-    linear = [r for r in result.records if r.base == WeightSystem((1, 1, 4), 4)]
+    records, errors = _ingest(lines, cfg)
+    assert [e.split(":")[0] for e in errors] == ["line 2"]
+    linear = [r for r in records if r.base == WeightSystem((1, 1, 4), 4)]
     assert [r.k for r in linear] == [3, 5, 7]
     assert not any(r.certificate.bp_applicable for r in linear)
     assert {r.torsion.exponent for r in linear} == {0}  # the link is a sphere
-    cubic = [r for r in result.records if r.base == WeightSystem((1, 1, 1), 3)]
-    assert cubic == ingest_weight_list(lines[:1], cfg).records
+    cubic = [r for r in records if r.base == WeightSystem((1, 1, 1), 3)]
+    assert cubic == _ingest(lines[:1], cfg)[0]
 
 
 def _per_pair_recipe(rec, base, literal_certificate):
@@ -322,24 +328,24 @@ def test_records_equal_the_per_pair_recipe(literal_certificate):
     rows = ["3,1,2;6", "2,3,1;8", "2,1,1;4", "1,1,1,1;4", "5,2,2,1;10", "1,3,2,2;9",
             "4,1,1;5", "1,1,4;4"]
     bases = {WeightSystem.parse(row).canonical() for row in rows}
-    result = ingest_weight_list(rows, cfg)
-    assert not result.errors
-    assert sorted((r.base.weights, r.base.degree, r.k) for r in result.records) == sorted(
+    records, errors = _ingest(rows, cfg)
+    assert not errors
+    assert sorted((r.base.weights, r.base.degree, r.k) for r in records) == sorted(
         (ws.weights, ws.degree, k)
         for ws in bases
         for k in range(cfg.k_min, cfg.k_bound + 1)
         if math.gcd(k, ws.degree) == 1
     )
     # ingest certifies the sorted base the record names, not the row as typed
-    for rec in _read_back(result.records, cfg):
+    for rec in _read_back(records, cfg):
         assert rec == _per_pair_recipe(rec, rec.base, literal_certificate)
 
 
 def test_permuted_rows_give_equal_records():
     cfg = ScanConfig(k_bound=13)
     rows = ["1,2,3;6", "3,2,1;6", "2,3,1;6", "5,2,2,1;10", "1,2,5,2;10"]
-    records = ingest_weight_list(rows, cfg).records
-    by_row = [ingest_weight_list([row], cfg).records for row in rows]
+    records = _ingest(rows, cfg)[0]
+    by_row = [_ingest([row], cfg)[0] for row in rows]
     assert by_row[0] and by_row[0] == by_row[1] == by_row[2]
     assert by_row[3] and by_row[3] == by_row[4]
     assert records == sorted(sum(by_row, []), key=FamilyRecord.sort_key)
@@ -415,27 +421,27 @@ def test_the_record_budget_counts_a_whole_ingest_run(monkeypatch):
     rows = ["1,1,1;3", "1,1,1,1;4"]
     cfg = ScanConfig(k_bound=7)
     monkeypatch.setattr(survey, "CATALOG_RECORD_LIMIT", 7)
-    assert len(ingest_weight_list(rows, cfg).records) == 7
+    assert len(_ingest(rows, cfg)[0]) == 7
     monkeypatch.setattr(survey, "CATALOG_RECORD_LIMIT", 6)
     with pytest.raises(ResourceBudgetError, match=r"passed at \(1,1,1,1;4\), k = 7"):
-        ingest_weight_list(rows, cfg)
+        _ingest(rows, cfg)
 
 
 def test_ingest_row_past_the_bitset_budget_is_isolated():
     rows = ["1,1,1;3", "1,2,4;100000001"]
-    result = ingest_weight_list(rows, ScanConfig(k_bound=7))
-    assert [e.split(":")[0] for e in result.errors] == ["line 2"]
-    assert "bitset cells" in result.errors[0]
-    assert result.records == ingest_weight_list(rows[:1], ScanConfig(k_bound=7)).records
+    records, errors = _ingest(rows, ScanConfig(k_bound=7))
+    assert [e.split(":")[0] for e in errors] == ["line 2"]
+    assert "bitset cells" in errors[0]
+    assert records == _ingest(rows[:1], ScanConfig(k_bound=7))[0]
 
 
 def test_ingest_reports_a_line_that_is_not_utf8_and_keeps_the_others():
     cfg = ScanConfig(k_bound=5)
-    result = ingest_weight_list([b"1,1,1;3", b"\xff", b"1,1,2;4"], cfg)
-    assert len(result.errors) == 1
-    assert result.errors[0].startswith("line 2: not UTF-8 text (")
-    assert result.records == ingest_weight_list(["1,1,1;3", "", "1,1,2;4"], cfg).records
-    assert {(r.base.weights, r.k) for r in result.records} == {
+    records, errors = _ingest([b"1,1,1;3", b"\xff", b"1,1,2;4"], cfg)
+    assert len(errors) == 1
+    assert errors[0].startswith("line 2: not UTF-8 text (")
+    assert records == _ingest(["1,1,1;3", "", "1,1,2;4"], cfg)[0]
+    assert {(r.base.weights, r.k) for r in records} == {
         ((1, 1, 1), 2), ((1, 1, 1), 4), ((1, 1, 1), 5), ((1, 1, 2), 3), ((1, 1, 2), 5)
     }
 
@@ -443,9 +449,29 @@ def test_ingest_reports_a_line_that_is_not_utf8_and_keeps_the_others():
 @pytest.mark.parametrize("first", ["\ufeff1,1,1;3", b"\xef\xbb\xbf1,1,1;3"])
 def test_ingest_drops_a_byte_order_mark_opening_the_first_line(first):
     cfg = ScanConfig(k_bound=5)
-    result = ingest_weight_list([first, "1,1,2;4"], cfg)
-    assert result.errors == []
-    assert result.records == ingest_weight_list(["1,1,1;3", "1,1,2;4"], cfg).records
+    records, errors = _ingest([first, "1,1,2;4"], cfg)
+    assert errors == []
+    assert records == _ingest(["1,1,1;3", "1,1,2;4"], cfg)[0]
     # a mark anywhere else is not whitespace: the row is malformed
-    later = ingest_weight_list(["1,1,2;4", first], cfg)
-    assert [e.split(":")[0] for e in later.errors] == ["line 2"]
+    later = _ingest(["1,1,2;4", first], cfg)[1]
+    assert [e.split(":")[0] for e in later] == ["line 2"]
+
+
+def test_ingest_reports_each_failing_row_before_it_reads_the_next(genus_raises_on):
+    # the diagnostics received when each line is pulled: every way a row
+    # fails is reported as it fails, none held until the run ends
+    genus_raises_on(WeightSystem((1, 2, 3), 6))
+    rows = ["1,1,1;3", "foo", b"\xff", "1,2,2;5", "3,2,1;6", "1,1,2;4", "1,1;0"]
+    errors, seen = [], []
+
+    def pulled():
+        for row in rows:
+            seen.append(len(errors))
+            yield row
+
+    cfg = ScanConfig(k_bound=5)
+    records = ingest_weight_list(pulled(), cfg, report=errors.append)
+    assert seen == [0, 0, 1, 2, 3, 4, 4]
+    assert [e.split(":")[0] for e in errors] == ["line 2", "line 3", "line 4", "line 5", "line 7"]
+    assert "-5/4" in errors[3]
+    assert records == _ingest(["1,1,1;3", "1,1,2;4"], cfg)[0]

@@ -279,7 +279,7 @@ def test_milnor_algebra_betti_on_the_triple_corpus(qs_triple_corpus):
 @pytest.fixture(scope="module")
 def ingested_records(seed0_ingest_lines):
     """Every record of the benchmark's seed-0 ingest rows at k-bound 13."""
-    return ingest_weight_list(seed0_ingest_lines, ScanConfig(k_bound=13)).records
+    return ingest_weight_list(seed0_ingest_lines, ScanConfig(k_bound=13), report=lambda _: None)
 
 
 @pytest.fixture(scope="module")

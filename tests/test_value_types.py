@@ -15,7 +15,6 @@ from selinks import (
     bp_sufficient_ke,
     branched_cover,
     certify_cover,
-    ingest_weight_list,
     moduli_count,
     scan_fermat_cy,
 )
@@ -32,10 +31,7 @@ VALUES = {
     "ModuliCount": lambda: moduli_count(WeightSystem((1, 1, 1), 3)),
     "ScanConfig": lambda: ScanConfig(k_bound=5),
     "FamilyRecord": lambda: scan_fermat_cy(ScanConfig(k_bound=5, m_range=(3, 3)))[0],
-    "IngestResult": lambda: ingest_weight_list(["1,1,1;3", "foo"], ScanConfig(k_bound=5)),
 }
-# it holds lists, so it has no hash
-UNHASHABLE = {"IngestResult"}
 
 
 @pytest.mark.parametrize("name", sorted(VALUES))
@@ -54,9 +50,8 @@ def test_equal_values_are_equal_and_hash_alike(name):
     a, b = VALUES[name](), VALUES[name]()
     assert a is not b
     assert a == b
-    if name not in UNHASHABLE:
-        assert hash(a) == hash(b)
-        assert len({a, b}) == 1
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
 
 
 # keyword and positional forms; test_links, test_arith and test_survey hold
