@@ -14,14 +14,13 @@ from selinks import (
     certify_cover,
     euclidean_k_threshold,
     hyperbolic_k_window,
-    is_fano,
-    necessary_klt,
 )
 
-# Hyperbolic base (1,1,1,1;5): Fano only for k < 5.
+# Hyperbolic base (1,1,1,1;5): Fano only for k < 5.  certify_cover decides
+# every test of a cover at once; its certificate reads the Fano sign.
 base = WeightSystem((1, 1, 1, 1), 5)
 print("Fano window for covers of", base, "->",
-      [k for k in range(2, 10) if is_fano(k, base)])
+      [k for k in range(2, 10) if certify_cover(k, base).fano])
 
 # Necessary klt threshold on the Euclidean classes.
 for weights, d in [((1, 1, 1), 3), ((1, 1, 2), 4), ((1, 2, 3), 6)]:
@@ -60,4 +59,4 @@ print(f"  decisive inequality: {cert.left_value} < {cert.right_bound}")
 # regime fail it for every k.
 spherical = WeightSystem((1, 1, 1), 2)
 print(f"necessary_klt on spherical {spherical}: "
-      f"{[k for k in range(1, 20) if necessary_klt(k, spherical)]}")
+      f"{[k for k in range(2, 20) if certify_cover(k, spherical).necessary_klt]}")

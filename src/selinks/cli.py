@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from typing import Any, Optional, Sequence
 
 from . import __version__
@@ -45,6 +45,13 @@ class _Parser(argparse.ArgumentParser):
     # usage-error channel (exit 1) instead
     def error(self, message: str):  # noqa: A003 - argparse API
         raise UsageError(message)
+
+    # argparse drops an OSError from writing --help or --version, which then
+    # exit 0 having written nothing; let it reach main, which returns 3
+    def _print_message(self, message: str, file=None) -> None:
+        file = file or sys.stderr
+        if message and file is not None:
+            file.write(message)
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -329,6 +336,12 @@ def _run_ingest(ns: argparse.Namespace) -> str:
     return render_catalog(records, ns.format, cfg, ns.expand_torsion)
 
 
+# each failure class, in the order it is matched, with its exit code and
+# the prefix of its one stderr line
+_FAILURES = {UsageError: (1, "usage error"), IntegrityError: (2, "integrity error"),
+             OSError: (3, "i/o error"), ResourceBudgetError: (4, "resource budget error")}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Console entry point mapping the error taxonomy onto exit codes;
     argv defaults to sys.argv[1:]."""
@@ -339,18 +352,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         # argparse ends --help and --version this way, after printing them
         return exc.code
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except IntegrityError as exc:
-        print(f"integrity error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
-    except ResourceBudgetError as exc:
-        print(f"resource budget error: {exc}", file=sys.stderr)
-        return 4
+    except tuple(_FAILURES) as exc:
+        code, prefix = next(_FAILURES[cls] for cls in _FAILURES if isinstance(exc, cls))
+        # a stderr that cannot be written must not replace the failure's code
+        with suppress(OSError):
+            print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -1,11 +1,11 @@
 """Existence certificates for Kähler-Einstein metrics on cover quotients.
 
-Three exact tests, kept deliberately separate: the Fano sign condition, a
-necessary inequality derived from the klt condition (useful only to rule
-candidates out), and the sufficiency inequality for perturbations of
-Brieskorn-Pham singularities.  Neither klt-flavored test implies the
-other; a certificate always reports both, together with the exact two
-sides of the decisive inequality.
+Three exact tests: the Fano sign condition, a necessary inequality derived
+from the klt condition (useful only to rule candidates out), and the
+sufficiency inequality for perturbations of Brieskorn-Pham singularities.
+`certify_cover` evaluates all three on one cover.  Neither klt-flavored
+test implies the other; its certificate always reports both, together
+with the exact two sides of the decisive inequality.
 
 A positive sufficiency verdict certifies a Sasakian-Einstein metric on the
 cover link only under the genericity condition on perturbations, which is
@@ -27,41 +27,11 @@ __all__ = [
     "BpVerdict",
     "KeCertificate",
     "HyperbolicWindow",
-    "is_fano",
-    "necessary_klt",
     "euclidean_k_threshold",
     "bp_sufficient_ke",
     "hyperbolic_k_window",
     "certify_cover",
 ]
-
-
-def is_fano(k: int, base: WeightSystem) -> bool:
-    """Fano sign test for the cover quotient: k(|w| - d) + d > 0.
-
-    For |w| - d >= 0 this holds for every positive k; in the hyperbolic
-    case it bounds k above by d/(d - |w|).
-    """
-    return _klt_left(k, base) > 0
-
-
-def necessary_klt(k: int, base: WeightSystem) -> bool:
-    """Necessary inequality for the klt condition on the cover quotient.
-
-    k(|w| - d) + d < m/(m-1) * min{d, k w_i}.  Failing it rules a
-    candidate out; passing it certifies nothing (it is far from
-    sufficient).
-    """
-    m = base.m
-    return (m - 1) * _klt_left(k, base) < m * min(base.degree, k * min(base.weights))
-
-
-def _klt_left(k: int, base: WeightSystem) -> int:
-    """k(|w| - d) + d, the left side of both tests above, for k >= 1.
-    `certify_cover` evaluates the same sides on `_cover_rule(base)`."""
-    if k < 1:
-        raise UsageError(f"k must be positive, got {k}")
-    return k * (base.norm - base.degree) + base.degree
 
 
 def euclidean_k_threshold(base: WeightSystem) -> int:

@@ -1434,3 +1434,31 @@ def test_scan_euclidean_past_the_prefix_budget_exits_4(capsys):
 def test_help_and_version_return_0(argv, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out
+
+
+class Unwritable:
+    """A stream whose every write fails, as one on a full disk does."""
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["--help"]])
+def test_help_and_version_return_3_when_stdout_cannot_be_written(argv, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", Unwritable())
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("i/o error: ")
+    # with no stream at all, as under pythonw, they stay silent as argparse does
+    monkeypatch.setattr(sys, "stdout", None)
+    monkeypatch.setattr(sys, "stderr", None)
+    assert main(argv) == 0
+
+
+def test_an_unwritable_stderr_leaves_each_failure_its_code(tmp_path, monkeypatch, capsys):
+    (tmp_path / "bases.txt").write_text("1,1,1;3\nx\n", encoding="utf-8")
+    monkeypatch.setattr(sys, "stderr", Unwritable())
+    assert main(["bogus"]) == 1
+    assert main(["invariants", "--weights", "1,2,2", "--degree", "5"]) == 2
+    # the bad row's diagnostic cannot be written, an i/o error before any catalog
+    assert main(["ingest", str(tmp_path / "bases.txt")]) == 3
+    assert capsys.readouterr().out == ""

@@ -1,7 +1,8 @@
 """Random command lines through `cli.main`, in process.
 
 Every command line must end in one of the documented exit codes (0 success,
-1 usage, 2 integrity, 3 I/O, 4 resource budget) and never in an exception.
+1 usage, 2 integrity, 3 I/O, 4 resource budget) and never in an exception,
+also when stderr cannot be written.
 Values are drawn small, malformed, or huge; the huge ones are those a
 budget refuses at once, so every run stays short.  The vocabulary drawn
 from is checked against the parser, so no flag goes unfuzzed.
@@ -9,6 +10,7 @@ from is checked against the parser, so no flag goes unfuzzed.
 
 import argparse
 import math
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 from selinks import cli
 from selinks.cli import main
+from test_cli import Unwritable
 
 FAMILIES = ("euclidean", "theorem2", "fermat-cy", "hyperbolic", "mixed-canonical")
 SWITCHES = ("--expand-torsion", "--help", "--version")
@@ -64,6 +67,12 @@ def paths(tmp_path_factory):
         "out": str(root / "out.txt"),
         "no-dir": str(root / "no" / "such" / "out.txt"),
     }
+
+
+@pytest.fixture(scope="module")
+def unwritable_runs():
+    """The command lines already run with an unwritable stderr."""
+    return set()
 
 
 def flag_values(paths):
@@ -139,7 +148,7 @@ def command_lines(draw, paths):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(data=st.data())
-def test_every_command_line_ends_in_a_documented_exit_code(data, paths, capsys):
+def test_every_command_line_ends_in_a_documented_exit_code(data, paths, unwritable_runs, capsys):
     argv = data.draw(command_lines(paths), label="argv")
     code = main(argv)
     captured = capsys.readouterr()
@@ -150,6 +159,15 @@ def test_every_command_line_ends_in_a_documented_exit_code(data, paths, capsys):
         assert lines[-1].startswith(PREFIXES[code]), (argv, captured.err)
         lines.pop()
     assert all(line.startswith("ingest: line ") for line in lines), (argv, captured.err)
+    # with stderr unwritable the failure keeps its code, unless a row
+    # diagnostic had to be written first: that is an i/o error.  Drawn lines
+    # repeat, so each distinct line is run this way once
+    if tuple(argv) not in unwritable_runs:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sys, "stderr", Unwritable())
+            assert main(argv) == (3 if lines else code), argv
+        capsys.readouterr()
+        unwritable_runs.add(tuple(argv))
 
 
 def test_the_vocabulary_is_the_parser(paths):

@@ -19,29 +19,35 @@ from selinks import (
     euclidean_k_threshold,
     generate_theorem2_family,
     hyperbolic_k_window,
-    is_fano,
-    necessary_klt,
 )
 from selinks.ke_cert import _cover_rule, _sufficiency_in_k
 
 
-def test_is_fano():
+def _klt_ks(base, ks):
+    """The k among `ks` whose certificate passes the necessary klt
+    inequality, the rule solved once for the sweep."""
+    rule = _cover_rule(base)
+    return [k for k in ks if certify_cover(k, base, rule=rule).necessary_klt]
+
+
+def test_certificates_read_the_fano_sign():
     base = WeightSystem((1, 1, 1), 3)
-    assert all(is_fano(k, base) for k in range(1, 50))  # Euclidean: every k
+    rule = _cover_rule(base)
+    assert all(certify_cover(k, base, rule=rule).fano for k in range(2, 50))  # Euclidean: every k
     base = WeightSystem((1, 1, 1), 4)
-    assert is_fano(3, base)
-    assert not is_fano(4, base)  # k < l/(l-m) = 4
-    assert is_fano(5, WeightSystem((1, 1, 1, 1, 1), 5))  # Calabi-Yau quintic base
-    with pytest.raises(UsageError):
-        is_fano(0, base)
+    assert certify_cover(3, base).fano
+    assert not certify_cover(4, base).fano  # k < l/(l-m) = 4
+    assert certify_cover(5, WeightSystem((1, 1, 1, 1, 1), 5)).fano  # Calabi-Yau quintic base
 
 
 def test_necessary_klt_examples():
-    assert necessary_klt(13, WeightSystem((1, 1, 1, 1), 4))
-    assert not necessary_klt(2, WeightSystem((1, 1, 1), 2))  # left 4, right 3
-    assert not necessary_klt(1, WeightSystem((1, 2, 3), 6))  # left 6, right 3/2
-    with pytest.raises(UsageError, match="k must be positive, got 0"):
-        necessary_klt(0, WeightSystem((1, 2, 3), 6))
+    assert certify_cover(13, WeightSystem((1, 1, 1, 1), 4)).necessary_klt
+    # left and right are k(|w| - d) + d and m/(m-1) min{d, k w_i}; covers start at k = 2
+    for k, base, sides in ((2, WeightSystem((1, 1, 1), 2), (4, 3)),
+                           (2, WeightSystem((1, 2, 3), 6), (6, 3))):
+        cert = certify_cover(k, base)
+        assert (cert.left_value, cert.right_bound) == sides
+        assert not cert.necessary_klt
 
 
 def test_necessary_klt_matches_euclidean_threshold():
@@ -51,8 +57,7 @@ def test_necessary_klt_matches_euclidean_threshold():
         WeightSystem((1, 2, 3), 6),
     ):
         threshold = euclidean_k_threshold(base)
-        for k in range(1, 40):
-            assert necessary_klt(k, base) == (k >= threshold), (base, k)
+        assert _klt_ks(base, range(2, 40)) == list(range(threshold, 40)), base
 
 
 def test_euclidean_k_threshold():
@@ -74,7 +79,7 @@ def test_spherical_never_klt_examples():
         WeightSystem((2, 3, 5), 9),
     ):
         assert classify_case(ws) is CaseClass.SPHERICAL
-        assert not any(necessary_klt(k, ws) for k in range(1, 1001))
+        assert not _klt_ks(ws, range(2, 1001))
 
 
 def test_spherical_never_klt_random_sweep():
@@ -92,7 +97,7 @@ def test_spherical_never_klt_random_sweep():
         if min(w) > (sum(w) - d) * (m - 1):
             continue
         seen.add((w, d))
-        assert not any(necessary_klt(k, ws) for k in range(1, 1001)), (w, d)
+        assert not _klt_ks(ws, range(2, 1001)), (w, d)
 
 
 def test_necessary_klt_spherical_boundary_case():
@@ -100,7 +105,7 @@ def test_necessary_klt_spherical_boundary_case():
     # base: (3,4,6;12) is quasi-smooth, spherical, and passes at k in {4,5}
     ws = WeightSystem((3, 4, 6), 12)
     assert classify_case(ws) is CaseClass.SPHERICAL
-    assert [k for k in range(1, 100) if necessary_klt(k, ws)] == [4, 5]
+    assert _klt_ks(ws, range(2, 100)) == [4, 5]
 
 
 def test_bp_data_fields():
@@ -283,14 +288,13 @@ def test_certified_implies_fano():
             assert not cert.bp_sufficient or cert.fano
 
 
-def test_certify_cover_agrees_with_the_separate_tests(qs_triple_corpus):
-    # includes the boundary left == right, e.g. k = 2 on (1,1,1;3)
+def test_certify_cover_agrees_with_the_separate_tests(qs_triple_corpus, literal_certificate):
+    # the literal recipe evaluates the Fano sign and the necessary klt
+    # inequality on their own; includes the boundary left == right, e.g. k = 2 on (1,1,1;3)
     bases = qs_triple_corpus + [WeightSystem((1, 1, 1, 1), 4), WeightSystem((1, 1, 1), 5)]
     for base in bases:
         for k in range(2, 16):
-            cert = certify_cover(k, base)
-            assert cert.fano == is_fano(k, base), (base, k)
-            assert cert.necessary_klt == necessary_klt(k, base), (base, k)
+            assert certify_cover(k, base) == literal_certificate(k, base), (base, k)
 
 
 @st.composite
