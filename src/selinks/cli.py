@@ -15,12 +15,10 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import nullcontext, suppress
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import __version__
-from .arith import check_digits
 from .errors import IntegrityError, ResourceBudgetError, UsageError
-from .links import WeightSystem, _quasi_smooth, branched_cover, classify_case, torsion_hypothesis
 from .survey import (
     EuclideanRow,
     FamilyRecord,
@@ -33,7 +31,8 @@ from .survey import (
     scan_hyperbolic,
 )
 
-# the layers, the writer, the reader, csv, fractions and json load where they run (README)
+# the layers, the single-system commands, the writer, the reader, csv, fractions
+# and json load where they run (README)
 __all__ = ["render_catalog", "parse_catalog_json", "main"]
 
 # the scan and ingest defaults are the ScanConfig field defaults
@@ -90,23 +89,23 @@ def _build_parser() -> _Parser:
         p.add_argument("--degree", type=int, required=True)
 
     p = sub.add_parser("invariants", help="invariants of a base link")
-    p.set_defaults(handler=_run_invariants)
+    p.set_defaults(handler=_run_single)
     add_system_flags(p)
     add_output_flags(p)
 
     p = sub.add_parser("cover", help="branched-cover data")
-    p.set_defaults(handler=_run_cover)
+    p.set_defaults(handler=_run_single)
     p.add_argument("--k", type=int, required=True)
     add_system_flags(p)
     add_output_flags(p)
 
     p = sub.add_parser("certify", help="sufficiency test on exponents")
-    p.set_defaults(handler=_run_certify)
+    p.set_defaults(handler=_run_single)
     p.add_argument("--exponents", type=_int_list, required=True)
     add_output_flags(p)
 
     p = sub.add_parser("moduli", help="parameter count of a cover system")
-    p.set_defaults(handler=_run_moduli)
+    p.set_defaults(handler=_run_single)
     add_system_flags(p)
     add_output_flags(p)
 
@@ -204,31 +203,6 @@ def render_euclidean_rows(rows: Sequence[EuclideanRow], fmt: str) -> str:
 # subcommand handlers
 
 
-def _written(key: str, value: Any) -> Any:
-    """A scalar payload value as it is written: an int as itself, a fraction
-    as n/d, a plain tuple joined by commas, a system or a power by its str.
-    Each integer in it is first checked against the int-to-str limit
-    (`check_digits`), so a value too long to write is a budget error."""
-    from fractions import Fraction
-    if type(value) is int:
-        return check_digits(value, key)
-    if isinstance(value, Fraction):
-        return f"{_written(key, value.numerator)}/{_written(key, value.denominator)}"
-    if isinstance(value, tuple):
-        parts = [_written(key, part) for part in value]
-        return ",".join(map(str, parts)) if type(value) is tuple else str(value)
-    return value
-
-
-def _render_scalar(payload: dict, fmt: str) -> str:
-    payload = {key: _written(key, value) for key, value in payload.items()}
-    if fmt == "json":
-        import json
-        return json.dumps(payload, indent=2) + "\n"
-    width = max(len(key) for key in payload)
-    return "\n".join(f"{key:<{width}}  {value}" for key, value in payload.items()) + "\n"
-
-
 # the most characters written at once: the text layer encodes what it is
 # given in one piece, so a whole catalog would cost a second full copy
 _WRITE_SLICE = 1 << 16
@@ -240,43 +214,11 @@ def _write_output(text: str, path: Optional[str]) -> None:
             fh.write(text[start : start + _WRITE_SLICE])
 
 
-def _run_invariants(ns: argparse.Namespace) -> str:
-    from .topology import genus, milnor_orlik_betti
-    ws = _quasi_smooth(WeightSystem(ns.weights, ns.degree))
-    payload = {
-        "system": ws,
-        "case": classify_case(ws).value,
-        "quasi_smooth": True,
-        "betti": milnor_orlik_betti(ws),
-    }
-    if ws.m == 3:
-        payload["genus"] = genus(ws)
-    return _render_scalar(payload, ns.format)
-
-
-def _run_cover(ns: argparse.Namespace) -> str:
-    from .topology import torsion_order
-    # branched_cover refuses k < 2, a usage error, before the
-    # quasi-smoothness gate gives its integrity error
-    cov = branched_cover(ns.k, WeightSystem(ns.weights, ns.degree))
-    _quasi_smooth(cov.base)
-    payload = {**cov._asdict(), "torsion_hypothesis": torsion_hypothesis(cov.k, cov.base)}
-    if payload["torsion_hypothesis"]:
-        payload["torsion"] = torsion_order(cov.k, cov.base)
-    return _render_scalar(payload, ns.format)
-
-
-def _run_certify(ns: argparse.Namespace) -> str:
-    from .ke_cert import bp_sufficient_ke
-    return _render_scalar(bp_sufficient_ke(ns.exponents)._asdict(), ns.format)
-
-
-def _run_moduli(ns: argparse.Namespace) -> str:
-    from .moduli import moduli_count
-    ws = _quasi_smooth(WeightSystem(ns.weights, ns.degree))
-    mc = moduli_count(ws)
-    payload = {"system": ws, **mc._asdict(), "complex_dim": mc.complex_dim, "real_dim": mc.real_dim}
-    return _render_scalar(payload, ns.format)
+def _run_single(ns: argparse.Namespace) -> str:
+    # the invariants, cover, certify and moduli handlers live in a module only
+    # they load; imported by name, since `from . import` would load every layer
+    from importlib import import_module
+    return getattr(import_module(f"{__package__}.single"), f"_run_{ns.command}")(ns)
 
 
 # scan family -> its catalog generator, called through this module's name for
@@ -330,8 +272,9 @@ def _run_ingest(ns: argparse.Namespace) -> str:
             data.splitlines(), cfg, report=report, expand_torsion=ns.expand_torsion
         )
     finally:  # a run the record budget ends still writes the rows before it
-        sys.stderr.write("".join(pending))
-        pending.clear()
+        if pending:  # an empty write still fails on a stream that cannot be written
+            sys.stderr.write("".join(pending))
+            pending.clear()
     del data
     return render_catalog(records, ns.format, cfg, ns.expand_torsion)
 
@@ -342,21 +285,47 @@ _FAILURES = {UsageError: (1, "usage error"), IntegrityError: (2, "integrity erro
              OSError: (3, "i/o error"), ResourceBudgetError: (4, "resource budget error")}
 
 
+def _flush(stream) -> None:
+    """Flush a stream main wrote to, while main can still return a code: a
+    buffered stream fails only when flushed, and the interpreter's flush at
+    exit would end the process with status 120.  If the flush fails on the
+    interpreter's own stdout or stderr, its descriptor is pointed at
+    os.devnull, which takes the bytes left, so that the flush at exit does
+    not fail on them again; then the OSError is raised."""
+    try:
+        if hasattr(stream, "flush"):  # not None, nor a stand-in without one
+            stream.flush()
+    except OSError:
+        if stream is sys.__stdout__ or stream is sys.__stderr__:
+            import os
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stream.fileno())
+            os.close(devnull)
+            stream.flush()
+        raise
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Console entry point mapping the error taxonomy onto exit codes;
     argv defaults to sys.argv[1:]."""
     try:
-        ns = _build_parser().parse_args(argv)
-        _write_output(ns.handler(ns), ns.out)
+        try:
+            ns = _build_parser().parse_args(argv)
+            _write_output(ns.handler(ns), ns.out)
+        except SystemExit as exc:
+            # argparse ends --help and --version this way, after printing them
+            return exc.code
+        finally:
+            _flush(sys.stdout)
         return 0
-    except SystemExit as exc:
-        # argparse ends --help and --version this way, after printing them
-        return exc.code
     except tuple(_FAILURES) as exc:
         code, prefix = next(_FAILURES[cls] for cls in _FAILURES if isinstance(exc, cls))
         # a stderr that cannot be written must not replace the failure's code
         with suppress(OSError):
-            print(f"{prefix}: {exc}", file=sys.stderr)
+            try:
+                print(f"{prefix}: {exc}", file=sys.stderr)
+            finally:
+                _flush(sys.stderr)
         return code
 
 

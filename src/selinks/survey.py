@@ -14,11 +14,12 @@ import itertools
 import math
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional
 
-from .arith import COUNT_MONOMIALS_CELL_LIMIT, FactoredPower, _ints, check_digits, count_monomials
+from .arith import COUNT_MONOMIALS_CELL_LIMIT, FactoredPower, _ints, count_monomials
 from .errors import IntegrityError, ResourceBudgetError, UsageError
-from .links import WeightSystem, _quasi_smooth, branched_cover, quasi_smooth_generic
+from .links import WeightSystem, _quasi_smooth, quasi_smooth_generic
 
-# ke_cert, moduli and topology are imported where they run, per call or per base
+# the record builders (`records`), and ke_cert, moduli and topology, are
+# imported where they run, per call or per base
 if TYPE_CHECKING:
     from .ke_cert import KeCertificate
     from .moduli import ModuliCount
@@ -126,8 +127,9 @@ class FamilyRecord(NamedTuple):
         # the order of every catalog: each generator sorts its records by
         # it, and `parse_catalog_json` sorts what it reads by it, stably, so
         # the records of an ingest row given twice stay as written.  The base
-        # is sorted already: `_records` and the reader build it canonical.
-        # It reads the stored fields, not the m, l_or_d and k properties
+        # is sorted already: `records._records` and the reader build it
+        # canonical.  It reads the stored fields, not the m, l_or_d and k
+        # properties
         base = self.base
         return (self.family_tag, len(base.weights), base.degree, self.torsion.base, base.weights)
 
@@ -137,8 +139,9 @@ def _branch_orders(base: WeightSystem, ks: Iterable[int], spent: int = 0) -> lis
     the `spent` records counted before them would pass CATALOG_RECORD_LIMIT.
 
     Every catalog's records pass through here (`hyperbolic_k_window` and
-    `_least_certifying_k` also skip the other k, in their own sweeps).  The
-    rule is `links.torsion_hypothesis`, gcd(k, d) = 1 on a reduced system.
+    `records._least_certifying_k` also skip the other k, in their own
+    sweeps).  The rule is `links.torsion_hypothesis`, gcd(k, d) = 1 on a
+    reduced system.
     The count stops one past the limit: a huge k range is refused at once.
     """
     d, room = base.degree, CATALOG_RECORD_LIMIT - spent
@@ -149,67 +152,6 @@ def _branch_orders(base: WeightSystem, ks: Iterable[int], spent: int = 0) -> lis
             f"(the limit is passed at {base}, k = {orders[-1]})"
         )
     return orders
-
-
-def _records(
-    tag: str,
-    base: WeightSystem,
-    ks: list[int],
-    paper_min_k: Optional[int] = None,
-    literal_min_k: Optional[int] = None,
-) -> list[FamilyRecord]:
-    """Records of the k-fold covers of `base` for the k in `ks`, each coprime
-    to d (`_branch_orders`).
-
-    A base with no k costs nothing.  The Betti number, the genus, the
-    moduli count and the certificate inequalities solved in k
-    (`_cover_rule`) are computed once per base, exactly: a cover monomial
-    z_0^a z^beta of degree k t forces k | a, so h0_cover(O(k t)) =
-    sum_{j >= 0} h0_base(O(t - j d)) and h0_cover(O(d)) = 1, neither
-    depending on k, and `moduli_count` of the cover data reads them off one
-    counting table of the base.
-    """
-    if not ks:
-        return []
-    from .ke_cert import _cover_rule, certify_cover
-    from .moduli import moduli_count
-    from .topology import genus, torsion_order
-    # records name the sorted base, so the certificate's witness indexes it
-    base = base.canonical()
-    k0 = min(ks)
-    # an integer past the int-to-str limit could not be written: the base is
-    # refused here, once, so that no catalog fails to render
-    betti = check_digits(torsion_order(k0, base).exponent, f"b_{base.m - 2}")
-    # records read the genus off b_1 = 2g; the Orlik-Wagreich genus checks it
-    if base.m == 3 and 2 * (g := genus(base)) != betti:
-        raise IntegrityError(f"the orbit curve of {base} has genus {g}, but b_1 = {betti}")
-    moduli = moduli_count(branched_cover(k0, base))
-    # real_dim = 2 max(mu, 0) can have one digit more than the counts
-    for name in ("complex_dim", "real_dim", "h0_degree", "h0_weights_sum"):
-        check_digits(getattr(moduli, name), name)
-    rule = _cover_rule(base)
-    # by position: keywords double what building a NamedTuple costs
-    return [
-        FamilyRecord(
-            tag, base, FactoredPower(k, betti), moduli, certify_cover(k, base, rule=rule),
-            paper_min_k, literal_min_k,
-        )
-        for k in ks
-    ]
-
-
-def _catalog(tag: str, groups: Iterable[tuple]) -> list[FamilyRecord]:
-    """Records for (base, ks[, paper_min_k, literal_min_k]) groups, in catalog
-    order; every group's branch orders are counted against the record
-    budget before any record is built."""
-    kept, spent = [], 0
-    for base, ks, *rest in groups:
-        orders = _branch_orders(base, ks, spent)
-        spent += len(orders)
-        kept.append((base, orders, *rest))
-    records = [rec for group in kept for rec in _records(tag, *group)]
-    records.sort(key=FamilyRecord.sort_key)
-    return records
 
 
 def _m_values(cfg: ScanConfig) -> range:
@@ -310,19 +252,6 @@ def scan_euclidean_classification(cfg: ScanConfig) -> list[EuclideanRow]:
     ]
 
 
-def _least_certifying_k(base: WeightSystem, k_bound: int) -> Optional[int]:
-    """Smallest k coprime to d (`links.torsion_hypothesis`) whose cover passes
-    the literal sufficiency inequality (`bp_sufficient_ke`), swept over k."""
-    from .ke_cert import bp_sufficient_ke
-    exponents = base.bp_exponents
-    if exponents is None:
-        return None
-    for k in range(2, k_bound + 1):
-        if math.gcd(k, base.degree) == 1 and bp_sufficient_ke((k,) + exponents).verdict:
-            return k
-    return None
-
-
 def generate_theorem2_family(cfg: ScanConfig) -> list[FamilyRecord]:
     """Covers of the three Euclidean classes: rational homology 5-spheres.
 
@@ -335,6 +264,7 @@ def generate_theorem2_family(cfg: ScanConfig) -> list[FamilyRecord]:
     records carry both, so the discrepancy stays visible as data.
     """
     from .ke_cert import euclidean_k_threshold
+    from .records import _catalog, _least_certifying_k
     ks = range(cfg.k_min, cfg.k_bound + 1)
     groups = [
         (base, ks, euclidean_k_threshold(base), _least_certifying_k(base, cfg.k_bound))
@@ -350,6 +280,7 @@ def scan_fermat_cy(cfg: ScanConfig) -> list[FamilyRecord]:
     parameter count depend only on m, while the certificate flips exactly
     at k = m(m-1).
     """
+    from .records import _catalog
     ks = range(cfg.k_min, cfg.k_bound + 1)
     return _catalog("fermat_cy", [(WeightSystem((1,) * m, m), ks) for m in _m_values(cfg)])
 
@@ -361,6 +292,7 @@ def scan_hyperbolic(cfg: ScanConfig) -> list[FamilyRecord]:
     the window contains exactly k = m.
     """
     from .ke_cert import hyperbolic_k_window
+    from .records import _catalog
     ks = range(cfg.k_min, cfg.k_bound + 1)
     groups = [
         (WeightSystem((1,) * m, l), [k for k in hyperbolic_k_window(m, l).solutions if k in ks])
@@ -377,6 +309,7 @@ def generate_mixed_canonical(cfg: ScanConfig) -> list[FamilyRecord]:
     sufficiency inequality holds for every m >= 2, so the whole family is
     certified.
     """
+    from .records import _catalog
     groups = [
         (WeightSystem((1,) * (m - 1) + (m,), 2 * m), [2 * m - 1])
         for m in _m_values(cfg)
@@ -422,6 +355,7 @@ def ingest_weight_list(
     largest k decides.  Only the run's record budget (CATALOG_RECORD_LIMIT,
     counted over all rows) ends the run, with ResourceBudgetError.
     """
+    from .records import _records
     records: list[FamilyRecord] = []
     ks = range(cfg.k_min, cfg.k_bound + 1)
     for lineno, raw in enumerate(lines, start=1):

@@ -1,4 +1,6 @@
+import ast
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -28,7 +30,8 @@ from selinks.writer import _TABLE, CSV_HEADER
 def test_parse_invocation_invariants():
     ns = cli._build_parser().parse_args(["invariants", "--weights", "1,2,3", "--degree", "6"])
     assert ns.command == "invariants"
-    assert ns.handler is cli._run_invariants
+    # the four single-system commands share one handler, which loads theirs
+    assert ns.handler is cli._run_single
     assert ns.weights == (1, 2, 3)
     assert ns.degree == 6
     assert ns.format == "table"
@@ -789,6 +792,14 @@ def test_a_command_loads_only_the_modules_it_runs(tmp_path):
     # the parameter count runs no certificate
     assert "selinks.ke_cert" not in moduli
     assert "selinks.writer" in fermat and "selinks.writer" in ingest
+    # the record builders load only where records are built, and the
+    # single-system handlers only where those four commands run
+    for loaded in (version, euclidean, euclidean_csv):
+        assert {"selinks.records", "selinks.single"}.isdisjoint(loaded)
+    for loaded in (fermat, ingest):
+        assert "selinks.records" in loaded and "selinks.single" not in loaded
+    for loaded in single:
+        assert "selinks.single" in loaded and "selinks.records" not in loaded
     # the catalog is written here, so only reading it can load the writer
     empty = render_catalog([], "json", ScanConfig())
     read = _modules_after(f"from selinks import cli\ncli.parse_catalog_json({empty!r})")
@@ -810,6 +821,24 @@ def test_a_command_loads_nothing_outside_the_standard_library(tmp_path):
     ):
         loaded = {name.partition(".")[0] for name in _command_modules(*args) - at_start}
         assert loaded - {"selinks", *sys.stdlib_module_names} == set(), args
+
+
+# the most syntax-tree nodes a module that every command compiles may have
+EVERY_COMMAND_NODE_BUDGET = 1_900
+
+
+def test_each_module_every_command_compiles_stays_within_the_node_budget():
+    # a child compiles each module it loads from source, and its peak RSS
+    # follows the largest of them, at about 0.3 KiB per syntax-tree node,
+    # since compiling holds a module's whole tree at once.  Every command
+    # loads what --version loads, so none of those modules may grow past the
+    # budget; code only some commands run belongs in a module they load
+    loaded = sorted(name for name in _command_modules("--version") if name.startswith("selinks"))
+    assert {"selinks", "selinks.cli", "selinks.survey"} <= set(loaded)
+    for name in loaded:
+        source = Path(importlib.util.find_spec(name).origin).read_text(encoding="utf-8")
+        nodes = sum(1 for _ in ast.walk(ast.parse(source)))
+        assert nodes <= EVERY_COMMAND_NODE_BUDGET, (name, nodes)
 
 
 def _catalog_text() -> str:
@@ -1461,4 +1490,38 @@ def test_an_unwritable_stderr_leaves_each_failure_its_code(tmp_path, monkeypatch
     assert main(["invariants", "--weights", "1,2,2", "--degree", "5"]) == 2
     # the bad row's diagnostic cannot be written, an i/o error before any catalog
     assert main(["ingest", str(tmp_path / "bases.txt")]) == 3
+    # the record budget ends the run at the first row, so nothing is written
+    # to stderr before its own line
+    assert main(["ingest", str(tmp_path / "bases.txt"), "--k-range", "2..3000000"]) == 4
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "args, full, code, other",
+    [
+        (["--version"], "stdout", 3, "i/o error: [Errno 28] No space left on device\n"),
+        (["invariants", "--weights", "1,2,3", "--degree", "6"], "stdout", 3,
+         "i/o error: [Errno 28] No space left on device\n"),
+        (["invariants", "--weights", "1,2,2", "--degree", "5"], "stderr", 2, ""),
+        # the record budget ends the run before any row diagnostic is written
+        (["ingest", "BASES", "--k-range", "2..3000000"], "stderr", 4, ""),
+    ],
+)
+def test_a_buffered_stream_that_cannot_be_written_keeps_the_exit_code(
+    args, full, code, other, tmp_path
+):
+    # without PYTHONUNBUFFERED a standard stream on a file is buffered, so a
+    # short write fails only when flushed; the interpreter's flush at exit
+    # would end the process with status 120 and "Exception ignored"
+    root = Path(__file__).resolve().parents[1]
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(root / "src")
+    (tmp_path / "bases.txt").write_text("1,1,1;3\nfoo\n", encoding="utf-8")
+    args = [str(tmp_path / "bases.txt") if arg == "BASES" else arg for arg in args]
+    with open("/dev/full", "w") as stream:
+        streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, full: stream}
+        done = subprocess.run([sys.executable, "-m", "selinks", *args], cwd=root, env=env,
+                              text=True, timeout=60, **streams)
+    assert done.returncode == code
+    assert (done.stderr if full == "stdout" else done.stdout) == other

@@ -2,7 +2,8 @@
 
 Every command line must end in one of the documented exit codes (0 success,
 1 usage, 2 integrity, 3 I/O, 4 resource budget) and never in an exception,
-also when stderr cannot be written.
+also when stderr cannot be written.  A fixed line per resource budget goes
+through the same checks.
 Values are drawn small, malformed, or huge; the huge ones are those a
 budget refuses at once, so every run stays short.  The vocabulary drawn
 from is checked against the parser, so no flag goes unfuzzed.
@@ -150,24 +151,56 @@ def command_lines(draw, paths):
 @given(data=st.data())
 def test_every_command_line_ends_in_a_documented_exit_code(data, paths, unwritable_runs, capsys):
     argv = data.draw(command_lines(paths), label="argv")
+    # drawn lines repeat, so each distinct line is run with an unwritable
+    # stderr once
+    ends_documented(argv, capsys, unwritable_stderr=tuple(argv) not in unwritable_runs)
+    unwritable_runs.add(tuple(argv))
+
+
+def ends_documented(argv, capsys, *, unwritable_stderr: bool) -> tuple[int, str]:
+    """Run `argv` through `main` and require a documented exit code, with a
+    stderr of ingest's row diagnostics and then, on failure, one line naming
+    it; with `unwritable_stderr`, run it again with a stderr that cannot be
+    written.  The code and the last stderr line of the first run."""
     code = main(argv)
     captured = capsys.readouterr()
     assert code in (0, 1, 2, 3, 4), argv
     lines = captured.err.splitlines()
-    if code:
-        # ingest's row diagnostics, then one line naming the failure
-        assert lines[-1].startswith(PREFIXES[code]), (argv, captured.err)
-        lines.pop()
+    last = lines.pop() if code else ""
+    # ingest's row diagnostics, then one line naming the failure
+    assert last.startswith(PREFIXES.get(code, "")), (argv, captured.err)
     assert all(line.startswith("ingest: line ") for line in lines), (argv, captured.err)
     # with stderr unwritable the failure keeps its code, unless a row
-    # diagnostic had to be written first: that is an i/o error.  Drawn lines
-    # repeat, so each distinct line is run this way once
-    if tuple(argv) not in unwritable_runs:
+    # diagnostic had to be written first: that is an i/o error
+    if unwritable_stderr:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(sys, "stderr", Unwritable())
             assert main(argv) == (3 if lines else code), argv
         capsys.readouterr()
-        unwritable_runs.add(tuple(argv))
+    return code, last
+
+
+# one command line per resource budget, each refused at once: Hypothesis
+# seeds the fuzz draw from the fuzz test's source, so an edit to that test
+# may stop the draw reaching one
+BUDGET_LINES = {
+    "scan-m-limit": (["scan", "fermat-cy", "--m", "3..33"], "the limit is 32 variables"),
+    "record-limit": (["scan", "fermat-cy", "--k-bound", "3000000", "--m", "3..3"],
+                     "records is refused"),
+    "walk-guard": (["scan", "euclidean", "--weight-bound", "1000000"],
+                   "enumerating Euclidean systems"),
+    "milnor-orlik-charge": (
+        ["invariants", "--weights", PRIMORIAL_WEIGHTS, "--degree", str(PRIMORIAL)],
+        "the Milnor-Orlik sum of",
+    ),
+}
+
+
+@pytest.mark.parametrize("budget", BUDGET_LINES)
+def test_each_budget_refusal_ends_in_exit_4(budget, capsys):
+    argv, message = BUDGET_LINES[budget]
+    code, last = ends_documented(argv, capsys, unwritable_stderr=True)
+    assert code == 4 and last.startswith("resource budget error: ") and message in last, last
 
 
 def test_the_vocabulary_is_the_parser(paths):

@@ -396,7 +396,7 @@ def test_a_scan_past_the_record_budget_builds_no_record(monkeypatch):
         raise AssertionError("a record was built")
 
     monkeypatch.setattr(survey, "CATALOG_RECORD_LIMIT", count - 1)
-    monkeypatch.setattr(survey, "_records", unreachable)
+    monkeypatch.setattr("selinks.records._records", unreachable)
     with pytest.raises(ResourceBudgetError, match="records is refused"):
         scan_fermat_cy(cfg)
 
