@@ -7,6 +7,7 @@ command that writes no record catalog does not load it.
 from __future__ import annotations
 
 import json
+from itertools import chain, count, repeat, tee
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, methodcaller
 from typing import Any, Callable, NamedTuple, Optional, Sequence
@@ -193,36 +194,66 @@ def _table_text(value: Any) -> str:
     return "-" if value is None else str(value)
 
 
-def _append_text(parts: list, records, fields, closing: str) -> None:
+class _Memo(dict):
+    """`memo[key]` is the text `fill` made from the first key equal to
+    `key`, a text or a tuple of texts."""
+
+    def __init__(self, fill: Callable[[Any], str]):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key) -> str:
+        self[key] = text = self.fill(key)
+        return text
+
+
+def _append_text(parts: list, records: Sequence, fields, closing: str) -> None:
     """Append to `parts` the text of each record.
 
     `fields` gives, per field, the text before its value, its %-format, the
     chains that make its arguments from the record and whether it is
     per-cover; `closing` ends a record.  The fields are cut into runs,
     constant and per-cover by turns, each one %-format, with the text
-    between the two kinds in the constant run.  A per-cover run is filled
-    for every record from columns (`_columns`).  The constant runs are
-    filled once per _template_key and shared by the records with that key.
+    between two runs in the constant one.  A per-cover field whose format
+    takes numbers (%d) is a run of its own; next per-cover fields whose one
+    argument is a text share a run, with the text between them.
+
+    Every run is filled from columns (`_columns`), so every chain runs for
+    every record.  The texts of a per-cover run are kept once per call,
+    keyed by text: a run of texts by those texts, in a `_Memo` that formats
+    them when first met, and a run of numbers by the text it makes.  A
+    constant run is filled once per _template_key, from the first record
+    with that key, and the records with that key share its text.
     """
-    runs = [["", []]]  # constant at even indices
+    runs = [["", [], False]]  # [format, chains, made of texts]; constant at even indices
     for text, fragment, chains, varies in (*fields, (closing, "", (), False)):
-        if not varies and len(runs) % 2 == 0:
-            runs.append(["", []])
+        of_texts = varies and len(chains) == 1  # a one-argument format formats a text
+        if len(runs) % 2 == 0 and not (of_texts and runs[-1][2]):
+            runs.append(["", [], False])
         runs[-1][0] += text.replace("%", "%%")
         if varies and len(runs) % 2:
-            runs.append(["", []])
+            runs.append(["", [], of_texts])
         runs[-1][0] += fragment
         runs[-1][1] += chains
-    covers = (map(fmt.__mod__, zip(*_columns(records, chains))) for fmt, chains in runs[1::2])
-    templates: dict = {}
-    record = [None] * len(runs)  # one record's runs, refilled in place
-    for rec, key, texts in zip(records, map(_template_key, records), zip(*covers)):
-        template = templates.get(key)
-        if template is None:
-            template = [fmt % tuple(map(next, _columns([rec], c))) for fmt, c in runs[::2]]
-            templates[key] = template
-        record[::2], record[1::2] = template, texts
-        parts += record
+    # per record, the index of the first record with its key
+    first: dict = {}
+    firsts = list(map(first.setdefault, map(_template_key, records), count()))
+    keyed = [records[index] for index in first.values()]
+    columns = []
+    for index, (fmt, chains, of_texts) in enumerate(runs):
+        if index % 2:
+            args = _columns(records, chains)
+            if of_texts:  # formatted when first met
+                keys = args[0] if len(args) == 1 else zip(*args)
+                columns.append(map(_Memo(fmt.__mod__).__getitem__, keys))
+            else:  # each text met before gives way to the first
+                columns.append(map({}.setdefault, *tee(map(fmt.__mod__, zip(*args)))))
+        elif chains:
+            texts = map(fmt.__mod__, zip(*_columns(keyed, chains)))
+            columns.append(map(dict(zip(first.values(), texts)).__getitem__, firsts))
+        else:  # the same text for every key
+            columns.append(repeat(fmt % (), len(records)))
+    parts += chain.from_iterable(zip(*columns))
 
 
 def _catalog_meta(cfg: ScanConfig, expand_torsion: bool, count: int) -> dict:

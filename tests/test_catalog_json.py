@@ -19,6 +19,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -369,6 +370,98 @@ def test_records_read_back_share_templates_by_value():
     assert len(same) > 1 and same[0].base is not same[1].base
     assert render_catalog(back, "json", cfg) == text
     assert_writer_is_the_oracle(back, cfg)
+
+
+def _with_certificate(rec: FamilyRecord, **change) -> FamilyRecord:
+    return rec._replace(certificate=rec.certificate._replace(**change))
+
+
+@pytest.mark.parametrize("expand_torsion", [False, True])
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"left_value": Fraction(9, 8)},
+        {"right_bound": Fraction(6, 5)},
+        {"limiting_witness": "1/(b[1]*b[3])"},
+        {"k": 11},
+    ],
+    ids=lambda change: next(iter(change)),
+)
+def test_records_of_one_base_that_differ_in_one_per_cover_field(change, expand_torsion):
+    # the writer keeps each per-cover text once per render, by its text: a
+    # record equal to the one before it in all but one field must still
+    # write that field's own text, and the record after it the first text
+    cfg = ScanConfig(k_bound=13)
+    rec = generate_theorem2_family(cfg)[3]
+    if "k" in change:  # k is the torsion's base, so the torsion changes with it
+        other = rec._replace(torsion=FactoredPower(change["k"], rec.torsion.exponent))
+    else:
+        other = _with_certificate(rec, **change)
+    # the sides keep the flags: 1 < left < right either way
+    assert (other.certificate.fano, other.certificate.bp_sufficient) == (True, True)
+    assert_writer_is_the_oracle([rec, other, rec, other], cfg, expand_torsion)
+
+
+@pytest.mark.parametrize("expand_torsion", [False, True])
+def test_a_per_cover_text_equal_to_another_fields_text(expand_torsion):
+    # each run keeps its own texts: with b = 1 and --expand-torsion the
+    # table's torsion cell is "7", as its k cell is; the two fractions write
+    # one text; the witness is the family's text, or a flag's
+    cfg = ScanConfig(k_bound=13)
+    rec = generate_theorem2_family(cfg)[3]
+    records = [
+        rec,
+        rec._replace(torsion=FactoredPower(7, 1)),
+        _with_certificate(rec, right_bound=rec.certificate.left_value),
+        _with_certificate(rec, limiting_witness=rec.family_tag),
+        _with_certificate(rec, limiting_witness="true"),
+    ]
+    assert_writer_is_the_oracle(records, cfg, expand_torsion)
+
+
+@pytest.mark.parametrize("expand_torsion", [False, True])
+def test_a_witness_that_holds_a_percent_sign(expand_torsion):
+    cfg = ScanConfig(k_bound=13)
+    rec = generate_theorem2_family(cfg)[3]
+    witnesses = ("%", "%s", "%%d", "100% of k*w[1]", "%s")
+    records = [_with_certificate(rec, limiting_witness=w) for w in witnesses]
+    assert_writer_is_the_oracle(records, cfg, expand_torsion)
+
+
+def test_a_value_equal_to_one_written_before_is_still_refused():
+    # keyed by value, 1.5 == Fraction(3, 2) would find the text of the
+    # Fraction before it and skip the refusal; so would (7, 2) ==
+    # FactoredPower(7, 2), which k and the template key refuse as well
+    cfg = ScanConfig(k_bound=13)
+    rec = generate_theorem2_family(cfg)[3]
+    records = [_with_certificate(rec, left_value=v) for v in (Fraction(3, 2), 1.5)]
+    with pytest.raises(AttributeError):
+        render_catalog(records, "json", cfg)
+    # the table view writes no fraction, and 1.5 gives the flags 3/2 gives
+    assert render_catalog(records, "table", cfg) == table_oracle(records[:1] * 2)
+    records = [rec, rec._replace(torsion=tuple(rec.torsion))]
+    for fmt in ("json", "table"):
+        with pytest.raises(AttributeError):
+            render_catalog(records, fmt, cfg)
+
+
+def test_the_json_render_of_the_seed0_rows_peaks_within_2_mib_of_its_text(
+    seed0_ingest_lines,
+):
+    # the render sets the peak of the whole ingest child.  Past the catalog
+    # text it holds the list of its parts and each distinct per-cover text
+    # once; when each record held its own certificate text, with the keys
+    # between its fields, the render peaked 3.06 MiB past the text
+    cfg = ScanConfig()
+    records = ingest_weight_list(seed0_ingest_lines, cfg, report=lambda _: None)
+    assert len(records) == 5291
+    tracemalloc.start()
+    try:
+        text = render_catalog(records, "json", cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - len(text) < 2 << 20, (peak - len(text)) / 2**20
 
 
 big_ints = st.integers(-(2**70), 2**70) | st.sampled_from([2**64, 2**64 + 1, -(2**64), 10**30])
